@@ -1,6 +1,6 @@
 package repro
 
-// One benchmark per reproduction experiment (E1–E14, DESIGN.md §4), each
+// One benchmark per reproduction experiment (E1–E14, internal/harness), each
 // timing the exact code path that regenerates that experiment's table, plus
 // micro-benchmarks of the DP primitives and an O(n log n) scaling check for
 // the paper's efficiency claim (§1: "all our estimators can be implemented

@@ -1,20 +1,26 @@
 // Command linkcheck verifies that every relative link in the
-// repository's Markdown files resolves to an existing file or directory.
-// It is the CI guard for the operator docs (docs/ACCOUNTING.md,
-// docs/API.md, ROADMAP.md, ...): a renamed file or a typo'd anchor path
-// fails the build instead of shipping a dead link.
+// repository's Markdown files resolves to an existing file or directory,
+// and that every Markdown file named in a Go comment exists. It is the CI
+// guard for the operator docs (docs/ACCOUNTING.md, docs/API.md,
+// ROADMAP.md, ...): a renamed file, a typo'd anchor path, or a comment
+// citing a document that was never written fails the build instead of
+// shipping a dead reference.
 //
 //	linkcheck [root]
 //
 // External links (http://, https://, mailto:) and pure in-page anchors
 // (#section) are skipped — this tool checks the repository's own file
 // graph, not the internet. A link's #fragment is stripped before the
-// path check. Exit status is 1 if any link is broken, with one line per
-// miss.
+// path check. A *.md name in a Go comment may be relative to the Go
+// file's directory or to root; a name after a shell redirection (> x.md)
+// is an output file, not a citation, and is skipped. Exit status is 1 if
+// any reference is broken, with one line per miss.
 package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -63,8 +69,54 @@ func checkFile(path string) ([]string, error) {
 	return broken, nil
 }
 
-// run walks root for *.md files (skipping VCS and vendor trees) and
-// checks each, returning every broken-link message.
+// mdNameRe matches a Markdown file name in comment text, with any
+// directory prefix (docs/API.md) and an optional preceding
+// shell redirection, which marks an output file rather than a citation.
+var mdNameRe = regexp.MustCompile(`(>\s*)?([\w./-]*\w\.md)\b`)
+
+// checkGoComments returns one message per Markdown file named in a comment
+// of the Go file at path that exists neither relative to the file's
+// directory nor relative to root.
+func checkGoComments(root, path string) ([]string, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var s scanner.Scanner
+	// Syntax errors are the compiler's business; keep scanning comments.
+	s.Init(fset.AddFile(path, -1, len(src)), src, nil, scanner.ScanComments)
+	var broken []string
+	for {
+		pos, tok, lit := s.Scan()
+		if tok == token.EOF {
+			break
+		}
+		if tok != token.COMMENT {
+			continue
+		}
+		for _, m := range mdNameRe.FindAllStringSubmatchIndex(lit, -1) {
+			if m[2] >= 0 || (m[4] > 0 && lit[m[4]-1] == ':') {
+				continue // redirection target, or part of a URL
+			}
+			name := filepath.FromSlash(lit[m[4]:m[5]])
+			if exists(filepath.Join(filepath.Dir(path), name)) || exists(filepath.Join(root, name)) {
+				continue
+			}
+			broken = append(broken, fmt.Sprintf("%s: comment cites missing %q", fset.Position(pos), lit[m[4]:m[5]]))
+		}
+	}
+	return broken, nil
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
+// run walks root for *.md and *.go files (skipping VCS, vendor and hidden
+// trees such as build caches) and checks each, returning every
+// broken-reference message.
 func run(root string) ([]string, error) {
 	var broken []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -72,16 +124,19 @@ func run(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "vendor", "node_modules":
+			name := d.Name()
+			if path != root && (name == "vendor" || name == "node_modules" || strings.HasPrefix(name, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.EqualFold(filepath.Ext(path), ".md") {
-			return nil
+		var msgs []string
+		switch ext := strings.ToLower(filepath.Ext(path)); ext {
+		case ".md":
+			msgs, err = checkFile(path)
+		case ".go":
+			msgs, err = checkGoComments(root, path)
 		}
-		msgs, err := checkFile(path)
 		if err != nil {
 			return err
 		}
@@ -105,7 +160,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, msg)
 	}
 	if len(broken) > 0 {
-		fmt.Fprintf(os.Stderr, "linkcheck: %d broken link(s)\n", len(broken))
+		fmt.Fprintf(os.Stderr, "linkcheck: %d broken reference(s)\n", len(broken))
 		os.Exit(1)
 	}
 }

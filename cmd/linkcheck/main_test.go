@@ -78,3 +78,38 @@ func TestRepositoryDocsHaveNoBrokenLinks(t *testing.T) {
 		t.Error(msg)
 	}
 }
+
+func TestLinkcheckFlagsMissingDocsCitedInGoComments(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, "PAPER.md"), "ok")
+	write(t, filepath.Join(dir, "docs", "API.md"), "ok")
+	write(t, filepath.Join(dir, "pkg", "NOTES.md"), "ok")
+	write(t, filepath.Join(dir, "pkg", "pkg.go"), `// Package pkg follows PAPER.md, docs/API.md and NOTES.md (next to
+// this file) but also cites DESIGN.md and docs/GONE.md.
+//
+//	tool -format md > results.md
+//
+// See https://example.com/README.md for upstream.
+package pkg
+
+/* A block comment citing EXPERIMENTS.md. */
+
+// The string below is not a comment.
+var s = "MISSING.md"
+`)
+	// Hidden trees such as build caches are not the repository's code.
+	write(t, filepath.Join(dir, ".cache", "x.go"), "// cites NOPE.md\npackage x\n")
+	broken, err := run(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"DESIGN.md", "docs/GONE.md", "EXPERIMENTS.md"}
+	if len(broken) != len(want) {
+		t.Fatalf("broken = %v, want exactly %v", broken, want)
+	}
+	for i, name := range want {
+		if !strings.Contains(broken[i], `"`+name+`"`) {
+			t.Errorf("broken[%d] = %q, want the %s miss", i, broken[i], name)
+		}
+	}
+}

@@ -1,5 +1,5 @@
-// Command updp-bench runs the reproduction experiments E1–E15 (DESIGN.md §4)
-// and prints their tables. Each experiment regenerates one analytic claim of
+// Command updp-bench runs the reproduction experiments E1–E21 (registered
+// in internal/harness) and prints their tables. Each experiment regenerates one analytic claim of
 // the paper (a utility theorem's shape, or Table 1's assumptions matrix).
 //
 // Usage:

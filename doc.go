@@ -3,8 +3,9 @@
 // the mean, variance, and interquartile range of an arbitrary unknown
 // continuous distribution, with no boundedness or family assumptions.
 //
-// Import repro/updp for the public API. See DESIGN.md for the system
-// inventory, EXPERIMENTS.md for the reproduction results, and
+// Import repro/updp for the public API. See PAPER.md for the paper's
+// abstract, internal/harness for the reproduction experiments (run them
+// with cmd/updp-bench: updp-bench -all -quick -format md), and
 // bench_test.go (this package) for one benchmark per reproduced
 // table/figure.
 //

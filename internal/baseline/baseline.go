@@ -2,7 +2,8 @@
 // compares against in §1.1 and Table 1, plus non-private references. Each
 // baseline keeps the assumption profile (A1: mean range, A2: variance
 // range, A3: distribution family) and the error *rate* of the original;
-// see DESIGN.md §1 for the substitution notes.
+// where a baseline substitutes a mechanism (CoinPress uses Laplace noise in
+// place of Gaussian), its doc comment says so.
 //
 //   - KV18Mean / KV18Variance   — histogram localization, A1+A2(+A3)
 //   - CoinPressMean / -Variance — KLSU19/BDKU20-style iterative refinement,

@@ -298,15 +298,18 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	q1, err := empirical.RealQuantile(rng, data, n/4, b, eps/3, beta/6)
+	// Two independent Algorithm 6 releases of one discretized dataset: it
+	// is bucketed and sorted once, and each release reads it in place.
+	ints := empirical.SortedBuckets(data, b)
+	q1, err := empirical.Quantile(rng, ints, n/4, eps/3, beta/6)
 	if err != nil {
 		return 0, err
 	}
-	q3, err := empirical.RealQuantile(rng, data, 3*n/4, b, eps/3, beta/6)
+	q3, err := empirical.Quantile(rng, ints, 3*n/4, eps/3, beta/6)
 	if err != nil {
 		return 0, err
 	}
-	return q3 - q1, nil
+	return float64(q3)*b - float64(q1)*b, nil
 }
 
 // EstimateQuantile releases the tau-th order statistic (1-based) of the

@@ -135,7 +135,9 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	ints := empirical.DiscretizeAll(data, b)
+	// Sorted once: the range's median and both endpoint quantiles then
+	// read it in place.
+	ints := empirical.SortedBuckets(data, b)
 	lo, hi, err := empirical.Range(rng, ints, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
@@ -157,13 +159,11 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 	rLo := clampRank(int(math.Floor(p*nf-z)), n)
 	rHi := clampRank(int(math.Ceil(p*nf+z))+1, n)
 
-	clamped := make([]int64, len(ints))
-	copy(clamped, ints)
-	qLo, err := dp.FiniteDomainQuantile(rng, clamped, rLo, lo, hi, eps/4, beta/5)
+	qLo, err := dp.FiniteDomainQuantile(rng, ints, rLo, lo, hi, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
 	}
-	qHi, err := dp.FiniteDomainQuantile(rng, clamped, rHi, lo, hi, eps/4, beta/5)
+	qHi, err := dp.FiniteDomainQuantile(rng, ints, rHi, lo, hi, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
 	}

@@ -79,7 +79,10 @@ func TestExecDuringInsert(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			// Bounded: every insert adds a user and Exec is linear in the
+			// user count, so unbounded writers that outpace the reader grow
+			// the table (and each query) without limit.
+			for i := 0; i < 20000; i++ {
 				select {
 				case <-stop:
 					return
@@ -181,7 +184,10 @@ func TestUserMeansDuringInsert(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		// Bounded: every insert adds a user and UserMeans is linear in the
+		// user count, so an unbounded writer that outpaces the reader grows
+		// the table (and each read) without limit.
+		for i := 0; i < 20000; i++ {
 			select {
 			case <-stop:
 				return

@@ -17,9 +17,11 @@
 // one contribution per user and then run the repository's universal
 // estimators over the per-user contributions, so no bounds on user
 // contributions are required. GROUP BY keys are released as-is and must be
-// public categories (the standard assumption for partitioned release);
-// the per-query budget is split evenly across groups because a user may
-// contribute to several groups.
+// public categories (the standard assumption for partitioned release).
+// Grouped releases are priced by parallel composition: the scan clamps each
+// user to its first-seen group (contribution bound 1 by default), so groups
+// are disjoint in users and a grouped query costs one release, not one per
+// group. DB.Exec documents larger bounds and the legacy even split.
 package dpsql
 
 import (

@@ -18,6 +18,8 @@ package empirical
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/xrand"
@@ -48,20 +50,62 @@ func clampInt64(v int64) int64 {
 	return v
 }
 
-// clampAll returns a clamped copy of data.
-func clampAll(data []int64) []int64 {
-	out := make([]int64, len(data))
+// sortedClamped returns data clamped to ±maxAbs, in increasing order.
+// Clamping is monotone and every consumer only reads the result, so input
+// that is already ordered and in range is returned as is; otherwise the
+// result is a sorted copy.
+func sortedClamped(data []int64) []int64 {
+	ok := true
 	for i, v := range data {
-		out[i] = clampInt64(v)
+		if v != clampInt64(v) || (i > 0 && v < data[i-1]) {
+			ok = false
+			break
+		}
 	}
-	return out
+	if ok {
+		return data
+	}
+	xs := make([]int64, len(data))
+	for i, v := range data {
+		xs[i] = clampInt64(v)
+	}
+	slices.Sort(xs)
+	return xs
 }
 
 // Radius is Algorithm 3 (InfiniteDomainRadius): an eps-DP estimate r̃ad(D)
 // with r̃ad(D) <= 2·rad(D) while [-r̃ad, r̃ad] misses only
 // O(log(log(rad(D))/beta)/eps) elements of D, with probability >= 1-beta
-// (Theorem 3.1).
+// (Theorem 3.1). It reads the data once, in O(n) time and O(1) memory.
 func Radius(rng *xrand.RNG, data []int64, eps, beta float64) (int64, error) {
+	return radius(rng, data, 0, eps, beta)
+}
+
+// radiusQueries is the length of the prefix of Algorithm 3's query sequence
+// that can still change the count: query 1 is Count(D, 0) and query i >= 2
+// is Count(D, 2^(i-2)), so with |v| <= maxAbs = 2^61 every value is covered
+// by query 63 and every later query answers n.
+const radiusQueries = 63
+
+// radiusQuery returns the index of the first Algorithm 3 query that covers
+// v, for |v| <= maxAbs: 1 for v = 0, else the smallest i with
+// |v| <= 2^(i-2), i.e. 2 + ceil(log2 |v|).
+func radiusQuery(v int64) int {
+	if v == 0 {
+		return 1
+	}
+	a := uint64(v)
+	if v < 0 {
+		a = uint64(-v)
+	}
+	return 2 + bits.Len64(a-1)
+}
+
+// radius runs Algorithm 3 on the values clampInt64(clampInt64(v) - shift)
+// for v in data, i.e. on the clamped data recentred at shift. One pass
+// buckets every value by the first query that covers it; the SVT's counts
+// are then prefix sums of that histogram.
+func radius(rng *xrand.RNG, data []int64, shift int64, eps, beta float64) (int64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, err
 	}
@@ -71,30 +115,19 @@ func Radius(rng *xrand.RNG, data []int64, eps, beta float64) (int64, error) {
 	if len(data) == 0 {
 		return 0, dp.ErrEmptyData
 	}
-	xs := clampAll(data)
-	n := float64(len(xs))
+	// covered[i] counts the values first covered by query i; the prefix
+	// sum below turns it into Count(D, bound_i).
+	var covered [radiusQueries + 1]int
+	for _, v := range data {
+		covered[radiusQuery(clampInt64(clampInt64(v)-shift))]++
+	}
+	for i := 1; i <= radiusQueries; i++ {
+		covered[i] += covered[i-1]
+	}
 
-	threshold := n - dp.SVTLemma26Slack(eps, beta)
+	threshold := float64(len(data)) - dp.SVTLemma26Slack(eps, beta)
 	idx, err := dp.SVT(rng, threshold, eps, func(i int) (float64, bool) {
-		// Query 1 is Count(D, 0); query i >= 2 is Count(D, 2^(i-2)).
-		var bound int64
-		if i == 1 {
-			bound = 0
-		} else {
-			shift := uint(i - 2)
-			if shift >= 63 {
-				bound = math.MaxInt64
-			} else {
-				bound = int64(1) << shift
-			}
-		}
-		cnt := 0
-		for _, v := range xs {
-			if v >= -bound && v <= bound {
-				cnt++
-			}
-		}
-		return float64(cnt), true
+		return float64(covered[min(i, radiusQueries)]), true
 	}, maxRadiusQueries)
 	if err != nil {
 		// The cap is unreachable except under extreme noise; fall back to
@@ -104,11 +137,11 @@ func Radius(rng *xrand.RNG, data []int64, eps, beta float64) (int64, error) {
 	if idx == 1 {
 		return 0, nil
 	}
-	shift := uint(idx - 2)
-	if shift >= 62 {
+	k := uint(idx - 2)
+	if k >= 62 {
 		return maxAbs, nil
 	}
-	return int64(1) << shift, nil
+	return int64(1) << k, nil
 }
 
 // Range is Algorithm 4 (InfiniteDomainRange): an eps-DP range R̃(D) with
@@ -126,27 +159,22 @@ func Range(rng *xrand.RNG, data []int64, eps, beta float64) (lo, hi int64, err e
 	if len(data) == 0 {
 		return 0, 0, dp.ErrEmptyData
 	}
-	xs := clampAll(data)
-
-	rad1, err := Radius(rng, xs, eps/8, beta/3)
+	rad1, err := Radius(rng, data, eps/8, beta/3)
 	if err != nil {
 		return 0, 0, err
 	}
 
 	// Clip into [-rad1, rad1] and take a private median over that finite
-	// domain (Algorithm 4 lines 2-3). FiniteDomainQuantile clips internally.
-	med, err := dp.FiniteDomainQuantile(rng, xs, len(xs)/2, -rad1, rad1, eps/8, beta/3)
+	// domain (Algorithm 4 lines 2-3). FiniteDomainQuantile clips internally,
+	// and rad1 <= maxAbs, so clipping raw data equals clipping clamped data.
+	med, err := dp.FiniteDomainQuantile(rng, data, len(data)/2, -rad1, rad1, eps/8, beta/3)
 	if err != nil {
 		return 0, 0, err
 	}
 
-	// Recentre (|med| <= rad1 <= maxAbs and |x| <= maxAbs, so the
-	// subtraction stays within int64) and re-estimate the radius.
-	shifted := make([]int64, len(xs))
-	for i, v := range xs {
-		shifted[i] = v - med
-	}
-	rad2, err := Radius(rng, shifted, 3*eps/4, beta/3)
+	// Re-estimate the radius of the clamped data recentred at med
+	// (|med| <= rad1 <= maxAbs, so the subtraction stays within int64).
+	rad2, err := radius(rng, data, med, 3*eps/4, beta/3)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -194,11 +222,14 @@ func Mean(rng *xrand.RNG, data []int64, eps, beta float64) (float64, error) {
 // Quantile is Algorithm 6 (InfiniteDomainQuantile): an eps-DP estimate of
 // the tau-th order statistic (1-based) over Z with rank error
 // O(log(γ(D)/β)/ε) w.p. >= 1-beta (Theorem 3.5). Budget: 4ε/5 range +
-// ε/5 finite-domain quantile.
+// ε/5 finite-domain quantile. The data is clamped and sorted once; both
+// finite-domain quantiles (the range's median and the release) then read it
+// in place.
 func Quantile(rng *xrand.RNG, data []int64, tau int, eps, beta float64) (int64, error) {
-	lo, hi, err := Range(rng, data, 4*eps/5, beta/2)
+	xs := sortedClamped(data)
+	lo, hi, err := Range(rng, xs, 4*eps/5, beta/2)
 	if err != nil {
 		return 0, err
 	}
-	return dp.FiniteDomainQuantile(rng, clampAll(data), tau, lo, hi, eps/5, beta/2)
+	return dp.FiniteDomainQuantile(rng, xs, tau, lo, hi, eps/5, beta/2)
 }

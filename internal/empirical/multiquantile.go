@@ -42,15 +42,16 @@ func Quantiles(rng *xrand.RNG, data []int64, taus []int, eps, beta float64) ([]i
 	uniq := distinctSorted(taus)
 	k := float64(len(uniq))
 
-	lo, hi, err := Range(rng, data, 4*eps/5, beta/2)
+	// One clamp and sort serves the range and every rank.
+	xs := sortedClamped(data)
+	lo, hi, err := Range(rng, xs, 4*eps/5, beta/2)
 	if err != nil {
 		return nil, err
 	}
-	clamped := clampAll(data)
 
 	vals := make([]int64, len(uniq))
 	for i, tau := range uniq {
-		q, err := dp.FiniteDomainQuantile(rng, clamped, tau, lo, hi, eps/5/k, beta/2/k)
+		q, err := dp.FiniteDomainQuantile(rng, xs, tau, lo, hi, eps/5/k, beta/2/k)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +79,7 @@ func RealQuantiles(rng *xrand.RNG, data []float64, taus []int, b, eps, beta floa
 	if !(b > 0) || math.IsInf(b, 1) {
 		return nil, ErrBadBucket
 	}
-	qs, err := Quantiles(rng, DiscretizeAll(data, b), taus, eps, beta)
+	qs, err := Quantiles(rng, SortedBuckets(data, b), taus, eps, beta)
 	if err != nil {
 		return nil, err
 	}

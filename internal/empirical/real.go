@@ -3,6 +3,7 @@ package empirical
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"repro/internal/dp"
 	"repro/internal/xrand"
@@ -35,6 +36,16 @@ func DiscretizeAll(xs []float64, b float64) []int64 {
 	for i, x := range xs {
 		out[i] = Discretize(x, b)
 	}
+	return out
+}
+
+// SortedBuckets returns the bucket indices of xs in increasing order.
+// Quantile and Quantiles take such input as is, without a copy or a sort,
+// so a caller releasing several quantiles of one dataset discretizes and
+// sorts it once.
+func SortedBuckets(xs []float64, b float64) []int64 {
+	out := DiscretizeAll(xs, b)
+	slices.Sort(out)
 	return out
 }
 
@@ -87,7 +98,7 @@ func RealQuantile(rng *xrand.RNG, data []float64, tau int, b, eps, beta float64)
 	if !(b > 0) || math.IsInf(b, 1) {
 		return 0, ErrBadBucket
 	}
-	q, err := Quantile(rng, DiscretizeAll(data, b), tau, eps, beta)
+	q, err := Quantile(rng, SortedBuckets(data, b), tau, eps, beta)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,8 @@
-// Package harness runs the repository's reproduction experiments E1–E15
-// (see DESIGN.md §4): each experiment regenerates one of the paper's
-// analytic claims — a utility theorem's error shape or Table 1's
+// Package harness runs the repository's reproduction experiments E1–E21,
+// registered in the exp_*.go files with the theorem or table each
+// reproduces (PaperRef) and the shape the paper predicts (Expect); run
+// updp-bench -list to print them. Each experiment regenerates one of the
+// paper's analytic claims — a utility theorem's error shape or Table 1's
 // assumptions matrix — as a numeric table. The harness is deterministic
 // given a seed and renders tables as aligned text, Markdown, or CSV.
 package harness
@@ -50,7 +52,7 @@ type Table struct {
 
 // Experiment is a registered reproduction experiment.
 type Experiment struct {
-	ID       string // "E1" ... "E15"
+	ID       string // "E1" ... "E21"
 	Title    string
 	PaperRef string // theorem / table being reproduced
 	Expect   string // the shape the paper predicts

@@ -188,6 +188,29 @@ func (r *RNG) Gumbel() float64 {
 	return -math.Log(r.Exponential())
 }
 
+// SkipGumbel advances the generator exactly as Gumbel would, without
+// computing the variate: it draws the same uniform and skips both
+// logarithms. A Gumbel-max sampler uses it for candidates that provably
+// cannot win, so the stream — and every later draw — stays identical to
+// drawing them.
+func (r *RNG) SkipGumbel() {
+	r.Float64Open()
+}
+
+// Every value Gumbel can return lies in [GumbelMin, GumbelMax]. Float64Open
+// returns u on the grid k·2^-53, k ∈ [1, 2^53-1], and -log(-log u) is
+// increasing in u, so the extremes are at the grid ends:
+//
+//	u = 2^-53:     -log(53·log 2)        = -3.60377...
+//	u = 1 - 2^-53: -log(-log(1 - 2^-53)) = 36.73680...
+//
+// The constants round outward by ~1e-4, which also absorbs the last-ulp
+// error of math.Log; a test evaluates Gumbel's formula at both grid ends.
+const (
+	GumbelMin = -3.6038
+	GumbelMax = 36.7369
+)
+
 // Gamma returns a Gamma(shape, 1) variate using the Marsaglia–Tsang method.
 // It panics if shape <= 0.
 func (r *RNG) Gamma(shape float64) float64 {
@@ -261,10 +284,24 @@ func (r *RNG) Perm(n int) []int {
 
 // SampleIndices returns m distinct indices drawn uniformly without
 // replacement from [0, n), in random order, using a partial Fisher–Yates
-// walk over a sparse map (O(m) memory). It panics if m > n or m < 0.
+// walk. When m is at least n/4 the walk runs over a dense permutation array
+// (O(n) memory, no hashing); for smaller m it tracks only the displaced
+// positions in a sparse map (O(m) memory). Both walks make the same draws
+// and return the same indices. It panics if m > n or m < 0.
 func (r *RNG) SampleIndices(n, m int) []int {
 	if m < 0 || m > n {
 		panic("xrand: SampleIndices with m out of range")
+	}
+	if 4*m >= n {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		for i := 0; i < m; i++ {
+			j := i + r.Intn(n-i)
+			p[i], p[j] = p[j], p[i]
+		}
+		return p[:m:m]
 	}
 	moved := make(map[int]int, m)
 	out := make([]int, m)
