@@ -114,9 +114,10 @@ func exists(path string) bool {
 	return err == nil
 }
 
-// run walks root for *.md and *.go files (skipping VCS, vendor and hidden
-// trees such as build caches) and checks each, returning every
-// broken-reference message.
+// run walks root for *.md and *.go files (skipping VCS and vendor trees)
+// and checks each, returning every broken-reference message. Go files under
+// a hidden directory, such as a build cache of copied sources, are not the
+// repository's code and are skipped; Markdown there is still checked.
 func run(root string) ([]string, error) {
 	var broken []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -124,8 +125,8 @@ func run(root string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "vendor" || name == "node_modules" || strings.HasPrefix(name, ".")) {
+			switch d.Name() {
+			case ".git", "vendor", "node_modules":
 				return filepath.SkipDir
 			}
 			return nil
@@ -135,7 +136,9 @@ func run(root string) ([]string, error) {
 		case ".md":
 			msgs, err = checkFile(path)
 		case ".go":
-			msgs, err = checkGoComments(root, path)
+			if !inHiddenDir(root, path) {
+				msgs, err = checkGoComments(root, path)
+			}
 		}
 		if err != nil {
 			return err
@@ -144,6 +147,21 @@ func run(root string) ([]string, error) {
 		return nil
 	})
 	return broken, err
+}
+
+// inHiddenDir reports whether a directory between root and path has a
+// name starting with a dot.
+func inHiddenDir(root, path string) bool {
+	rel, err := filepath.Rel(root, filepath.Dir(path))
+	if err != nil || rel == "." {
+		return false
+	}
+	for _, part := range strings.Split(rel, string(filepath.Separator)) {
+		if strings.HasPrefix(part, ".") {
+			return true
+		}
+	}
+	return false
 }
 
 func main() {

@@ -66,6 +66,21 @@ func TestLinkcheckSkipsVCSTrees(t *testing.T) {
 	}
 }
 
+// Only Go files are skipped under hidden directories: Markdown there, such
+// as a workflow or skill guide, is still the repository's documentation.
+func TestLinkcheckChecksMarkdownInHiddenDirs(t *testing.T) {
+	dir := t.TempDir()
+	write(t, filepath.Join(dir, ".github", "GUIDE.md"), "[dead](missing.md)")
+	write(t, filepath.Join(dir, ".cache", "pkg", "x.go"), "// cites NOPE.md\npackage x\n")
+	broken, err := run(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(broken) != 1 || !strings.Contains(broken[0], "missing.md") {
+		t.Fatalf("broken = %v, want exactly the missing.md link in .github", broken)
+	}
+}
+
 // The repository's own docs must be clean — the same invariant CI
 // enforces, asserted here so `go test ./...` catches a dead link before
 // a PR does.

@@ -34,6 +34,32 @@ func BenchmarkEstimateQuantile(b *testing.B) {
 	}
 }
 
+// BenchmarkIQRLowerBound is Algorithm 7's two scale searches on spread
+// data, which stop after a few dozen thresholds, and on constant data,
+// whose shrinking search runs to its cap.
+func BenchmarkIQRLowerBound(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		for _, shape := range []string{"gauss", "const"} {
+			b.Run(fmt.Sprintf("%s/n=%d", shape, n), func(b *testing.B) {
+				data := benchGaussian(n)
+				if shape == "const" {
+					for i := range data {
+						data[i] = 99.5
+					}
+				}
+				rng := xrand.New(2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := IQRLowerBound(rng, data, 1, 0.1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkEstimateIQR is Algorithm 10: one bucket search and two
 // Algorithm 6 quartiles.
 func BenchmarkEstimateIQR(b *testing.B) {

@@ -54,26 +54,18 @@ func IQRLowerBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	nP := float64(len(g))
 	target := 3 * nP / 16
 
-	countUpTo := func(x float64) float64 {
-		c := 0
-		for _, v := range g {
-			if v <= x {
-				c++
-			}
-		}
-		return float64(c)
-	}
+	counts := newScaleCounts(g)
 
 	// SVT #1: growing thresholds 2^0, 2^1, ... stops once a power of two
 	// captures ~3n'/16 of the pair distances.
 	iHat, err1 := dp.SVT(rng, target, eps/2, func(i int) (float64, bool) {
-		return countUpTo(math.Pow(2, float64(i-1))), true
+		return counts.upTo(math.Pow(2, float64(i-1))), true
 	}, maxScaleQueries)
 
 	// SVT #2: shrinking thresholds 2^0, 2^-1, ... on negated counts stops
 	// once the count drops below ~3n'/16.
 	jHat, err2 := dp.SVT(rng, -target, eps/2, func(j int) (float64, bool) {
-		return -countUpTo(math.Pow(2, float64(1-j))), true
+		return -counts.upTo(math.Pow(2, float64(1-j))), true
 	}, maxScaleQueries)
 
 	if err1 != nil {
@@ -297,6 +289,9 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 	b := iqrLB / float64(n)
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
+	}
+	if math.IsInf(b, 1) {
+		return 0, empirical.ErrBadBucket
 	}
 	// Two independent Algorithm 6 releases of one discretized dataset: it
 	// is bucketed and sorted once, and each release reads it in place.

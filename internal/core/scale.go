@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/dp"
 	"repro/internal/stats"
@@ -40,23 +41,103 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	slack := 4*math.Sqrt(nP*math.Log(2/beta)) + dp.SVTLemma26Slack(eps, beta)
 	threshold := 7*nP/8 + math.Min(slack, nP/16)
 
-	countUpTo := func(x float64) float64 {
-		c := 0
-		for _, v := range g {
-			if v <= x {
-				c++
-			}
-		}
-		return float64(c)
-	}
+	counts := newScaleCounts(g)
 	iHat, err := dp.SVT(rng, threshold, eps, func(i int) (float64, bool) {
-		return countUpTo(math.Pow(2, float64(i-1))), true
+		return counts.upTo(math.Pow(2, float64(i-1))), true
 	}, maxScaleQueries)
 	if err != nil {
 		// Distances exceed every float64 power of two.
 		return math.Inf(1), nil
 	}
 	return 2 * math.Pow(2, float64(iHat-1)), nil
+}
+
+// scaleCounts answers the count |{v ∈ g : v <= x}| that the scale searches
+// (Algorithm 7 and IQRUpperBound) ask of the pair distances g, at up to
+// maxScaleQueries thresholds x = math.Pow(2, k). Each such x is an exact
+// power of two, or 0 after underflow, or +Inf after overflow. One pass
+// files every positive finite distance under the least k with v <= 2^k, so
+// those queries are prefix-sum lookups rather than a pass over g each; any
+// other x is counted by a scan.
+type scaleCounts struct {
+	g       []float64
+	nonPos  int   // v <= 0
+	ordered int   // every v but NaN, which is never <= x
+	minExp  int   // cum[i] counts v <= 2^(minExp+i)
+	cum     []int // empty when no distance is positive and finite
+}
+
+func newScaleCounts(g []float64) scaleCounts {
+	c := scaleCounts{g: g}
+	lo, hi := math.MaxInt, math.MinInt
+	for _, v := range g {
+		if k, ok := leastPow2Exp(v); ok {
+			lo, hi = min(lo, k), max(hi, k)
+		} else if v <= 0 {
+			c.nonPos++
+		} else if v != v {
+			c.ordered--
+		}
+	}
+	c.ordered += len(g)
+	if lo > hi {
+		return c
+	}
+	c.minExp, c.cum = lo, make([]int, hi-lo+1)
+	for _, v := range g {
+		if k, ok := leastPow2Exp(v); ok {
+			c.cum[k-lo]++
+		}
+	}
+	run := c.nonPos
+	for i := range c.cum {
+		run += c.cum[i]
+		c.cum[i] = run
+	}
+	return c
+}
+
+// leastPow2Exp returns the least integer k with v <= 2^k, for positive
+// finite v. With e the biased exponent field (at least 1) and M the 53-bit
+// significand including the implicit bit, v = M·2^(e-1075), so
+// k = e - 1075 + ⌈log2 M⌉ = e - 1075 + bits.Len64(M-1).
+func leastPow2Exp(v float64) (int, bool) {
+	if !(v > 0) || v > math.MaxFloat64 {
+		return 0, false
+	}
+	b := math.Float64bits(v)
+	e, m := int(b>>52), b&(1<<52-1)
+	if e == 0 {
+		e = 1 // subnormal: no implicit bit
+	} else {
+		m |= 1 << 52
+	}
+	return e - 1075 + bits.Len64(m-1), true
+}
+
+func (c *scaleCounts) upTo(x float64) float64 {
+	switch f, e := math.Frexp(x); {
+	case x == 0:
+		return float64(c.nonPos)
+	case math.IsInf(x, 1):
+		return float64(c.ordered)
+	case f == 0.5: // x = 2^(e-1)
+		i := e - 1 - c.minExp
+		switch {
+		case len(c.cum) == 0 || i < 0:
+			return float64(c.nonPos)
+		case i >= len(c.cum):
+			return float64(c.cum[len(c.cum)-1])
+		}
+		return float64(c.cum[i])
+	}
+	n := 0
+	for _, v := range c.g {
+		if v <= x {
+			n++
+		}
+	}
+	return float64(n)
 }
 
 // ScaleBracket releases an eps-DP bracket [Lo, Hi] with

@@ -3,7 +3,9 @@ package dpsql
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dp"
@@ -73,37 +75,40 @@ func TestExecDuringInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	p := newPacer()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Bounded: every insert adds a user and Exec is linear in the
-			// user count, so unbounded writers that outpace the reader grow
-			// the table (and each query) without limit.
-			for i := 0; i < 20000; i++ {
-				select {
-				case <-stop:
+			for {
+				i, ok := p.next()
+				if !ok {
 					return
-				default:
 				}
 				uid := fmt.Sprintf("w%d-%d", w, i)
 				if err := tab.Insert(Str(uid), Float(99.5), Str("a")); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
+				p.done.Add(1)
 			}
 		}(w)
 	}
+	overlapped := 0
 	for i := 0; i < 50; i++ {
 		rng := xrand.New(uint64(i))
-		if _, err := db.Exec(rng, "SELECT AVG(v) FROM events", 0.5); err != nil {
-			t.Errorf("exec %d: %v", i, err)
+		if p.read(t, 200, func() {
+			if _, err := db.Exec(rng, "SELECT AVG(v) FROM events", 0.5); err != nil {
+				t.Errorf("exec %d: %v", i, err)
+			}
+		}) {
+			overlapped++
 		}
 	}
-	close(stop)
+	p.close()
 	wg.Wait()
+	t.Logf("%d reads ran beside a completed insert; %d rows inserted", overlapped, p.done.Load())
 }
 
 // A shared budget enforced across racing queries: no overdraw, ever.
@@ -179,28 +184,30 @@ func TestUserMeansDuringInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
+	p := newPacer()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Bounded: every insert adds a user and UserMeans is linear in the
-		// user count, so an unbounded writer that outpaces the reader grows
-		// the table (and each read) without limit.
-		for i := 0; i < 20000; i++ {
-			select {
-			case <-stop:
+		for {
+			i, ok := p.next()
+			if !ok {
 				return
-			default:
 			}
 			if err := tab.Insert(Str(fmt.Sprintf("x%d", i)), Float(1), Str("b")); err != nil {
 				t.Errorf("insert: %v", err)
 				return
 			}
+			p.done.Add(1)
 		}
 	}()
+	overlapped := 0
 	for i := 0; i < 200; i++ {
-		xs, err := tab.UserMeans("v")
+		var xs []float64
+		var err error
+		if p.read(t, 50, func() { xs, err = tab.UserMeans("v") }) {
+			overlapped++
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,6 +215,55 @@ func TestUserMeansDuringInsert(t *testing.T) {
 			t.Errorf("lost users: %d", len(xs))
 		}
 	}
-	close(stop)
+	p.close()
 	wg.Wait()
+	t.Logf("%d reads ran beside a completed insert; %d rows inserted", overlapped, p.done.Load())
 }
+
+// pacer lets writers race a reader without outgrowing it. The writers run
+// until close, so every read runs beside live inserts, but each read
+// releases only a fixed quota of further inserts. Unpaced writers that
+// outrun a reader whose work is linear in the table grow the table, and
+// with it each read, without limit.
+type pacer struct {
+	quota, taken, done atomic.Int64
+	seen               int64 // done after the previous read
+	stop               chan struct{}
+}
+
+func newPacer() *pacer { return &pacer{stop: make(chan struct{})} }
+
+// next reserves the next insert and returns its sequence number, waiting
+// while the quota is spent; ok is false once the pacer is closed. A writer
+// adds 1 to done after each insert.
+func (p *pacer) next() (i int64, ok bool) {
+	for {
+		select {
+		case <-p.stop:
+			return 0, false
+		default:
+		}
+		i := p.taken.Load()
+		if i < p.quota.Load() && p.taken.CompareAndSwap(i, i+1) {
+			return i, true
+		}
+		runtime.Gosched()
+	}
+}
+
+// read releases quota more inserts, waits until an insert has completed
+// since the previous read (so reads and writes interleave even when the
+// scheduler favours the reader), runs f, and reports whether an insert
+// also completed while f ran.
+func (p *pacer) read(t *testing.T, quota int64, f func()) bool {
+	p.quota.Add(quota)
+	for p.done.Load() == p.seen && !t.Failed() {
+		runtime.Gosched()
+	}
+	before := p.done.Load()
+	f()
+	p.seen = p.done.Load()
+	return p.seen != before
+}
+
+func (p *pacer) close() { close(p.stop) }

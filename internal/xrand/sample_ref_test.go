@@ -7,7 +7,7 @@ import (
 )
 
 // refSampleIndices is the map-only partial Fisher–Yates walk, kept as the
-// reference for SampleIndices' dense path. The body is unchanged from the
+// reference for SampleIndices' dense walk. The body is unchanged from the
 // implementation it replaced.
 func refSampleIndices(r *RNG, n, m int) []int {
 	if m < 0 || m > n {
@@ -32,7 +32,7 @@ func refSampleIndices(r *RNG, n, m int) []int {
 }
 
 // Both walks must return the same indices and leave the generator in the
-// same state, on either side of the dense/sparse switch.
+// same state, for every m from 0 to n.
 func TestSampleIndicesMatchesReference(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 16, 17, 100, 1000, 4096} {
 		ms := []int{0, 1, n / 8, n/4 - 1, n / 4, n/4 + 1, n / 2, n - 1, n}

@@ -284,39 +284,19 @@ func (r *RNG) Perm(n int) []int {
 
 // SampleIndices returns m distinct indices drawn uniformly without
 // replacement from [0, n), in random order, using a partial Fisher–Yates
-// walk. When m is at least n/4 the walk runs over a dense permutation array
-// (O(n) memory, no hashing); for smaller m it tracks only the displaced
-// positions in a sparse map (O(m) memory). Both walks make the same draws
-// and return the same indices. It panics if m > n or m < 0.
+// walk over a dense permutation array (O(n) time and memory, no hashing).
+// It panics if m > n or m < 0.
 func (r *RNG) SampleIndices(n, m int) []int {
 	if m < 0 || m > n {
 		panic("xrand: SampleIndices with m out of range")
 	}
-	if 4*m >= n {
-		p := make([]int, n)
-		for i := range p {
-			p[i] = i
-		}
-		for i := 0; i < m; i++ {
-			j := i + r.Intn(n-i)
-			p[i], p[j] = p[j], p[i]
-		}
-		return p[:m:m]
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
 	}
-	moved := make(map[int]int, m)
-	out := make([]int, m)
 	for i := 0; i < m; i++ {
 		j := i + r.Intn(n-i)
-		vi, ok := moved[i]
-		if !ok {
-			vi = i
-		}
-		vj, ok := moved[j]
-		if !ok {
-			vj = j
-		}
-		out[i] = vj
-		moved[j] = vi
+		p[i], p[j] = p[j], p[i]
 	}
-	return out
+	return p[:m:m]
 }

@@ -33,66 +33,79 @@ import (
 var goldenDigests = map[string]string{
 	"EmpiricalMean/edge":            "98ca4578201949eb88c4be02",
 	"EmpiricalMean/gauss":           "8cac66562669afd5509910e4",
+	"EmpiricalMean/inf":             "3350eb311c1bf2c9b57076d8",
 	"EmpiricalMean/neg-pareto":      "84fd5937595027bc492d18fb",
 	"EmpiricalMean/rounded-exp":     "e9c4ba2510b67000ff1e2497",
 	"EmpiricalMean/student1.5":      "de8cb024249a0314ac7d56a5",
 	"EmpiricalQuantile/edge":        "93a7a9856b9f8c3e80c2b005",
 	"EmpiricalQuantile/gauss":       "3667a7e098bd478e45f654ed",
+	"EmpiricalQuantile/inf":         "58c289556e3345f13d5fa040",
 	"EmpiricalQuantile/neg-pareto":  "5104502a7c8ab9f9dc76c7d9",
 	"EmpiricalQuantile/rounded-exp": "1623bc3a1b0674622be9d9ff",
 	"EmpiricalQuantile/student1.5":  "7e692939431ce5fd0ccf5d2d",
 	"IQR/edge":                      "45105289ab6e5dd259de7b1b",
 	"IQR/gauss":                     "2517bfe657d4862b6c1dec7a",
+	"IQR/inf":                       "1d7160809ec3acc6564540be",
 	"IQR/neg-pareto":                "a98d8f8cf56a58ce82cdc496",
 	"IQR/rounded-exp":               "f853777958c317d1f29e2fdf",
 	"IQR/student1.5":                "a4e639a375c324d81b10f4cd",
 	"Mean/edge":                     "6ab46f19724927f7f264dd87",
 	"Mean/gauss":                    "c30dada09c87e8cccac2c522",
+	"Mean/inf":                      "2591d1c9e3f47ab9060d2d1f",
 	"Mean/neg-pareto":               "e8c93981406ed7122664dfbf",
 	"Mean/rounded-exp":              "2ec82c91e571f79d8f9f6ded",
 	"Mean/student1.5":               "5458b3b569ca9ea5fe99aa2a",
 	"Median/edge":                   "ec664706db00f66a1854f675",
 	"Median/gauss":                  "ba43ebf990e482d55e5924d6",
+	"Median/inf":                    "ef774d583f3ea4418f543501",
 	"Median/neg-pareto":             "39c150eb53ba593e5fc51ff8",
 	"Median/rounded-exp":            "e7e8f9e5a3dbfad8bf0223c6",
 	"Median/student1.5":             "9fcc512221f38b0bae6f2c8a",
 	"PrivateRadius/edge":            "85474b965e3a9941018cfe6d",
 	"PrivateRadius/gauss":           "3ce379fc66c48b72836c8ddb",
+	"PrivateRadius/inf":             "fa7dc566cce1c9d3f1a16927",
 	"PrivateRadius/neg-pareto":      "04c4e3a1ea249977eb981da9",
 	"PrivateRadius/rounded-exp":     "35099650a2349ffa7a8d0bcd",
 	"PrivateRadius/student1.5":      "0dea824d9cdd0161ead0752a",
 	"PrivateRange/edge":             "b7a900b3d35b845d3434af8f",
 	"PrivateRange/gauss":            "e8e4430e9868be893ba71d30",
+	"PrivateRange/inf":              "d458097233974889696b5369",
 	"PrivateRange/neg-pareto":       "6e2b3ab1f6fba4f50d46ae96",
 	"PrivateRange/rounded-exp":      "e3a7f344258398d76b99f5d0",
 	"PrivateRange/student1.5":       "c7549dd55a9359cd843f88ea",
 	"Quantile0.9/edge":              "b8309f809ac989147ab451eb",
 	"Quantile0.9/gauss":             "1a898e2ae03bb2f6622b81f2",
+	"Quantile0.9/inf":               "ef774d583f3ea4418f543501",
 	"Quantile0.9/neg-pareto":        "d5ca048f77bd7f4e5dc0faad",
 	"Quantile0.9/rounded-exp":       "4ac5da6448375cfba97d4528",
 	"Quantile0.9/student1.5":        "5ad2167f26e99b9f3e5c2d32",
 	"QuantileInterval/edge":         "10265269a630fa2e56484513",
 	"QuantileInterval/gauss":        "841217b16cf96aae8d2e3fb2",
+	"QuantileInterval/inf":          "57d39367d1794a6bc0b7bebe",
 	"QuantileInterval/neg-pareto":   "d8d6359020d6f6a5ac3a621e",
 	"QuantileInterval/rounded-exp":  "0c7090e84bed59c65fcf8c26",
 	"QuantileInterval/student1.5":   "ffcff82b81ae4754e27c9b59",
 	"QuantilesProb/edge":            "1d22deec3dcec472dac47728",
 	"QuantilesProb/gauss":           "2beca4baaa169adcd76e4230",
+	"QuantilesProb/inf":             "4f29c6447fe99df5ad48579d",
 	"QuantilesProb/neg-pareto":      "8ef258f345def9d5edd4de8e",
 	"QuantilesProb/rounded-exp":     "bb793759da339aa7ca6a904c",
 	"QuantilesProb/student1.5":      "342381e3665512b514e404dd",
 	"ScaleBracket/edge":             "d9d9e84a8b36720379b2208a",
 	"ScaleBracket/gauss":            "6176486fe3506c0066da008a",
+	"ScaleBracket/inf":              "91dc9d915b681682f5d1db4d",
 	"ScaleBracket/neg-pareto":       "d4da8e25a012f62ee50d9a66",
 	"ScaleBracket/rounded-exp":      "ea9e961752f206f913a9b8f9",
 	"ScaleBracket/student1.5":       "f089a1970dcbc19ffc476a2d",
 	"TrimmedMean/edge":              "b533dbd521ef4def2d3214bf",
 	"TrimmedMean/gauss":             "e51d723e243f8b42af6bc9e4",
+	"TrimmedMean/inf":               "09d5fe790b930371ae94b87a",
 	"TrimmedMean/neg-pareto":        "629a39df457390b2b5f21124",
 	"TrimmedMean/rounded-exp":       "b17901f5b872e795ed5a1f88",
 	"TrimmedMean/student1.5":        "87a5fc702956816653cd3e53",
 	"Variance/edge":                 "0bc24b624e43b13d0cbec926",
 	"Variance/gauss":                "816784da6fbdf281ccc63650",
+	"Variance/inf":                  "2e37cbad7fddaab403c9fd2e",
 	"Variance/neg-pareto":           "d639f46712ba06ec9d0e0776",
 	"Variance/rounded-exp":          "c79b8968374a070e71eb2eec",
 	"Variance/student1.5":           "15ba260bcb91867d3acfb490",
@@ -118,10 +131,20 @@ var goldenFamilies = []struct {
 		}
 		return 7
 	}},
+	// All ±Inf: 18% of the pair distances are infinite, just under the 3/16
+	// the IQR scale search looks for, and the rest NaN. The search then
+	// often stops past 2^1023, and EstimateIQR must refuse the infinite
+	// bucket.
+	{"inf", func(_ *xrand.RNG, i int) float64 {
+		if i%10 == 3 {
+			return math.Inf(-1)
+		}
+		return math.Inf(1)
+	}},
 }
 
-// goldenInts maps a float dataset to integers, pushing the edge family to
-// the int64 extremes.
+// goldenInts maps a float dataset to integers, pushing the edge family and
+// infinities to the int64 extremes.
 func goldenInts(fam string, xs []float64) []int64 {
 	out := make([]int64, len(xs))
 	for i, x := range xs {
@@ -132,6 +155,10 @@ func goldenInts(fam string, xs []float64) []int64 {
 			out[i] = math.MinInt64
 		case fam == "edge" && i%9 == 7:
 			out[i] = -1 << 61
+		case math.IsInf(x, 1):
+			out[i] = math.MaxInt64
+		case math.IsInf(x, -1):
+			out[i] = math.MinInt64
 		default:
 			out[i] = int64(math.Round(16 * x))
 		}
