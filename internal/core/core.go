@@ -59,13 +59,13 @@ func IQRLowerBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	// SVT #1: growing thresholds 2^0, 2^1, ... stops once a power of two
 	// captures ~3n'/16 of the pair distances.
 	iHat, err1 := dp.SVT(rng, target, eps/2, func(i int) (float64, bool) {
-		return counts.upTo(math.Pow(2, float64(i-1))), true
+		return counts.upTo(i - 1), true
 	}, maxScaleQueries)
 
 	// SVT #2: shrinking thresholds 2^0, 2^-1, ... on negated counts stops
 	// once the count drops below ~3n'/16.
 	jHat, err2 := dp.SVT(rng, -target, eps/2, func(j int) (float64, bool) {
-		return -counts.upTo(math.Pow(2, float64(1-j))), true
+		return -counts.upTo(1 - j), true
 	}, maxScaleQueries)
 
 	if err1 != nil {

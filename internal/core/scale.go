@@ -43,7 +43,7 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 
 	counts := newScaleCounts(g)
 	iHat, err := dp.SVT(rng, threshold, eps, func(i int) (float64, bool) {
-		return counts.upTo(math.Pow(2, float64(i-1))), true
+		return counts.upTo(i - 1), true
 	}, maxScaleQueries)
 	if err != nil {
 		// Distances exceed every float64 power of two.
@@ -52,15 +52,12 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	return 2 * math.Pow(2, float64(iHat-1)), nil
 }
 
-// scaleCounts answers the count |{v ∈ g : v <= x}| that the scale searches
-// (Algorithm 7 and IQRUpperBound) ask of the pair distances g, at up to
-// maxScaleQueries thresholds x = math.Pow(2, k). Each such x is an exact
-// power of two, or 0 after underflow, or +Inf after overflow. One pass
-// files every positive finite distance under the least k with v <= 2^k, so
-// those queries are prefix-sum lookups rather than a pass over g each; any
-// other x is counted by a scan.
+// scaleCounts answers the count |{v ∈ g : v <= math.Pow(2, k)}| that the
+// scale searches (Algorithm 7 and IQRUpperBound) ask of the pair distances
+// g for up to maxScaleQueries exponents k. One pass files every positive
+// finite distance under the least k with v <= 2^k, so each query is a
+// prefix-sum lookup rather than a pass over g.
 type scaleCounts struct {
-	g       []float64
 	nonPos  int   // v <= 0
 	ordered int   // every v but NaN, which is never <= x
 	minExp  int   // cum[i] counts v <= 2^(minExp+i)
@@ -68,7 +65,7 @@ type scaleCounts struct {
 }
 
 func newScaleCounts(g []float64) scaleCounts {
-	c := scaleCounts{g: g}
+	var c scaleCounts
 	lo, hi := math.MaxInt, math.MinInt
 	for _, v := range g {
 		if k, ok := leastPow2Exp(v); ok {
@@ -115,29 +112,20 @@ func leastPow2Exp(v float64) (int, bool) {
 	return e - 1075 + bits.Len64(m-1), true
 }
 
-func (c *scaleCounts) upTo(x float64) float64 {
-	switch f, e := math.Frexp(x); {
-	case x == 0:
-		return float64(c.nonPos)
-	case math.IsInf(x, 1):
+// upTo returns |{v ∈ g : v <= math.Pow(2, k)}|. Past k = 1023 the power
+// overflows to +Inf; below k = -1074 it underflows to 0, and no positive
+// v lies below 2^-1074.
+func (c *scaleCounts) upTo(k int) float64 {
+	i := k - c.minExp
+	switch {
+	case k > 1023:
 		return float64(c.ordered)
-	case f == 0.5: // x = 2^(e-1)
-		i := e - 1 - c.minExp
-		switch {
-		case len(c.cum) == 0 || i < 0:
-			return float64(c.nonPos)
-		case i >= len(c.cum):
-			return float64(c.cum[len(c.cum)-1])
-		}
-		return float64(c.cum[i])
+	case len(c.cum) == 0 || i < 0:
+		return float64(c.nonPos)
+	case i >= len(c.cum):
+		return float64(c.cum[len(c.cum)-1])
 	}
-	n := 0
-	for _, v := range c.g {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n)
+	return float64(c.cum[i])
 }
 
 // ScaleBracket releases an eps-DP bracket [Lo, Hi] with

@@ -19,9 +19,9 @@ func scanUpTo(g []float64, x float64) float64 {
 	return float64(c)
 }
 
-// Every threshold the scale searches can ask (math.Pow(2, k) for k across
-// and beyond the float64 exponent range), plus thresholds that are not
-// powers of two, must count exactly what a scan counts.
+// Every threshold the scale searches can ask, math.Pow(2, k) for k across
+// and beyond the float64 exponent range, must count exactly what a scan
+// counts.
 func TestScaleCountsMatchScan(t *testing.T) {
 	edge := []float64{
 		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-1074 * 3,
@@ -43,15 +43,11 @@ func TestScaleCountsMatchScan(t *testing.T) {
 		"gauss":    gauss,
 		"one":      {0x1p-40},
 	}
-	xs := []float64{math.NaN(), -1, math.Inf(-1), 0.3, 5, 1e300, math.Copysign(0, -1)}
-	for k := -1100; k <= 1100; k++ {
-		xs = append(xs, math.Pow(2, float64(k)))
-	}
 	for name, g := range sets {
 		c := newScaleCounts(g)
-		for _, x := range xs {
-			if got, want := c.upTo(x), scanUpTo(g, x); got != want {
-				t.Errorf("%s: upTo(%v) = %v, scan %v", name, x, got, want)
+		for k := -1100; k <= 1100; k++ {
+			if got, want := c.upTo(k), scanUpTo(g, math.Pow(2, float64(k))); got != want {
+				t.Errorf("%s: upTo(%d) = %v, scan %v", name, k, got, want)
 			}
 		}
 	}
