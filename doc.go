@@ -100,27 +100,40 @@
 // ("shards" at tenant creation, updp-serve -shards for the default):
 // ingestion stripes across per-shard locks instead of serializing on one
 // table-wide mutex, and release scans fan out over the shards on the
-// serve layer's worker pool, merging partial per-user aggregates before
-// the mechanism runs. Inside each shard, storage is columnar: values
-// live in typed column slices (float64/int64/string) with a per-shard
-// user dictionary mapping each row to a dense user index, so the hot
-// release loops — per-user collapse, WHERE predicates, GROUP BY
-// selection — are tight passes over contiguous typed arrays with zero
-// per-row map lookups or interface dispatch. Large shards additionally
-// split their collapse into row-range chunks that run work-stealing on
-// the same worker pool (a counting-sort scatter keeps the float fold's
-// bits identical to a sequential pass). The merge is the decomposition
-// view of the paper's per-user collapse — partial (sum, count)
-// accumulators combine by addition into exactly the collapse a
-// monolithic scan produces — so a release still makes exactly one ledger
-// deduction and the noise semantics are unchanged: for a fixed seed, a
+// serve layer's worker pool. Inside each shard, storage is columnar:
+// numbers live in typed float64/int64 slices, and string columns are
+// dictionary-coded — an int32 code per row into an append-only per-shard
+// dictionary. The user column is the shard's user dictionary itself, so
+// each row's user is a dense index and no id is stored twice. The hot
+// release loops are therefore tight passes over contiguous arrays: a
+// string WHERE predicate is evaluated once per dictionary entry and
+// mapped to rows by code, GROUP BY on a string column finds each row's
+// group by its code with no per-row hash, and the per-user collapse
+// indexes accumulators directly. Large shards additionally split their
+// collapse into row-range chunks that run work-stealing on the same
+// worker pool (a counting-sort scatter keeps the float fold's bits
+// identical to a sequential pass).
+//
+// The estimators consume the seeded RNG in input order, so per-user
+// contributions must reach them in user-id order. Each table caches that
+// order: every dictionary user of every shard has a rank, published
+// through an atomic pointer and extended only when a shard's dictionary
+// has grown (the newcomers alone are sorted and merged in). A release
+// folds its rows — or the full-table readers' per-shard partial (sum,
+// count) accumulators — in shard order into one rank-indexed
+// accumulator and reads the occupied slots out in rank order, so no
+// release sorts. This is the decomposition view of the paper's per-user
+// collapse: partials combine by addition into exactly the collapse a
+// monolithic scan produces, so a release still makes exactly one ledger
+// deduction and the noise semantics are unchanged — for a fixed seed, a
 // sharded columnar tenant and an unsharded twin release bit-for-bit
-// identical answers. The wire and snapshot formats stay row-oriented
-// (rows materialize fresh from the columns on export), WAL row records
-// carry a shard tag and snapshots carry per-row placement, so recovery
-// rebuilds the same partitioning; pre-shard and pre-columnar data
-// directories boot unchanged with spend preserved. updp-bench -serve
-// -shards sweep reports ingest rows/sec and release latency at N=1,4,16.
+// identical answers, and 16 shards cost no more scan time than one. The
+// wire, WAL and snapshot formats stay row-oriented (rows materialize
+// fresh from the columns on export), WAL row records carry a shard tag
+// and snapshots carry per-row placement, so recovery rebuilds the same
+// partitioning; pre-shard and pre-columnar data directories boot
+// unchanged with spend preserved. updp-bench -serve -shards sweep
+// reports ingest rows/sec and release latency at N=1,4,16.
 //
 // # Observability
 //

@@ -3,6 +3,7 @@ package dpsql
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -267,3 +268,96 @@ func (p *pacer) read(t *testing.T, quota int64, f func()) bool {
 }
 
 func (p *pacer) close() { close(p.stop) }
+
+// TestUserOrderRebuildUnderContention: new users keep arriving on every
+// shard while grouped Exec, UserMeans and NumUsers race each other, so
+// the cached user order is rebuilt under contention (run under -race).
+// Afterwards the incrementally rebuilt order must release exactly what a
+// freshly loaded twin releases.
+func TestUserOrderRebuildUnderContention(t *testing.T) {
+	const seeded = 64
+	db := NewDB()
+	db.SetDefaultShards(16)
+	db.SetFanout(goFanout)
+	tab, err := db.Create("events", []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "grp", Kind: KindString}}, "uid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := []string{"a", "b", "c"}
+	for u := 0; u < seeded; u++ {
+		if err := tab.Insert(Str(fmt.Sprintf("s%03d", u)), Float(float64(u)), Str(groups[u%3])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := newPacer()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i, ok := p.next()
+				if !ok {
+					return
+				}
+				if err := tab.Insert(Str(fmt.Sprintf("n%05d", i)), Float(float64(i%97)), Str(groups[i%3])); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+				p.done.Add(1)
+			}
+		}()
+	}
+	lastUsers := 0
+	for i := 0; i < 100 && !t.Failed(); i++ {
+		var (
+			res   *Result
+			means []float64
+			users int
+			xerr  error
+			merr  error
+			rd    sync.WaitGroup
+		)
+		p.read(t, 8, func() {
+			rd.Add(3)
+			go func() {
+				defer rd.Done()
+				res, xerr = db.Exec(xrand.New(uint64(i)), "SELECT COUNT(*), AVG(v) FROM events GROUP BY grp", 1)
+			}()
+			go func() { defer rd.Done(); means, merr = tab.UserMeans("v") }()
+			go func() { defer rd.Done(); users = tab.NumUsers() }()
+			rd.Wait()
+		})
+		if xerr != nil || merr != nil {
+			t.Fatalf("read %d: exec %v, means %v", i, xerr, merr)
+		}
+		if len(res.Rows) != len(groups) || len(means) < seeded || users < lastUsers {
+			t.Fatalf("read %d: %d groups, %d means, %d users after %d", i, len(res.Rows), len(means), users, lastUsers)
+		}
+		lastUsers = users
+	}
+	p.close()
+	wg.Wait()
+
+	st := tab.Export()
+	twin := NewDB()
+	twin.SetDefaultShards(1)
+	if _, err := twin.Import(st); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tab.NumUsers(), len(refUserMeans(st.Rows, 1)); got != want {
+		t.Fatalf("NumUsers = %d, want %d", got, want)
+	}
+	if got, _ := tab.UserMeans("v"); !reflect.DeepEqual(got, refUserMeans(st.Rows, 1)) {
+		t.Fatal("UserMeans after concurrent rebuilds diverged from the row reference")
+	}
+	const q = "SELECT COUNT(*), MEDIAN(v) FROM events GROUP BY grp"
+	r1, err1 := db.Exec(xrand.New(3), q, 1)
+	r2, err2 := twin.Exec(xrand.New(3), q, 1)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if err := sameGroupedResult(r1, r2); err != nil {
+		t.Fatalf("release after concurrent rebuilds diverged from a fresh twin: %v", err)
+	}
+}

@@ -230,20 +230,17 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	// Fanout — the serve layer backs it with its worker pool): each shard
 	// evaluates the WHERE predicate as one vectorized pass over its typed
 	// column slices into a selection bitmap, then partitions the selected
-	// row indices by group key — no per-row []Value is ever built. The
+	// row indices by group key id — a string column's dictionary code, so
+	// no row hashes its key and no per-row []Value is ever built. The
 	// per-shard index fragments are then concatenated in shard order.
 	// Users are hash-routed to shards, so a user's rows stay contiguous
 	// and in arrival order within one fragment and the per-user collapse
 	// below accumulates exactly as a monolithic scan would — fan-out
 	// changes wall-clock, not answers.
 	type shardGroup struct {
-		key Value
-		ord int32 // shard-local first-seen ordinal (the clamp's slot id)
-		idx []int32
-	}
-	type shardScan struct {
-		groups map[string]*shardGroup
-		order  []string // first-seen group keys, shard-local
+		key  Value
+		keyS string // key.String(); "" for the implicit group
+		idx  []int32
 	}
 	var groupKind Kind
 	if groupIx >= 0 {
@@ -258,7 +255,7 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	// predicate still fans out, but the clamp + group walk runs once over
 	// the global arrival order.
 	seqClamp := clamped && len(snaps) > 1 && t.mixedPlacement.Load()
-	scans := make([]shardScan, len(snaps))
+	scans := make([][]shardGroup, len(snaps)) // per shard, first-seen order
 	sels := make([][]bool, len(snaps))
 	t.runFan(len(snaps), func(si int) {
 		shardStart := time.Now()
@@ -268,54 +265,54 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			sel = make([]bool, sn.n)
 			q.Where.evalShard(t, sn, sel)
 		}
-		if seqClamp {
+		switch {
+		case seqClamp:
 			sels[si] = sel
-			if opts.ObserveShard != nil {
-				opts.ObserveShard(si, sn.n, time.Since(shardStart))
-			}
-			return
-		}
-		sc := shardScan{groups: map[string]*shardGroup{}}
-		if groupIx < 0 {
+		case groupIx < 0:
 			// Single implicit group: the selection is one index run.
-			g := &shardGroup{}
+			var idx []int32
 			for i := 0; i < sn.n; i++ {
 				if sel == nil || sel[i] {
-					g.idx = append(g.idx, int32(i))
+					idx = append(idx, int32(i))
 				}
 			}
-			if len(g.idx) > 0 {
-				sc.groups[""] = g
-				sc.order = append(sc.order, "")
+			if len(idx) > 0 {
+				scans[si] = []shardGroup{{idx: idx}}
 			}
-		} else {
+		default:
+			// gix[key] and the clamp slots hold group ordinal+1 (0: none).
 			// Clamp slots: a user contributes to its first `bound` distinct
 			// groups in its own row order; rows for any later group are
 			// dropped. Hash routing keeps all of a user's rows in one shard
 			// in arrival order, so the admitted set — and therefore every
 			// group's user set — is identical at every shard count.
+			keys, nkeys := sn.groupKeys(groupKind, groupIx, sel)
+			gix := make([]int32, nkeys)
 			var slots []int32
 			if clamped {
-				slots = make([]int32, int(sn.nu)*bound)
-				for j := range slots {
-					slots[j] = -1
-				}
+				slots = make([]int32, sn.nu*bound)
+			}
+			var groups []shardGroup
+			newGroup := func(i int) int32 {
+				key := sn.value(groupKind, groupIx, i)
+				groups = append(groups, shardGroup{key: key, keyS: key.String()})
+				gix[keys[i]] = int32(len(groups))
+				return int32(len(groups))
 			}
 			for i := 0; i < sn.n; i++ {
 				if sel != nil && !sel[i] {
 					continue
 				}
-				key := sn.keyString(groupKind, groupIx, i)
-				g, ok := sc.groups[key]
+				g := gix[keys[i]]
 				if clamped {
 					us := slots[int(sn.uix[i])*bound : (int(sn.uix[i])+1)*bound]
 					admitted, free := false, -1
 					for s, v := range us {
-						if ok && v == g.ord {
+						if g > 0 && v == g {
 							admitted = true
 							break
 						}
-						if v < 0 && free < 0 {
+						if v == 0 && free < 0 {
 							free = s
 						}
 					}
@@ -323,22 +320,18 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 						if free < 0 {
 							continue // cap reached: drop the row
 						}
-						if !ok {
-							g = &shardGroup{key: sn.value(groupKind, groupIx, i), ord: int32(len(sc.order))}
-							sc.groups[key] = g
-							sc.order = append(sc.order, key)
+						if g == 0 {
+							g = newGroup(i)
 						}
-						us[free] = g.ord
+						us[free] = g
 					}
-				} else if !ok {
-					g = &shardGroup{key: sn.value(groupKind, groupIx, i)}
-					sc.groups[key] = g
-					sc.order = append(sc.order, key)
+				} else if g == 0 {
+					g = newGroup(i)
 				}
-				g.idx = append(g.idx, int32(i))
+				groups[g-1].idx = append(groups[g-1].idx, int32(i))
 			}
+			scans[si] = groups
 		}
-		scans[si] = sc
 		if opts.ObserveShard != nil {
 			opts.ObserveShard(si, sn.n, time.Since(shardStart))
 		}
@@ -374,7 +367,7 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 				return
 			}
 			sn := snaps[s]
-			key := sn.keyString(groupKind, groupIx, i)
+			key := sn.value(groupKind, groupIx, i).String()
 			uid := sn.uid(i)
 			in := false
 			for _, k := range admitted[uid] {
@@ -408,11 +401,9 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			flat = append(flat, gs)
 		}
 	} else {
-		for si := range scans {
-			sc := &scans[si]
-			for _, key := range sc.order {
-				sg := sc.groups[key]
-				flat = append(flat, groupSel{key: sg.key, keyS: key, parts: []selPart{{shard: si, idx: sg.idx}}})
+		for si, sgs := range scans {
+			for _, sg := range sgs {
+				flat = append(flat, groupSel{key: sg.key, keyS: sg.keyS, parts: []selPart{{shard: si, idx: sg.idx}}})
 			}
 		}
 	}
@@ -449,10 +440,13 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	noiseStart := time.Now()
 	defer func() { observe("noise", time.Since(noiseStart)) }()
 	res := &Result{Query: q, EpsSpent: eps}
+	ord := t.userOrder(snaps)
+	acc := make([]userAgg, len(ord.ids)) // every collapse's scratch, zeroed between uses
 	for _, g := range groups {
 		values := make([]float64, len(q.Aggs))
 		for i, spec := range q.Aggs {
-			v, err := db.aggregate(rng, t, spec, snaps, g.parts, aggIx[i], epsG)
+			users := t.collapseSelection(ord, snaps, g.parts, aggIx[i], acc)
+			v, err := aggregate(rng, spec, users, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.keyS, err)
 			}
@@ -468,12 +462,10 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	return res, nil
 }
 
-// aggregate collapses a group's filtered selection to per-user
-// contributions (the shared replace-one-user reduction,
-// Table.collapseSelection) and releases the requested aggregate with
-// budget eps.
-func (db *DB) aggregate(rng *xrand.RNG, t *Table, spec AggSpec, snaps []shardSnap, parts []selPart, aggIx int, eps float64) (float64, error) {
-	users := t.collapseSelection(snaps, parts, aggIx)
+// aggregate releases the requested aggregate with budget eps over a
+// group's per-user contributions (the shared replace-one-user reduction,
+// Table.collapseSelection).
+func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (float64, error) {
 	nUsers := len(users)
 
 	if spec.Kind == AggCount {

@@ -145,16 +145,21 @@ func (e *CmpExpr) evalShard(t *Table, sn shardSnap, sel []bool) {
 		gtOK, eqOK = true, true
 	}
 	if t.Columns[ix].Kind == KindString {
-		lit := e.Lit.S
-		for i, v := range sn.cols[ix].ss {
+		// Compare each dictionary entry once, then map rows by code.
+		lit, col := e.Lit.S, &sn.cols[ix]
+		verdict := make([]bool, len(col.dict))
+		for d, v := range col.dict {
 			switch {
 			case v < lit:
-				sel[i] = ltOK
+				verdict[d] = ltOK
 			case v > lit:
-				sel[i] = gtOK
+				verdict[d] = gtOK
 			default:
-				sel[i] = eqOK
+				verdict[d] = eqOK
 			}
+		}
+		for i, c := range col.codes {
+			sel[i] = verdict[c]
 		}
 		return
 	}

@@ -2,7 +2,6 @@ package dpsql
 
 import (
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 )
@@ -10,14 +9,13 @@ import (
 // This file is the partitioned columnar store under Table: a table's rows
 // live in N shards keyed by a hash of the user id, each shard guarded by
 // its own RWMutex. Within a shard, storage is columnar — one typed slice
-// per schema column ([]float64 / []int64 / []string) plus a
-// dictionary-encoded user column and a parallel seq slice — so release
-// scans are tight loops over contiguous memory with no per-row []Value
-// boxing and no interface dispatch. Ingestion stripes across the
-// per-shard locks instead of serializing on one table-wide lock, and
-// release scans fan out over the shards (and, for large shards, over
-// column-range chunks within a shard) and merge their partial per-user
-// aggregates before the mechanism runs.
+// per schema column ([]float64 / []int64, or dictionary codes for a
+// string column) plus a dictionary-encoded user column and a parallel seq
+// slice — so release scans are tight loops over contiguous memory with no
+// per-row []Value boxing, interface dispatch or string hashing.
+// Ingestion stripes across the per-shard locks instead of serializing on
+// one table-wide lock, and release scans fan out over the shards (and,
+// for large shards, over column-range chunks within a shard).
 //
 // Why merging is free (privacy): the universal estimators consume one
 // contribution per user. Per-shard scans produce partial per-user
@@ -28,16 +26,18 @@ import (
 // deduction, so shard count changes throughput, never noise semantics or
 // privacy cost.
 //
-// Determinism: because users are routed by hash, all of one user's rows
-// colocate in one shard in arrival order, so per-user aggregates are
-// accumulated in exactly the order a single-shard table would use and the
-// merged, id-sorted output is bit-for-bit identical across shard counts.
-// The within-shard chunked collapse preserves the same bits: chunks first
-// count and gather each user's values into one contiguous run in global
-// row order, then a single left fold per user reproduces the sequential
-// accumulation exactly (see shardUserAggsChunked). Record-order readers
-// (ColumnFloats/ColumnInts) recover global insertion order from per-row
-// sequence numbers assigned at insert.
+// Determinism: the estimators consume the seeded RNG in input order, so
+// contributions go out in user-id order, read from a rank-indexed
+// accumulator under the table's cached user order (order.go) — no
+// release sorts users. Users are routed by hash, so all of one user's
+// rows colocate in one shard in arrival order: each user's fold is the
+// one a single-shard table runs, bit-for-bit identical across shard
+// counts. The within-shard chunked collapse preserves the same bits:
+// chunks first count and gather each user's values into one contiguous
+// run in global row order, then a single left fold per user reproduces
+// the sequential accumulation exactly (see shardUserAggsChunked).
+// Record-order readers (ColumnFloats/ColumnInts) recover global
+// insertion order from per-row sequence numbers assigned at insert.
 
 // MaxShards bounds a table's shard count; beyond this the per-shard
 // bookkeeping costs more than the striping wins. The serve layer
@@ -45,15 +45,32 @@ import (
 // topology is always the topology the table actually has.
 const MaxShards = 1024
 
-// colData is the typed storage of one column within one shard: exactly
-// one of the slices is in use, chosen by the column's Kind. Int columns
-// store int64(Value.F) — Value carries ints in a float64, and every
-// reader already truncated through int64(F), so the stored integer and
-// the reconstructed Value are bit-identical to the row-store's.
+// colData is the typed storage of one column within one shard, chosen by
+// the column's Kind. Int columns store int64(Value.F) — Value carries
+// ints in a float64, and every reader already truncated through
+// int64(F), so the stored integer and the reconstructed Value are
+// bit-identical to the row-store's. String columns are dictionary-coded:
+// codes[i] indexes dict, the shard's distinct values in first-appearance
+// order (dmap is the writer's reverse map). A string user column IS the
+// shard's user dictionary (uix/uids); snapshots alias it into this slot.
 type colData struct {
-	fs []float64 // KindFloat
-	is []int64   // KindInt
-	ss []string  // KindString
+	fs    []float64 // KindFloat
+	is    []int64   // KindInt
+	codes []int32   // KindString
+	dict  []string
+	dmap  map[string]int32
+}
+
+// intern returns s's code in an append-only dictionary, adding it first
+// if it is new.
+func intern(dict *[]string, dmap map[string]int32, s string) int32 {
+	c, ok := dmap[s]
+	if !ok {
+		c = int32(len(*dict))
+		*dict = append(*dict, s)
+		dmap[s] = c
+	}
+	return c
 }
 
 // tableShard is one partition of a table's columnar store. cols, uix, and
@@ -62,9 +79,10 @@ type colData struct {
 // the shard lock), and uix[i] is the row's user as a dense index into
 // uids (the shard-local user dictionary, first-appearance order; umap is
 // the writer-side reverse map). Dictionary-encoding the user column is
-// what lets the per-user collapse run without a hash lookup per row.
-// Stored cells are never mutated, so slice-header copies taken under the
-// read lock are a consistent point-in-time view.
+// what lets the per-user collapse run without a hash lookup per row; a
+// string user column is stored only there (see colData). Stored cells are
+// never mutated, so slice-header copies taken under the read lock are a
+// consistent point-in-time view.
 //
 // Layout note: the struct is exactly two cache lines (128 bytes: 24 mutex
 // + 4×24 slice headers + 8 map pointer), so the separately-allocated
@@ -80,9 +98,15 @@ type tableShard struct {
 	seqs []uint64
 }
 
-// newTableShard builds an empty shard for a ncols-wide schema.
-func newTableShard(ncols int) *tableShard {
-	return &tableShard{cols: make([]colData, ncols), umap: map[string]int32{}}
+// newTableShard builds an empty shard for the schema.
+func newTableShard(cols []Column) *tableShard {
+	sh := &tableShard{cols: make([]colData, len(cols)), umap: map[string]int32{}}
+	for c, col := range cols {
+		if col.Kind == KindString {
+			sh.cols[c].dmap = map[string]int32{}
+		}
+	}
+	return sh
 }
 
 // appendRow stores one converted row. Callers hold the shard write lock.
@@ -91,28 +115,25 @@ func (sh *tableShard) appendRow(t *Table, row []Value, seq uint64) {
 		col := &sh.cols[c]
 		switch t.Columns[c].Kind {
 		case KindString:
-			col.ss = append(col.ss, v.S)
+			if c != t.userIx {
+				col.codes = append(col.codes, intern(&col.dict, col.dmap, v.S))
+			}
 		case KindInt:
 			col.is = append(col.is, int64(v.F))
 		default:
 			col.fs = append(col.fs, v.F)
 		}
 	}
-	uid := row[t.userIx].String()
-	u, ok := sh.umap[uid]
-	if !ok {
-		u = int32(len(sh.uids))
-		sh.uids = append(sh.uids, uid)
-		sh.umap[uid] = u
-	}
-	sh.uix = append(sh.uix, u)
+	sh.uix = append(sh.uix, intern(&sh.uids, sh.umap, row[t.userIx].String()))
 	sh.seqs = append(sh.seqs, seq)
 }
 
 // shardSnap is a point-in-time view of one shard: n consistent rows, the
 // column slice headers (deep-copied so a concurrent append's header
 // update cannot race the view), and the user dictionary's first nu
-// entries (every uix value below n points under nu).
+// entries (every uix value below n points under nu, and every one of
+// those users has a row below n). Dictionaries are append-only, so a
+// view's dictionary prefix never changes under it.
 type shardSnap struct {
 	n    int
 	nu   int
@@ -122,8 +143,9 @@ type shardSnap struct {
 	seqs []uint64
 }
 
-// view captures the shard's snapshot under its read lock.
-func (sh *tableShard) view() shardSnap {
+// view captures the shard's snapshot under its read lock. A string user
+// column reads through the user dictionary.
+func (sh *tableShard) view(t *Table) shardSnap {
 	sh.mu.RLock()
 	sn := shardSnap{
 		n:    len(sh.seqs),
@@ -134,6 +156,9 @@ func (sh *tableShard) view() shardSnap {
 		seqs: sh.seqs,
 	}
 	sh.mu.RUnlock()
+	if t.Columns[t.userIx].Kind == KindString {
+		sn.cols[t.userIx].codes, sn.cols[t.userIx].dict = sn.uix, sn.uids
+	}
 	return sn
 }
 
@@ -155,7 +180,8 @@ func (sn shardSnap) float(kind Kind, ix, i int) float64 {
 func (sn shardSnap) value(kind Kind, ix, i int) Value {
 	switch kind {
 	case KindString:
-		return Str(sn.cols[ix].ss[i])
+		c := &sn.cols[ix]
+		return Str(c.dict[c.codes[i]])
 	case KindInt:
 		return Value{Kind: KindInt, F: float64(sn.cols[ix].is[i])}
 	default:
@@ -163,10 +189,29 @@ func (sn shardSnap) value(kind Kind, ix, i int) Value {
 	}
 }
 
-// keyString renders row i's cell the way Value.String would — the group
-// key path, reading the typed column directly (free for string columns).
-func (sn shardSnap) keyString(kind Kind, ix, i int) string {
-	return sn.value(kind, ix, i).String()
+// groupKeys numbers the GROUP BY keys of column ix: keys[i] is selected
+// row i's key id, below nkeys. A string column's dictionary codes are
+// such ids as they are; numeric values are numbered by rendered key, so
+// NaNs share one group and -0 and 0 stay apart, as their keys print.
+func (sn shardSnap) groupKeys(kind Kind, ix int, sel []bool) (keys []int32, nkeys int) {
+	if kind == KindString {
+		return sn.cols[ix].codes, len(sn.cols[ix].dict)
+	}
+	keys = make([]int32, sn.n)
+	ids := map[string]int32{}
+	for i := range keys {
+		if sel != nil && !sel[i] {
+			continue
+		}
+		s := sn.value(kind, ix, i).String()
+		k, ok := ids[s]
+		if !ok {
+			k = int32(len(ids))
+			ids[s] = k
+		}
+		keys[i] = k
+	}
+	return keys, len(ids)
 }
 
 // row materializes one full row — the persistence/merge path only; scans
@@ -230,7 +275,7 @@ func (t *Table) runFan(n int, run func(int)) {
 func (t *Table) shardSnapshots() []shardSnap {
 	out := make([]shardSnap, len(t.shards))
 	for i, sh := range t.shards {
-		out[i] = sh.view()
+		out[i] = sh.view(t)
 	}
 	return out
 }
@@ -346,13 +391,6 @@ func mergeBySeq(t *Table, snaps []shardSnap, shardOf *[]int) [][]Value {
 	return out
 }
 
-// shardAggs is one shard's partial per-user accumulators, dense over the
-// shard's user dictionary: aggs[u] belongs to uids[u].
-type shardAggs struct {
-	uids []string
-	aggs []userAgg
-}
-
 // Chunked-scan tuning knobs. Shards at or above scanChunkMin rows split
 // into ~scanChunkRows-row column-range chunks (at most scanChunkMax) that
 // run as independent jobs on the fan-out, so one oversized shard stops
@@ -385,7 +423,7 @@ func chunksFor(n int) int {
 // full accumulator, built in the same order a monolithic scan would use.
 // colIx < 0 accumulates row counts only. Large shards take the chunked
 // parallel path; the bits are identical either way.
-func (t *Table) shardUserAggs(sn shardSnap, colIx int) shardAggs {
+func (t *Table) shardUserAggs(sn shardSnap, colIx int) []userAgg {
 	if chunksFor(sn.n) > 1 && t.fanout() != nil {
 		return t.shardUserAggsChunked(sn, colIx)
 	}
@@ -394,7 +432,7 @@ func (t *Table) shardUserAggs(sn shardSnap, colIx int) shardAggs {
 
 // shardUserAggsSeq is the single-pass collapse: one dense accumulator per
 // dictionary user, indexed directly — no hash lookup in the loop.
-func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
+func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) []userAgg {
 	aggs := make([]userAgg, sn.nu)
 	switch {
 	case colIx < 0:
@@ -416,7 +454,7 @@ func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
 			a.count++
 		}
 	}
-	return shardAggs{uids: sn.uids, aggs: aggs}
+	return aggs
 }
 
 // shardUserAggsChunked is the work-stealing within-shard collapse, exact
@@ -434,7 +472,7 @@ func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) shardAggs {
 //
 // The phases fan on the same pool as the per-shard fan (nested calls are
 // caller-driven, so they cannot deadlock).
-func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
+func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) []userAgg {
 	n, nu := sn.n, sn.nu
 	k := chunksFor(n)
 	lo := func(c int) int { return c * n / k }
@@ -456,7 +494,7 @@ func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
 				aggs[u].count += int(v)
 			}
 		}
-		return shardAggs{uids: sn.uids, aggs: aggs}
+		return aggs
 	}
 
 	// Prefix pass: starts[u] is user u's run start; cnt[c][u] becomes
@@ -512,66 +550,37 @@ func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) shardAggs {
 			aggs[u].sum = s
 		}
 	})
-	return shardAggs{uids: sn.uids, aggs: aggs}
+	return aggs
 }
 
-// mergeUserAggs combines per-shard partial accumulators under one id
-// space, adding partials in shard order (deterministic even for a user
-// whose rows span shards — possible only for pre-shard data replayed into
-// shard 0), and returns ids sorted with the accumulators in lockstep.
-// This is the replace-one-user reduction's sharded form: the merged
-// collapse still changes in exactly one position between neighboring
-// databases.
-func mergeUserAggs(parts []shardAggs) ([]string, []userAgg) {
-	var (
-		ids  []string
-		aggs []userAgg
-	)
-	if len(parts) == 1 {
-		ids = parts[0].uids
-		aggs = parts[0].aggs
-	} else {
-		// Concatenate in shard order, then sort with the concatenation
-		// index as tiebreak: equal uids (a user whose rows landed in more
-		// than one shard — impossible under hash routing, but this merge
-		// does not rely on that) stay in shard order and their partials
-		// combine in that order below, exactly the fold a single pass in
-		// shard order would produce. Duplicates aside, this replaces a
-		// per-user map with one sort — much cheaper per release.
-		total := 0
-		for _, p := range parts {
-			total += len(p.uids)
-		}
-		ids = make([]string, 0, total)
-		aggs = make([]userAgg, 0, total)
-		for _, p := range parts {
-			ids = append(ids, p.uids...)
-			aggs = append(aggs, p.aggs...)
+// mergeUserAggs folds per-shard partials (parts[s] dense over shard s's
+// user dictionary) into one per user, in user-id order: each partial
+// lands in its user's rank slot in shard order — the first copied, the
+// rest added — so a user whose rows span shards (possible only for
+// hand-built placements) combines its partials in shard order, and no
+// user id is compared. This is the replace-one-user reduction's sharded
+// form: the merged collapse still changes in exactly one position
+// between neighboring databases.
+func mergeUserAggs[T any](ord *userOrder, parts [][]T, add func(dst *T, src T)) []T {
+	acc := make([]T, len(ord.ids))
+	seen := make([]bool, len(ord.ids))
+	for s, p := range parts {
+		rank := ord.rank[s]
+		for u, v := range p {
+			if r := rank[u]; seen[r] {
+				add(&acc[r], v)
+			} else {
+				acc[r], seen[r] = v, true
+			}
 		}
 	}
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if ids[ia] != ids[ib] {
-			return ids[ia] < ids[ib]
+	out := acc[:0] // compact in place
+	for r, v := range acc {
+		if seen[r] {
+			out = append(out, v)
 		}
-		return ia < ib
-	})
-	outIds := make([]string, 0, len(ids))
-	outAggs := make([]userAgg, 0, len(ids))
-	for _, j := range ord {
-		if n := len(outIds); n > 0 && outIds[n-1] == ids[j] {
-			outAggs[n-1].sum += aggs[j].sum
-			outAggs[n-1].count += aggs[j].count
-			continue
-		}
-		outIds = append(outIds, ids[j])
-		outAggs = append(outAggs, aggs[j])
 	}
-	return outIds, outAggs
+	return out
 }
 
 // ShardObserver receives one sample per shard of a fanned scan: the
@@ -581,18 +590,24 @@ func mergeUserAggs(parts []shardAggs) ([]string, []userAgg) {
 // covering all its chunks.
 type ShardObserver func(shard, rows int, d time.Duration)
 
-// fanUserAggs scans every shard (in parallel under the installed fan-out)
-// into partial per-user accumulators for colIx, reporting each shard's
-// scan to every observer.
-func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []shardAggs {
+// fanUsers folds every shard (in parallel under the installed fan-out)
+// into dense per-user partials, reporting each shard's scan to every
+// observer, and merges them in user-id order (see mergeUserAggs).
+func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T, add func(dst *T, src T)) []T {
 	snaps := t.shardSnapshots()
-	parts := make([]shardAggs, len(snaps))
+	parts := make([][]T, len(snaps))
 	t.runFan(len(snaps), func(i int) {
 		s0 := time.Now()
-		parts[i] = t.shardUserAggs(snaps[i], colIx)
+		parts[i] = fold(snaps[i])
 		for _, ob := range obs {
 			ob(i, snaps[i].n, time.Since(s0))
 		}
 	})
-	return parts
+	return mergeUserAggs(t.userOrder(snaps), parts, add)
+}
+
+// fanUserAggs is fanUsers over the (sum of colIx, row count) partials.
+func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []userAgg {
+	return fanUsers(t, obs, func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, colIx) },
+		func(d *userAgg, s userAgg) { d.sum, d.count = d.sum+s.sum, d.count+s.count })
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -268,5 +269,56 @@ func TestShardFanout(t *testing.T) {
 	}
 	if calls.Load() < 2 {
 		t.Fatal("Exec scan did not use the fanout")
+	}
+}
+
+// TestGroupedReleaseAllocFlatInShards: with the fan-out sequential, a
+// grouped release must allocate about the same bytes at 16 shards as at
+// 1 — no per-shard user-sized scratch, no sort buffers. The table has the
+// grouped benchmark workload's shape: 20k users × 3 rows in 3 string
+// groups, released as COUNT, AVG and MEDIAN.
+func TestGroupedReleaseAllocFlatInShards(t *testing.T) {
+	perRelease := func(shards int) uint64 {
+		db := NewDB()
+		tab, err := db.CreateSharded("m", []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "grp", Kind: KindString}}, "uid", shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := xrand.New(1)
+		batch := make([][]Value, 0, 60000)
+		for u := 0; u < 20000; u++ {
+			for r := 0; r < 3; r++ {
+				batch = append(batch, []Value{Str(fmt.Sprintf("u%06d", u)), Float(250 + 30*rng.Gaussian()), Str(fmt.Sprintf("g%d", u%3))})
+			}
+		}
+		if err := tab.AppendRows(batch); err != nil {
+			t.Fatal(err)
+		}
+		queries := []string{
+			"SELECT COUNT(*) FROM m GROUP BY grp",
+			"SELECT AVG(v) FROM m GROUP BY grp",
+			"SELECT MEDIAN(v) FROM m GROUP BY grp",
+		}
+		if _, err := db.Exec(rng, queries[0], 1); err != nil { // builds the cached user order
+			t.Fatal(err)
+		}
+		best := uint64(math.MaxUint64)
+		for trial := 0; trial < 3; trial++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, q := range queries {
+				if _, err := db.Exec(rng, q, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/uint64(len(queries)))
+		}
+		return best
+	}
+	one, sixteen := perRelease(1), perRelease(16)
+	t.Logf("bytes per grouped release: %d at 1 shard, %d at 16 (%.3fx)", one, sixteen, float64(sixteen)/float64(one))
+	if float64(sixteen) > 1.1*float64(one) {
+		t.Fatalf("16 shards allocate %d bytes per grouped release, more than 1.1x the %d at 1 shard", sixteen, one)
 	}
 }

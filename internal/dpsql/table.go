@@ -3,11 +3,9 @@ package dpsql
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/dp"
 )
@@ -59,6 +57,11 @@ type Table struct {
 	_       [56]byte
 
 	fan atomic.Value // Fanout installed by the owning DB (may be nil)
+
+	// order is the cached user-id order over every shard's dictionary
+	// (see order.go); orderMu serializes its rebuilds.
+	order   atomic.Pointer[userOrder]
+	orderMu sync.Mutex
 
 	// mixedPlacement records that at least one row was imported with an
 	// explicit shard assignment that disagrees with the hash route for
@@ -164,8 +167,9 @@ func (db *DB) CreateSharded(name string, cols []Column, userCol string, shards i
 		shards:  make([]*tableShard, shards),
 	}
 	for i := range t.shards {
-		t.shards[i] = newTableShard(len(cols))
+		t.shards[i] = newTableShard(cols)
 	}
+	t.order.Store(&userOrder{rank: make([][]int32, shards)})
 	t.setFanout(db.fan)
 	for i, c := range cols {
 		lc := strings.ToLower(c.Name)
@@ -348,103 +352,42 @@ type selPart struct {
 }
 
 // collapseSelection folds a filtered selection into one accumulator per
-// user, returned in deterministic (sorted user id) order. This is the
-// replace-one-user privacy reduction every release path shares: the
-// result changes in one position between neighboring databases, so
-// feeding it to a record-level eps-DP mechanism yields a user-level
-// eps-DP release. colIx < 0 accumulates row counts only (COUNT). The
-// deterministic order matters beyond reproducibility: the estimators'
-// pairing/subsampling consume the seeded RNG in input order. Parts are
-// walked in shard order, rows in selection order — the exact fold the
-// row store ran over shard-order-concatenated group rows, so the bits
-// match even for a user whose rows span shards (pre-shard data replayed
-// into shard 0). (The full-table readers reach the same collapse by
-// merging dense per-shard partials instead — see shard.go.)
-func (t *Table) collapseSelection(snaps []shardSnap, parts []selPart, colIx int) []userAgg {
+// user, returned in user-id order. This is the replace-one-user privacy
+// reduction every release path shares: the result changes in one
+// position between neighboring databases, so feeding it to a
+// record-level eps-DP mechanism yields a user-level eps-DP release.
+// colIx < 0 accumulates row counts only (COUNT). The order matters beyond
+// reproducibility: the estimators' pairing/subsampling consume the seeded
+// RNG in input order. Parts are walked in shard order, rows in selection
+// order, each row added into its user's slot of acc — a zeroed
+// rank-indexed accumulator (len(ord.ids)), left zeroed for the next
+// collapse — so every user's fold, even one whose rows span shards, is
+// the sequential fold the row store ran.
+func (t *Table) collapseSelection(ord *userOrder, snaps []shardSnap, parts []selPart, colIx int, acc []userAgg) []userAgg {
 	var kind Kind
 	if colIx >= 0 {
 		kind = t.Columns[colIx].Kind
 	}
-	// Fast path: dense per-shard accumulation indexed by the shard's user
-	// dictionary — no map in the per-row loop. Within a shard the dense
-	// fold adds rows in selection order, exactly the fold above; across
-	// shards users are disjoint under hash routing, so each user's whole
-	// fold happens inside one shard and merging is pure concatenation.
-	// A user CAN span shards (a hand-built TableState's recorded
-	// placement is honored verbatim), and merging dense partials would
-	// re-associate that user's additions — so the merge detects the
-	// collision and falls back to the sequential map fold, keeping the
-	// bit contract without taxing the overwhelmingly common case.
-	var (
-		ids  []string
-		aggs []userAgg
-	)
+	n := 0
 	for _, p := range parts {
-		sn := snaps[p.shard]
-		dense := make([]userAgg, sn.nu)
-		if colIx >= 0 {
-			for _, i := range p.idx {
-				u := sn.uix[i]
-				dense[u].sum += sn.float(kind, colIx, int(i))
-				dense[u].count++
-			}
-		} else {
-			for _, i := range p.idx {
-				dense[sn.uix[i]].count++
-			}
-		}
-		for u := range dense {
-			if dense[u].count > 0 {
-				ids = append(ids, sn.uids[u])
-				aggs = append(aggs, dense[u])
-			}
-		}
-	}
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { return ids[ord[a]] < ids[ord[b]] })
-	out := make([]userAgg, len(ids))
-	for i, j := range ord {
-		if i > 0 && ids[j] == ids[ord[i-1]] {
-			return t.collapseSelectionSeq(snaps, parts, colIx) // straddler: exact fold
-		}
-		out[i] = aggs[j]
-	}
-	return out
-}
-
-// collapseSelectionSeq is the sequential reference fold: one map pass in
-// shard order, rows in selection order — the exact fold the row store
-// ran. collapseSelection delegates here when a user's rows span shards.
-func (t *Table) collapseSelectionSeq(snaps []shardSnap, parts []selPart, colIx int) []userAgg {
-	var kind Kind
-	if colIx >= 0 {
-		kind = t.Columns[colIx].Kind
-	}
-	users := map[string]*userAgg{}
-	ids := make([]string, 0, 64)
-	for _, p := range parts {
-		sn := snaps[p.shard]
+		sn, rank := snaps[p.shard], ord.rank[p.shard]
 		for _, i := range p.idx {
-			uid := sn.uid(int(i))
-			u, ok := users[uid]
-			if !ok {
-				u = &userAgg{}
-				users[uid] = u
-				ids = append(ids, uid)
+			a := &acc[rank[sn.uix[i]]]
+			if a.count == 0 {
+				n++
 			}
 			if colIx >= 0 {
-				u.sum += sn.float(kind, colIx, int(i))
+				a.sum += sn.float(kind, colIx, int(i))
 			}
-			u.count++
+			a.count++
 		}
 	}
-	sort.Strings(ids)
-	out := make([]userAgg, len(ids))
-	for i, uid := range ids {
-		out[i] = *users[uid]
+	out := make([]userAgg, 0, n)
+	for r := range acc {
+		if acc[r].count > 0 {
+			out = append(out, acc[r])
+			acc[r] = userAgg{}
+		}
 	}
 	return out
 }
@@ -473,7 +416,7 @@ func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, aggs := mergeUserAggs(t.fanUserAggs(ix, obs...))
+	aggs := t.fanUserAggs(ix, obs...)
 	out := make([]float64, len(aggs))
 	for i, u := range aggs {
 		out[i] = u.sum / float64(u.count)
@@ -485,10 +428,9 @@ func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 // unit count a user-level COUNT release privatizes (sensitivity 1 under a
 // one-user change). Per-shard counts cannot simply be summed while legacy
 // data replayed into shard 0 may share users with hash-routed rows, so
-// the ids are unioned.
+// the users are merged by rank.
 func (t *Table) NumUsers(obs ...ShardObserver) int {
-	ids, _ := mergeUserAggs(t.fanUserAggs(-1, obs...))
-	return len(ids)
+	return len(t.fanUserAggs(-1, obs...))
 }
 
 // ColumnFloats returns the named numeric column's raw per-row values in
@@ -555,13 +497,13 @@ func (t *Table) ColumnInts(col string) ([]int64, error) {
 }
 
 // UserIntSums collapses the named INT column to one integer contribution
-// per user (the sum of that user's rows) in deterministic order — the
-// input shape the paper's empirical-setting estimators (Section 3) take.
-// Each shard folds its int column into dense per-user partial sums
-// (exact, unlike float accumulation — chunked shards just add per-chunk
-// partials, integer addition being associative) that merge by addition.
-// Optional observers receive one sample per shard of the fan (see
-// ShardObserver).
+// per user (the sum of that user's rows) in user-id order — the input
+// shape the paper's empirical-setting estimators (Section 3) take. Each
+// shard folds its int column into dense per-user partial sums (exact,
+// unlike float accumulation — chunked shards just add per-chunk
+// partials, integer addition being associative) that add into rank slots
+// in shard order. Optional observers receive one sample per shard of the
+// fan (see ShardObserver).
 func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	ix, err := t.ColumnIndex(col)
 	if err != nil {
@@ -571,15 +513,7 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 		return nil, fmt.Errorf("dpsql: column %q is %s, need %s for an empirical release",
 			col, t.Columns[ix].Kind, KindInt)
 	}
-	snaps := t.shardSnapshots()
-	type shardSums struct {
-		uids []string
-		sums []int64
-	}
-	parts := make([]shardSums, len(snaps))
-	t.runFan(len(snaps), func(si int) {
-		s0 := time.Now()
-		sn := snaps[si]
+	return fanUsers(t, obs, func(sn shardSnap) []int64 {
 		sums := make([]int64, sn.nu)
 		is := sn.cols[ix].is
 		if k := chunksFor(sn.n); k > 1 && t.fanout() != nil {
@@ -603,53 +537,6 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 				sums[u] += is[i]
 			}
 		}
-		parts[si] = shardSums{uids: sn.uids, sums: sums}
-		for _, ob := range obs {
-			ob(si, sn.n, time.Since(s0))
-		}
-	})
-	// Concatenate in shard order and sort with the concatenation index as
-	// tiebreak — the same map-free merge mergeUserAggs uses: equal uids
-	// combine in shard order (integer addition is associative anyway).
-	var (
-		ids  []string
-		sums []int64
-	)
-	if len(parts) == 1 {
-		ids = parts[0].uids
-		sums = parts[0].sums
-	} else {
-		total := 0
-		for _, p := range parts {
-			total += len(p.uids)
-		}
-		ids = make([]string, 0, total)
-		sums = make([]int64, 0, total)
-		for _, p := range parts {
-			ids = append(ids, p.uids...)
-			sums = append(sums, p.sums...)
-		}
-	}
-	ord := make([]int, len(ids))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ia, ib := ord[a], ord[b]
-		if ids[ia] != ids[ib] {
-			return ids[ia] < ids[ib]
-		}
-		return ia < ib
-	})
-	out := make([]int64, 0, len(ids))
-	prev := ""
-	for _, j := range ord {
-		if len(out) > 0 && ids[j] == prev {
-			out[len(out)-1] += sums[j]
-			continue
-		}
-		out = append(out, sums[j])
-		prev = ids[j]
-	}
-	return out, nil
+		return sums
+	}, func(d *int64, s int64) { *d += s }), nil
 }
