@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -175,7 +176,48 @@ func fdqTwinCases() []fdqCase {
 		fdqCase{"full-int64", extremes, 4, math.MinInt64, math.MaxInt64, 1},
 		fdqCase{"full-int64/tiny-eps", extremes, 4, math.MinInt64, math.MaxInt64, 1e-300},
 	)
-	return cases
+	return append(cases, windowedCases()...)
+}
+
+// windowedCases are the rows whose walk window cuts the segment sequence:
+// far prefixes and suffixes that are only counted, windows at either end
+// of the data, data clipped to hi before the array ends, a budget small
+// enough that the window covers everything, and heavy duplicates.
+func windowedCases() []fdqCase {
+	src := xrand.New(17)
+	gauss := func(n int, sd float64) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = int64(math.Round(sd * src.Gaussian()))
+		}
+		return xs
+	}
+	wide, big := gauss(3000, 1000), gauss(20000, 1000)
+	sortedWide := slices.Clone(wide)
+	slices.Sort(sortedWide)
+	dups := make([]int64, 5000)
+	for i := range dups {
+		dups[i] = int64(src.Intn(4)) * 1000
+	}
+	n := len(wide)
+	return []fdqCase{
+		{"window/far-prefix+suffix", wide, n / 2, -1 << 20, 1 << 20, 4},
+		{"window/far-prefix+suffix/sorted", sortedWide, n / 3, -1 << 20, 1 << 20, 8},
+		{"window/tau=1", wide, 1, -1 << 20, 1 << 20, 1e3},
+		{"window/tau=n", wide, n, -1 << 20, 1 << 20, 1e3},
+		{"window/tau=1/eps=4", sortedWide, 1, -1 << 20, 1 << 20, 4},
+		{"window/tau=n/eps=4", sortedWide, n, -1 << 20, 1 << 20, 4},
+		{"window/lo==hi", wide, n / 2, 0, 0, 4},
+		{"window/lo==hi/below-data", sortedWide, n / 2, -1 << 30, -1 << 30, 4},
+		{"window/clipped-at-hi", sortedWide, n - 5, -1 << 20, sortedWide[n/2], 4},
+		{"window/clipped-at-hi/tau-mid", wide, n / 4, sortedWide[n/8], sortedWide[n/2], 2},
+		{"window/clipped-at-lo", sortedWide, 5, sortedWide[n/2], 1 << 20, 4},
+		{"window/covers-all", wide, n / 2, -1 << 20, 1 << 20, 1e-3},
+		{"window/heavy-dups", dups, len(dups) / 2, -1 << 20, 1 << 20, 4},
+		{"window/heavy-dups/tight", dups, len(dups) / 3, 0, 3000, 50},
+		{"window/n=20k", big, len(big) / 2, -1 << 20, 1 << 20, 4},
+		{"window/n=20k/tau=0.9n", big, 9 * len(big) / 10, -1 << 40, 1 << 40, 4},
+	}
 }
 
 // The two-pass sampler must return what the reference returns and leave
@@ -217,6 +259,130 @@ func TestLogCountBounds(t *testing.T) {
 		}
 		if upper-lower > math.Ln2+1e-8 {
 			t.Errorf("d=%d: bracket [%v, %v] wider than log 2", d, lower, upper)
+		}
+	}
+}
+
+// refSegment is one maximal constant-score segment [a, b] with its rank_lt
+// and rank_le.
+type refSegment struct {
+	a, b   int64
+	lt, le int
+}
+
+// refSegments lists the segments of sorted data over [lo, hi] the way the
+// reference enumerates them: from a clipped copy, in one loop.
+func refSegments(xs []int64, lo, hi int64) []refSegment {
+	n := len(xs)
+	c := make([]int64, n)
+	for i, v := range xs {
+		c[i] = min(max(v, lo), hi)
+	}
+	var segs []refSegment
+	prev, covered := lo, false
+	for i := 0; i < n; {
+		v, j := c[i], i
+		for j < n && c[j] == v {
+			j++
+		}
+		if v > prev {
+			segs = append(segs, refSegment{prev, v - 1, i, i})
+		}
+		segs = append(segs, refSegment{v, v, i, j})
+		if v == hi {
+			covered = true
+			break
+		}
+		prev, i = v+1, j
+	}
+	if !covered && prev <= hi {
+		segs = append(segs, refSegment{prev, hi, n, n})
+	}
+	return segs
+}
+
+func walkAll(w *segWalker) []refSegment {
+	var segs []refSegment
+	for w.next() {
+		segs = append(segs, refSegment{w.a, w.b, w.lt, w.le})
+	}
+	return segs
+}
+
+// window's bounds must be exact: first the largest record index below
+// tau - reach (0 if none), stop the smallest rank above tau + reach (n+1
+// if none). Integer and half-integer tau and reach put the cuts on and
+// beside rank boundaries.
+func TestWindowBounds(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 100} {
+		for _, tau := range []float64{1, 1.5, 2, float64(n) / 3, float64(n) / 2, float64(n) - 0.5, float64(n)} {
+			if tau < 1 || tau > float64(n) {
+				continue // tau is a rank in [1, n]
+			}
+			for _, reach := range []float64{0, 0.25, 0.5, 1, 2, 3, 3.5, 10, float64(n), 1e300, math.Inf(1), math.NaN()} {
+				first, stop := window(tau, reach, n)
+				wantFirst, wantStop := 0, n+1
+				for p := 0; p < n; p++ {
+					if float64(p) < tau-reach {
+						wantFirst = p
+					}
+				}
+				for s := n; s >= 0; s-- {
+					if float64(s) > tau+reach {
+						wantStop = s
+					}
+				}
+				if first != wantFirst || stop != wantStop {
+					t.Errorf("n=%d tau=%v reach=%v: window (%d, %d), want (%d, %d)", n, tau, reach, first, stop, wantFirst, wantStop)
+				}
+			}
+		}
+	}
+}
+
+// A walk must list exactly the reference segments. A windowed walk, by
+// jump or by skip, must visit a contiguous run of them that holds every
+// segment within reach of tau; skip and rest must count the segments
+// before and after that run.
+func TestSegWalkerMatchesReference(t *testing.T) {
+	for _, c := range fdqTwinCases() {
+		xs := slices.Clone(c.data)
+		slices.Sort(xs)
+		n := len(xs)
+		want := refSegments(xs, c.lo, c.hi)
+		w := newSegWalker(xs, c.lo, c.hi)
+		if got := walkAll(&w); !slices.Equal(got, want) {
+			t.Fatalf("%s n=%d [%d,%d]: walk differs from the reference segments", c.name, n, c.lo, c.hi)
+		}
+		if k := w.rest(); k != 0 {
+			t.Fatalf("%s: rest after a full walk = %d", c.name, k)
+		}
+		for _, tau := range []float64{1, 2.5, float64(n) / 3, float64(n)/2 + 0.25, float64(n)} {
+			for _, reach := range []float64{0, 0.5, 1, 2, 7, float64(n) / 4, float64(n)} {
+				id := fmt.Sprintf("%s n=%d [%d,%d] tau=%v reach=%v", c.name, n, c.lo, c.hi, tau, reach)
+				first, stop := window(tau, reach, n)
+				j := newSegWalker(xs, c.lo, c.hi)
+				j.jump(first)
+				j.stop = stop
+				jumped := walkAll(&j)
+				s := newSegWalker(xs, c.lo, c.hi)
+				before := s.skip(first)
+				s.stop = stop
+				walked := walkAll(&s)
+				after := s.rest()
+				if !slices.Equal(jumped, walked) {
+					t.Fatalf("%s: jump and skip walks differ", id)
+				}
+				if before+len(walked)+after != len(want) || !slices.Equal(walked, want[before:before+len(walked)]) {
+					t.Fatalf("%s: skip %d + walk %d + rest %d is not the %d reference segments", id, before, len(walked), after, len(want))
+				}
+				for k, seg := range want {
+					dist := max(0, tau-float64(seg.le), float64(seg.lt)-tau)
+					if dist <= reach && (k < before || k >= before+len(walked)) {
+						t.Fatalf("%s: segment %d %+v is %v ranks from tau but not walked", id, k, seg, dist)
+					}
+				}
+			}
 		}
 	}
 }

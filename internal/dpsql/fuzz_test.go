@@ -51,7 +51,7 @@ var groupedTwinQueries = []string{
 	"SELECT COUNT(*) FROM ev GROUP BY g",
 	"SELECT AVG(v) FROM ev GROUP BY g",
 	"SELECT MEDIAN(v), COUNT(*) FROM ev GROUP BY g",
-	"SELECT COUNT(*) FROM ev GROUP BY f",       // float keys incl. NaN
+	"SELECT COUNT(*) FROM ev GROUP BY f",           // float keys incl. NaN
 	"SELECT AVG(v) FROM ev WHERE v < 0 GROUP BY g", // empties every group
 	"SELECT SUM(v) FROM ev WHERE f < 2 GROUP BY g", // NaN rows filtered out
 	"SELECT VAR(v), P75(v) FROM ev GROUP BY g",

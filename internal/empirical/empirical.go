@@ -19,9 +19,9 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/dp"
+	"repro/internal/radix"
 	"repro/internal/xrand"
 )
 
@@ -53,7 +53,7 @@ func clampInt64(v int64) int64 {
 // sortedClamped returns data clamped to ±maxAbs, in increasing order.
 // Clamping is monotone and every consumer only reads the result, so input
 // that is already ordered and in range is returned as is; otherwise the
-// result is a sorted copy.
+// result is a copy, radix-sorted in linear time.
 func sortedClamped(data []int64) []int64 {
 	ok := true
 	for i, v := range data {
@@ -69,7 +69,7 @@ func sortedClamped(data []int64) []int64 {
 	for i, v := range data {
 		xs[i] = clampInt64(v)
 	}
-	slices.Sort(xs)
+	radix.Sort(xs)
 	return xs
 }
 

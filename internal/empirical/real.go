@@ -3,9 +3,9 @@ package empirical
 import (
 	"errors"
 	"math"
-	"slices"
 
 	"repro/internal/dp"
+	"repro/internal/radix"
 	"repro/internal/xrand"
 )
 
@@ -42,10 +42,11 @@ func DiscretizeAll(xs []float64, b float64) []int64 {
 // SortedBuckets returns the bucket indices of xs in increasing order.
 // Quantile and Quantiles take such input as is, without a copy or a sort,
 // so a caller releasing several quantiles of one dataset discretizes and
-// sorts it once.
+// sorts it once. The sort is a radix sort, linear in len(xs) with one pass
+// per byte of the indices' span, and allocates nothing beyond the result.
 func SortedBuckets(xs []float64, b float64) []int64 {
 	out := DiscretizeAll(xs, b)
-	slices.Sort(out)
+	radix.Sort(out)
 	return out
 }
 

@@ -204,8 +204,8 @@ type family struct {
 	children map[string]any // *Counter | *Gauge | *Histogram
 	keys     []string       // insertion-independent render order (sorted)
 
-	bounds  []float64             // histogram families
-	collect func(emit EmitGauge)  // gauge-func families: sampled at render
+	bounds  []float64            // histogram families
+	collect func(emit EmitGauge) // gauge-func families: sampled at render
 }
 
 // EmitGauge receives one sample from a gauge-func collector; labelValues

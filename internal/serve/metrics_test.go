@@ -102,11 +102,11 @@ func TestMetricsExposition(t *testing.T) {
 	samples, body := scrape(t, ts.URL)
 
 	wantExact := map[string]float64{
-		`updp_releases_total{path="estimate"}`: 1,
-		`updp_releases_total{path="query"}`:    2,
-		`updp_cache_hits_total`:                1,
-		`updp_cache_misses_total`:              2, // the estimate and the first query
-		`updp_tenants`:                         1,
+		`updp_releases_total{path="estimate"}`:        1,
+		`updp_releases_total{path="query"}`:           2,
+		`updp_cache_hits_total`:                       1,
+		`updp_cache_misses_total`:                     2, // the estimate and the first query
+		`updp_tenants`:                                1,
 		`updp_release_seconds_count{path="estimate"}`: 1,
 		`updp_release_seconds_count{path="query"}`:    2,
 		`updp_tenant_budget_total{tenant="acme"}`:     10,

@@ -54,13 +54,18 @@ func TestSampleIndicesMatchesReference(t *testing.T) {
 	}
 }
 
-// SkipGumbel must consume exactly what Gumbel consumes, including
+// Drawing the uniform and applying GumbelOf must give Gumbel's value bit
+// for bit and consume exactly what Gumbel consumes, including
 // Float64Open's rejection of a zero draw.
-func TestSkipGumbelConsumesLikeGumbel(t *testing.T) {
+func TestGumbelOfMatchesGumbel(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r1, r2 := New(seed), New(seed)
-		r1.Gumbel()
-		r2.SkipGumbel()
+		for i := 0; i < 1000; i++ {
+			a, b := r1.Gumbel(), GumbelOf(r2.Float64Open())
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d draw %d: Gumbel %v, GumbelOf %v", seed, i, a, b)
+			}
+		}
 		if a, b := r1.Uint64(), r2.Uint64(); a != b {
 			t.Fatalf("seed %d: streams diverged", seed)
 		}
@@ -71,29 +76,59 @@ func TestSkipGumbelConsumesLikeGumbel(t *testing.T) {
 	if probe := (&RNG{s: r1.s}).Uint64(); probe>>11 != 0 {
 		t.Fatalf("state does not produce a rejected draw: %d", probe)
 	}
-	r1.Gumbel()
-	r2.SkipGumbel()
-	if r1.s != r2.s {
-		t.Fatal("SkipGumbel and Gumbel consumed different outputs around a rejected draw")
+	if a, b := r1.Gumbel(), GumbelOf(r2.Float64Open()); a != b || r1.s != r2.s {
+		t.Fatal("GumbelOf and Gumbel diverged around a rejected draw")
 	}
 }
 
-// GumbelMin and GumbelMax must bracket every value Gumbel can return and
-// stay within 1e-3 of the true extremes. Gumbel is -log(-log u) for u on
-// Float64Open's grid k·2^-53, k ∈ [1, 2^53-1]; both ends of the grid are
+// GumbelMin must bound every value Gumbel can return from below and stay
+// within 1e-3 of the true minimum. Gumbel is -log(-log u) for u on
+// Float64Open's grid k·2^-53, k ∈ [1, 2^53-1]; the low end of the grid is
 // checked, with a stretch of neighbours in case math.Log is not monotone
 // at the last ulp.
 func TestGumbelSpanBracketsGrid(t *testing.T) {
-	g := func(k uint64) float64 { return -math.Log(-math.Log(float64(k) * (1.0 / (1 << 53)))) }
-	lo, hi := math.Inf(1), math.Inf(-1)
+	lo := math.Inf(1)
 	for k := uint64(1); k <= 4096; k++ {
-		lo = min(lo, g(k))
-		hi = max(hi, g(1<<53-k))
+		lo = min(lo, GumbelOf(float64(k)*(1.0/(1<<53))))
 	}
-	if lo < GumbelMin || hi > GumbelMax {
-		t.Fatalf("grid extremes [%v, %v] escape [%v, %v]", lo, hi, GumbelMin, GumbelMax)
+	if lo < GumbelMin {
+		t.Fatalf("grid minimum %v is below GumbelMin %v", lo, GumbelMin)
 	}
-	if lo-GumbelMin > 1e-3 || GumbelMax-hi > 1e-3 {
-		t.Fatalf("[%v, %v] is loose around the grid extremes [%v, %v]", GumbelMin, GumbelMax, lo, hi)
+	if lo-GumbelMin > 1e-3 {
+		t.Fatalf("GumbelMin %v is loose below the grid minimum %v", GumbelMin, lo)
+	}
+}
+
+// GumbelBound must exceed GumbelOf on Float64Open's whole grid, which is
+// checked where the bound is tightest: both grid ends, every boundary
+// 1 - 2^-k where the leading-ones count k steps up, and one grid step
+// below each. Random draws cover the interior; the bound must also stay
+// within 2·log 2 of the truth on the upper half of the grid, or it
+// would prune little.
+func TestGumbelBoundBracketsGumbelOf(t *testing.T) {
+	const step = 1.0 / (1 << 53)
+	check := func(u float64) {
+		t.Helper()
+		g, bound := GumbelOf(u), GumbelBound(u)
+		if !(bound > g) {
+			t.Fatalf("u = %v: GumbelBound %v <= GumbelOf %v", u, bound, g)
+		}
+		if u >= 0.5 && bound-g > 2*math.Ln2 {
+			t.Fatalf("u = %v: GumbelBound %v is loose over GumbelOf %v", u, bound, g)
+		}
+	}
+	check(step)
+	check(1 - step)
+	if got, want := GumbelBound(1-step), 54*math.Ln2+1e-9; got != want {
+		t.Fatalf("GumbelBound(1 - 2^-53) = %v, want 54·log 2 + 1e-9 = %v", got, want)
+	}
+	for k := 1; k <= 53; k++ {
+		u := 1 - math.Ldexp(1, -k)
+		check(u)
+		check(u - step)
+	}
+	r := New(9)
+	for i := 0; i < 1_000_000; i++ {
+		check(r.Float64Open())
 	}
 }

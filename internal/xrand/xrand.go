@@ -2,7 +2,10 @@
 // number generator together with the samplers the differential-privacy
 // mechanisms and the synthetic-workload generators need (uniform,
 // exponential, Laplace, Gaussian, Gumbel, gamma, chi-square, Pareto,
-// Student-t).
+// Student-t). For Gumbel-max sampling it also exposes the variate as a
+// function of its uniform (GumbelOf) and a logarithm-free upper bound on
+// it (GumbelBound), so a sampler can draw every candidate's uniform, keep
+// the stream, and skip the logarithms of candidates that cannot win.
 //
 // The generator is xoshiro256** seeded through SplitMix64. It is not
 // cryptographically secure; it is meant for reproducible experiments.
@@ -14,6 +17,7 @@ import (
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // RNG is a deterministic pseudo-random number generator. It is not safe for
@@ -185,31 +189,37 @@ func (r *RNG) Gaussian() float64 {
 // the corresponding softmax distribution (the "Gumbel-max trick"), which is
 // how the exponential mechanism is implemented.
 func (r *RNG) Gumbel() float64 {
-	return -math.Log(r.Exponential())
+	return GumbelOf(r.Float64Open())
 }
 
-// SkipGumbel advances the generator exactly as Gumbel would, without
-// computing the variate: it draws the same uniform and skips both
-// logarithms. A Gumbel-max sampler uses it for candidates that provably
-// cannot win, so the stream — and every later draw — stays identical to
-// drawing them.
-func (r *RNG) SkipGumbel() {
-	r.Float64Open()
+// GumbelOf returns the Gumbel variate -log(-log u) of a uniform u in (0, 1):
+// Gumbel() is GumbelOf(Float64Open()), bit for bit. A Gumbel-max sampler
+// draws u itself so that it can test GumbelBound(u) before paying for the
+// two logarithms; the stream is the same either way.
+func GumbelOf(u float64) float64 {
+	return -math.Log(-math.Log(u))
 }
 
-// Every value Gumbel can return lies in [GumbelMin, GumbelMax]. Float64Open
+// GumbelBound returns an upper bound on GumbelOf(u) for u on Float64Open's
+// grid m·2^-53, m ∈ [1, 2^53-1], without a logarithm. With k the number of
+// leading one bits of m's 53 bits, u < 1 - 2^-(k+1), so
+// -log u >= 1-u > 2^-(k+1) and GumbelOf(u) < (k+1)·log 2. The 1e-9 pad
+// covers the rounding of GumbelOf's two logarithms, which is below 1e-14.
+// Half of all draws have k = 0 and a bound of log 2 ≈ 0.69; the largest
+// bound, 54·log 2 ≈ 37.43, is at u = 1 - 2^-53.
+func GumbelBound(u float64) float64 {
+	m := uint64(u * (1 << 53))
+	k := bits.LeadingZeros64(^(m << 11))
+	return float64(k+1)*math.Ln2 + 1e-9
+}
+
+// GumbelMin is a lower bound on every value Gumbel can return. Float64Open
 // returns u on the grid k·2^-53, k ∈ [1, 2^53-1], and -log(-log u) is
-// increasing in u, so the extremes are at the grid ends:
-//
-//	u = 2^-53:     -log(53·log 2)        = -3.60377...
-//	u = 1 - 2^-53: -log(-log(1 - 2^-53)) = 36.73680...
-//
-// The constants round outward by ~1e-4, which also absorbs the last-ulp
-// error of math.Log; a test evaluates Gumbel's formula at both grid ends.
-const (
-	GumbelMin = -3.6038
-	GumbelMax = 36.7369
-)
+// increasing in u, so the least value is at u = 2^-53:
+// -log(53·log 2) = -3.60377.... The constant rounds down by ~1e-4, which
+// also absorbs the last-ulp error of math.Log; a test evaluates Gumbel's
+// formula at the low end of the grid.
+const GumbelMin = -3.6038
 
 // Gamma returns a Gamma(shape, 1) variate using the Marsaglia–Tsang method.
 // It panics if shape <= 0.
