@@ -71,7 +71,6 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "durable tenant state directory (WAL + snapshots); empty = in-memory only")
 		commitWait = flag.Duration("commit-delay", 0, "WAL group-commit coalescing window (0 = fire immediately; batches still form naturally under load)")
 		commitMax  = flag.Int("commit-batch", 0, "WAL group-commit max entries per batch (0 = 256)")
-		noGroup    = flag.Bool("no-group-commit", false, "disable WAL group commit: one fsync per deduction and per audit record")
 		shards     = flag.Int("shards", 0, "default table shard count for new tenants (hash-partitioned by user id; 0 = 1, monolithic)")
 		demo       = flag.Bool("demo", false, "preload a demo tenant with synthetic salaries")
 		accounting = flag.String("accounting", "pure", `demo tenant composition backend: "pure", "zcdp", or "rdp"`)
@@ -105,7 +104,7 @@ func main() {
 		Seed:             *seed,
 		DataDir:          *dataDir,
 		DefaultShards:    *shards,
-		GroupCommit:      store.GroupCommitOptions{MaxDelay: *commitWait, MaxBatch: *commitMax, Disable: *noGroup},
+		GroupCommit:      store.GroupCommitOptions{MaxDelay: *commitWait, MaxBatch: *commitMax},
 		TraceRing:        *traceRing,
 		Exemplars:        *exemplars,
 		SLOLatency:       *sloLatency,

@@ -82,8 +82,7 @@
 // released, a torn batch drops atomically (never a prefix), and
 // "acknowledged implies audited" costs zero extra fsyncs because the
 // audit copy rides the same batch record. updp-serve -commit-delay and
-// -commit-batch tune the window; -no-group-commit restores one fsync per
-// record. The building blocks are reusable: every dp ledger implements
+// -commit-batch tune the window. The building blocks are reusable: every dp ledger implements
 // Snapshot/Restore/ForceSpend (dp.StatefulLedger) and dpsql tables
 // export/import their full state. updp-bench -serve -restart is the
 // recovery drill: ingest + spend, snapshot, crash without flushing,
@@ -119,20 +118,21 @@
 // order: every dictionary user of every shard has a rank, published
 // through an atomic pointer and extended only when a shard's dictionary
 // has grown (the newcomers alone are sorted and merged in). A release
-// folds its rows — or the full-table readers' per-shard partial (sum,
-// count) accumulators — in shard order into one rank-indexed
-// accumulator and reads the occupied slots out in rank order, so no
-// release sorts. This is the decomposition view of the paper's per-user
-// collapse: partials combine by addition into exactly the collapse a
-// monolithic scan produces, so a release still makes exactly one ledger
-// deduction and the noise semantics are unchanged — for a fixed seed, a
-// sharded columnar tenant and an unsharded twin release bit-for-bit
-// identical answers, and 16 shards cost no more scan time than one. The
+// folds its rows — or the full-table readers' per-shard (sum, count)
+// accumulators — in shard order into one rank-indexed accumulator and
+// reads the occupied slots out in rank order, so no release sorts. Every
+// user lives in one shard, so the merged per-user collapse is exactly
+// the one a monolithic scan produces: a release still makes exactly one
+// ledger deduction and the noise semantics are unchanged — for a fixed
+// seed, a sharded columnar tenant and an unsharded twin release
+// bit-for-bit identical answers, and 16 shards cost no more scan time
+// than one. The
 // wire, WAL and snapshot formats stay row-oriented (rows materialize
-// fresh from the columns on export), WAL row records carry a shard tag
-// and snapshots carry per-row placement, so recovery rebuilds the same
-// partitioning; pre-shard and pre-columnar data directories boot
-// unchanged with spend preserved. updp-bench -serve -shards sweep
+// fresh from the columns on export). Placement is hash(user id) mod the
+// shard count and nothing records it: recovery routes every row again,
+// older directories' shard tags and placement arrays are ignored (they
+// name the same shards), and pre-shard and pre-columnar data directories
+// boot unchanged with spend preserved. updp-bench -serve -shards sweep
 // reports ingest rows/sec and release latency at N=1,4,16.
 //
 // # Observability

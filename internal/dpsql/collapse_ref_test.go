@@ -1,6 +1,7 @@
 package dpsql
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -22,7 +23,7 @@ func refCollapseSelectionSeq(t *Table, snaps []shardSnap, parts []selPart, colIx
 	for _, p := range parts {
 		sn := snaps[p.shard]
 		for _, i := range p.idx {
-			uid := sn.uid(int(i))
+			uid := sn.uids[sn.uix[i]]
 			u, ok := users[uid]
 			if !ok {
 				u = &userAgg{}
@@ -218,37 +219,50 @@ func TestCollapseRankFoldMatchesSeqTwin(t *testing.T) {
 	}
 }
 
-// TestCollapseRankFoldStraddlingState: a hand-built TableState may place
-// one user's rows on several shards. Equal ids share a rank — also when a
-// ranked user first shows up in another shard after the order was built —
-// so the rank-fold collapse must still equal the sequential twin, and
-// NumUsers must count every straddler once.
+// TestCollapseRankFoldStraddlingState: a state written by an earlier
+// version may record a placement that puts one user's rows on several
+// shards. Import ignores it, and so does a later AppendRows, whose
+// newcomers extend the cached order: every row sits in its hash shard,
+// the rank-fold collapse equals the sequential twin, and NumUsers counts
+// each user once.
 func TestCollapseRankFoldStraddlingState(t *testing.T) {
 	rng := xrand.New(5)
-	st := TableState{
+	type legacyState struct {
+		TableState
+		ShardOf []int `json:"shard_of"`
+	}
+	legacy := legacyState{TableState: TableState{
 		Name:    "s",
 		Columns: []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}},
 		UserCol: "uid",
 		Shards:  4,
-	}
+	}}
+	var rows [][]Value
 	for i := 0; i < 400; i++ {
-		st.Rows = append(st.Rows, []Value{Str(fmt.Sprintf("u%02d", rng.Uint64()%40)), Float(signedValue(rng)), Int(int64(i % 5))})
-		st.ShardOf = append(st.ShardOf, int(rng.Uint64()%4))
+		rows = append(rows, []Value{Str(fmt.Sprintf("u%02d", rng.Uint64()%40)), Float(signedValue(rng)), Int(int64(i % 5))})
+		legacy.ShardOf = append(legacy.ShardOf, int(rng.Uint64()%4))
 	}
-	head := st
-	head.Rows, head.ShardOf = st.Rows[:200], st.ShardOf[:200]
+	legacy.ShardOf = legacy.ShardOf[:200]
+	enc, err := json.Marshal(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head TableState
+	if err := json.Unmarshal(enc, &head); err != nil {
+		t.Fatal(err)
+	}
+	head.Rows = rows[:200] // NaN has no JSON form: the rows join after decoding
 	db := NewDB()
 	tab, err := db.Import(head)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.mixedPlacement.Load() {
-		t.Fatal("fixture does not straddle shards")
-	}
+	checkHashPlacement(t, tab)
 	checkCollapseTwin(t, tab, rng)
-	if err := tab.appendRouted(st.Rows[200:], st.ShardOf[200:]); err != nil {
+	if err := tab.AppendRows(rows[200:]); err != nil {
 		t.Fatal(err)
 	}
+	checkHashPlacement(t, tab)
 	checkCollapseTwin(t, tab, rng)
 	if got := tab.NumUsers(); got != 40 {
 		t.Fatalf("NumUsers = %d, want 40", got)
@@ -257,7 +271,7 @@ func TestCollapseRankFoldStraddlingState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := refUserIntSums(st.Rows, 2); fmt.Sprint(sums) != fmt.Sprint(want) {
+	if want := refUserIntSums(rows, 2); fmt.Sprint(sums) != fmt.Sprint(want) {
 		t.Fatalf("UserIntSums = %v, want %v", sums, want)
 	}
 }

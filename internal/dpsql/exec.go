@@ -66,13 +66,6 @@ func (db *DB) SetLedger(led dp.Ledger) {
 	db.mu.Unlock()
 }
 
-// SetAccountant installs a pure-ε accountant as the ledger — the legacy
-// entry point, equivalent to SetLedger(acct.Ledger()); both views share
-// one budget.
-func (db *DB) SetAccountant(acct *dp.Accountant) {
-	db.SetLedger(acct.Ledger())
-}
-
 // Ledger returns the installed composition backend (nil when no budget is
 // set).
 func (db *DB) Ledger() dp.Ledger {
@@ -248,15 +241,7 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	}
 	clamped := groupIx >= 0 && bound >= 1
 	snaps := t.shardSnapshots()
-	// A user whose recorded placement disagrees with the hash route
-	// (possible only for hand-built imported TableStates) may have rows in
-	// several shards, and per-shard clamp slots would grant it bound slots
-	// per shard. Such tables take the sequential fallback below: the WHERE
-	// predicate still fans out, but the clamp + group walk runs once over
-	// the global arrival order.
-	seqClamp := clamped && len(snaps) > 1 && t.mixedPlacement.Load()
 	scans := make([][]shardGroup, len(snaps)) // per shard, first-seen order
-	sels := make([][]bool, len(snaps))
 	t.runFan(len(snaps), func(si int) {
 		shardStart := time.Now()
 		sn := snaps[si]
@@ -266,8 +251,6 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			q.Where.evalShard(t, sn, sel)
 		}
 		switch {
-		case seqClamp:
-			sels[si] = sel
 		case groupIx < 0:
 			// Single implicit group: the selection is one index run.
 			var idx []int32
@@ -349,62 +332,9 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	}
 	mergeStart := time.Now()
 	var flat []groupSel
-	if seqClamp {
-		// Global arrival-order clamp walk: the k-way merge on sequence
-		// numbers visits rows exactly as a single-shard table stores them,
-		// so admitted sets match the single-shard twin bit for bit even for
-		// users whose rows straddle shards. Sequential by construction —
-		// the price of honoring hand-built placements.
-		type seqGroup struct {
-			key Value
-			idx [][]int32 // per shard, row indices in row order
-		}
-		gm := map[string]*seqGroup{}
-		var order []string
-		admitted := map[string][]string{} // uid -> admitted group keys (<= bound)
-		mergeOrder(snaps, func(s, i int) {
-			if sels[s] != nil && !sels[s][i] {
-				return
-			}
-			sn := snaps[s]
-			key := sn.value(groupKind, groupIx, i).String()
-			uid := sn.uid(i)
-			in := false
-			for _, k := range admitted[uid] {
-				if k == key {
-					in = true
-					break
-				}
-			}
-			if !in {
-				if len(admitted[uid]) >= bound {
-					return // cap reached: drop the row
-				}
-				admitted[uid] = append(admitted[uid], key)
-			}
-			g, ok := gm[key]
-			if !ok {
-				g = &seqGroup{key: sn.value(groupKind, groupIx, i), idx: make([][]int32, len(snaps))}
-				gm[key] = g
-				order = append(order, key)
-			}
-			g.idx[s] = append(g.idx[s], int32(i))
-		})
-		for _, key := range order {
-			g := gm[key]
-			gs := groupSel{key: g.key, keyS: key}
-			for s, idx := range g.idx {
-				if len(idx) > 0 {
-					gs.parts = append(gs.parts, selPart{shard: s, idx: idx})
-				}
-			}
-			flat = append(flat, gs)
-		}
-	} else {
-		for si, sgs := range scans {
-			for _, sg := range sgs {
-				flat = append(flat, groupSel{key: sg.key, keyS: sg.keyS, parts: []selPart{{shard: si, idx: sg.idx}}})
-			}
+	for si, sgs := range scans {
+		for _, sg := range sgs {
+			flat = append(flat, groupSel{key: sg.key, keyS: sg.keyS, parts: []selPart{{shard: si, idx: sg.idx}}})
 		}
 	}
 	sort.SliceStable(flat, func(a, b int) bool { return flat[a].keyS < flat[b].keyS })

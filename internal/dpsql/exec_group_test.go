@@ -1,10 +1,12 @@
 package dpsql
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,37 +222,33 @@ func TestGroupedBadBound(t *testing.T) {
 	}
 }
 
-// TestGroupedMixedPlacementFallback: a hand-built TableState may place
-// one user's rows on several shards, which would defeat the per-shard
-// clamp. The executor must detect the mixed placement and fall back to
-// the sequential arrival-order walk, matching the single-shard twin.
-func TestGroupedMixedPlacementFallback(t *testing.T) {
-	// Four users, two rows each in different groups; ShardOf deliberately
-	// splits every user across both shards.
-	st := TableState{
-		Name:    "events",
-		Columns: []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "grp", Kind: KindString}},
-		UserCol: "uid",
-		Shards:  2,
+// TestImportIgnoresRecordedPlacement: states written by earlier versions
+// may carry a "shard_of" array, and a hand-built one could split a user
+// across shards. Import ignores it: every row lands in its hash shard, so
+// the bound-1 clamp sees each user whole and the grouped counts equal the
+// single-shard twin's. The re-exported state records no placement.
+func TestImportIgnoresRecordedPlacement(t *testing.T) {
+	// Four users, two rows each in different groups; shard_of splits every
+	// user across both shards.
+	const legacy = `{"name":"events","user_col":"uid","shards":2,
+		"columns":[{"name":"uid","kind":2},{"name":"v","kind":0},{"name":"grp","kind":2}],
+		"rows":[
+			[{"k":2,"s":"u0"},{},{"k":2,"s":"a"}],[{"k":2,"s":"u0"},{"f":1},{"k":2,"s":"b"}],
+			[{"k":2,"s":"u1"},{"f":1},{"k":2,"s":"a"}],[{"k":2,"s":"u1"},{"f":2},{"k":2,"s":"b"}],
+			[{"k":2,"s":"u2"},{"f":2},{"k":2,"s":"a"}],[{"k":2,"s":"u2"},{"f":3},{"k":2,"s":"b"}],
+			[{"k":2,"s":"u3"},{"f":3},{"k":2,"s":"a"}],[{"k":2,"s":"u3"},{"f":4},{"k":2,"s":"b"}]],
+		"shard_of":[0,1,0,1,0,1,0,1]}`
+	var st TableState
+	if err := json.Unmarshal([]byte(legacy), &st); err != nil {
+		t.Fatal(err)
 	}
-	groups := []string{"a", "b"}
-	for i := 0; i < 4; i++ {
-		uid := fmt.Sprintf("u%d", i)
-		for j := 0; j < 2; j++ {
-			st.Rows = append(st.Rows, []Value{Str(uid), Float(float64(i + j)), Str(groups[j])})
-			st.ShardOf = append(st.ShardOf, j)
-		}
-	}
-
 	db2 := NewDB()
 	db2.SetDefaultShards(2)
 	tab2, err := db2.Import(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab2.mixedPlacement.Load() {
-		t.Fatal("import with straddling placement did not flag mixedPlacement")
-	}
+	checkHashPlacement(t, tab2)
 	db1 := NewDB()
 	db1.SetDefaultShards(1)
 	if _, err := db1.Import(st); err != nil {
@@ -258,8 +256,7 @@ func TestGroupedMixedPlacementFallback(t *testing.T) {
 	}
 
 	// Bound 1: every user's first-seen group is "a", so "b" must release
-	// an (exact, huge-ε) count of 0 admitted users — or not at all. The
-	// per-shard clamp would wrongly admit each user on both shards.
+	// an (exact, huge-ε) count of 0 admitted users — or not at all.
 	for _, db := range []*DB{db1, db2} {
 		got := map[string]int{}
 		res, err := db.ExecTraced(xrand.New(9), "SELECT COUNT(*) FROM events GROUP BY grp", 1e6, ExecOpts{})
@@ -274,18 +271,14 @@ func TestGroupedMixedPlacementFallback(t *testing.T) {
 		}
 	}
 
-	// Hash-routed tables must never trip the fallback flag.
-	_, tab := buildTwin(t, 4)
-	if tab.mixedPlacement.Load() {
-		t.Fatal("hash-routed table flagged mixedPlacement")
-	}
-	dbr := NewDB()
-	dbr.SetDefaultShards(4)
-	tabr, err := dbr.Import(tab.Export())
+	out, err := json.Marshal(tab2.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabr.mixedPlacement.Load() {
-		t.Fatal("same-topology reimport of a hash-routed table flagged mixedPlacement")
+	if strings.Contains(string(out), "shard_of") {
+		t.Fatalf("export records placement: %s", out)
+	}
+	if !reflect.DeepEqual(tab2.Export().Rows, st.Rows) {
+		t.Fatal("re-exported rows differ from the imported ones")
 	}
 }

@@ -60,24 +60,3 @@ func TestExecChargesZCDPLedger(t *testing.T) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", lastErr)
 	}
 }
-
-// SetAccountant remains the legacy pure-eps path and shares state with the
-// accountant it wraps.
-func TestSetAccountantSharesState(t *testing.T) {
-	db := NewDB()
-	seedLedgerTable(t, db)
-	acct, err := dp.NewAccountant(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db.SetAccountant(acct)
-	if _, err := db.Exec(xrand.New(7), "SELECT COUNT(*) FROM m", 0.25); err != nil {
-		t.Fatal(err)
-	}
-	if got := acct.Spent(); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("accountant saw spent=%v, want 0.25", got)
-	}
-	if got := db.Ledger().Unit(); got != dp.UnitEps {
-		t.Errorf("Unit() = %v, want eps", got)
-	}
-}

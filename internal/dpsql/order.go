@@ -4,10 +4,10 @@ import "sort"
 
 // userOrder is a table's cached user-id order: every user of every
 // shard's dictionary gets a rank, its position in ids, and collapses read
-// rank-indexed accumulators out in rank order, so no release sorts users. Equal
-// ids in different shards (a straddling hand-built placement) share a
-// rank. An order is immutable once published and covers a prefix of each
-// shard's append-only dictionary, so it also serves any snapshot it
+// rank-indexed accumulators out in rank order, so no release sorts users.
+// A user lives in one shard, so each rank belongs to one dictionary
+// entry. An order is immutable once published and covers a prefix of
+// each shard's append-only dictionary, so it also serves any snapshot it
 // covers.
 type userOrder struct {
 	ids  []string  // distinct user ids, ascending
@@ -42,7 +42,8 @@ func (t *Table) userOrder(snaps []shardSnap) *userOrder {
 
 // extend returns o plus the snapshots' dictionary users it lacks: only
 // the newcomers are sorted, then merged into o's order by binary search,
-// so each old rank shifts right by the newcomers placed before it.
+// so each old rank shifts right by the newcomers placed before it. A
+// newcomer is new to every shard, since all of a user's rows share one.
 func (o *userOrder) extend(snaps []shardSnap) *userOrder {
 	type newUser struct {
 		id       string
@@ -58,7 +59,6 @@ func (o *userOrder) extend(snaps []shardSnap) *userOrder {
 
 	ids := make([]string, 0, len(o.ids)+len(add))
 	shift := make([]int32, len(o.ids)) // old rank -> new rank
-	added := make([]int32, len(add))   // newcomer -> rank
 	i := 0
 	keep := func(end int) {
 		for ; i < end; i++ {
@@ -66,31 +66,20 @@ func (o *userOrder) extend(snaps []shardSnap) *userOrder {
 			ids = append(ids, o.ids[i])
 		}
 	}
-	for j := 0; j < len(add); {
-		id := add[j].id
-		keep(i + sort.SearchStrings(o.ids[i:], id))
-		r := int32(len(ids))
-		if i < len(o.ids) && o.ids[i] == id { // already ranked via another shard
-			shift[i] = r
-			i++
-		}
-		ids = append(ids, id)
-		for ; j < len(add) && add[j].id == id; j++ {
-			added[j] = r
-		}
-	}
-	keep(len(o.ids))
-
 	rank := make([][]int32, len(snaps))
 	for s, sn := range snaps {
-		rs := make([]int32, max(len(o.rank[s]), sn.nu))
-		for u, r := range o.rank[s] {
-			rs[u] = shift[r]
-		}
-		rank[s] = rs
+		rank[s] = make([]int32, max(len(o.rank[s]), sn.nu))
 	}
-	for j, a := range add {
-		rank[a.shard][a.u] = added[j]
+	for _, a := range add {
+		keep(i + sort.SearchStrings(o.ids[i:], a.id))
+		rank[a.shard][a.u] = int32(len(ids))
+		ids = append(ids, a.id)
+	}
+	keep(len(o.ids))
+	for s, rs := range o.rank {
+		for u, r := range rs {
+			rank[s][u] = shift[r]
+		}
 	}
 	return &userOrder{ids: ids, rank: rank}
 }

@@ -9,46 +9,41 @@ import (
 // exported as a serializable TableState (what the durable store's
 // snapshots hold) and a database rebuilt from one on boot. Rows are
 // flattened into global insertion order (merged across shards by sequence
-// number) with a parallel shard index per row, so a snapshot both
-// round-trips the exact row order a deterministic release consumes and
-// carries the partition topology; importing under a different shard count
-// simply ignores the recorded placement and reshards by hash.
+// number), so a snapshot round-trips the exact row order a deterministic
+// release consumes. Placement is not recorded: a row's shard is
+// shardFor(user id) under the table's shard count, so Import rebuilds it.
 
 // TableState is the serializable snapshot of one table: full schema,
-// shard topology, and every stored row in global insertion order. Rows
-// use Value's compact JSON encoding. Shards is the partition count
-// (0 means 1 — the pre-shard encoding, which this struct remains
-// byte-compatible with for single-shard tables); ShardOf, parallel to
-// Rows, records each row's shard so Import rebuilds the same
-// partitioning. A missing or mismatched ShardOf reshards by user-id hash.
+// shard count, and every stored row in global insertion order. Rows use
+// Value's compact JSON encoding. Shards is the partition count (0 means
+// 1 — the pre-shard encoding, which this struct remains byte-compatible
+// with for single-shard tables). States written by earlier versions may
+// carry a per-row "shard_of" placement array; decoding ignores it.
 type TableState struct {
 	Name    string    `json:"name"`
 	Columns []Column  `json:"columns"`
 	UserCol string    `json:"user_col"`
 	Shards  int       `json:"shards,omitempty"`
 	Rows    [][]Value `json:"rows,omitempty"`
-	ShardOf []int     `json:"shard_of,omitempty"`
 }
 
-// Export captures the table's schema, shard topology, and a consistent
+// Export captures the table's schema, shard count, and a consistent
 // point-in-time row snapshot in global insertion order. Rows are
 // materialized fresh from the typed column shards (the wire format stays
 // row-oriented regardless of the in-memory layout), bit-identical to the
-// rows the table was fed. Single-shard tables omit the topology fields,
-// so their snapshots are byte-identical to the pre-columnar, pre-shard
+// rows the table was fed. Single-shard tables omit the shard count, so
+// their snapshots are byte-identical to the pre-columnar, pre-shard
 // encoding.
 func (t *Table) Export() TableState {
 	st := TableState{
 		Name:    t.Name,
 		Columns: append([]Column(nil), t.Columns...),
 		UserCol: t.UserCol,
+		Rows:    t.snapshot(),
 	}
-	if t.nshards == 1 {
-		st.Rows = t.snapshot()
-		return st
+	if t.nshards > 1 {
+		st.Shards = t.nshards
 	}
-	st.Shards = t.nshards
-	st.Rows = mergeBySeq(t, t.shardSnapshots(), &st.ShardOf)
 	return st
 }
 
@@ -76,12 +71,9 @@ func (db *DB) Export() []TableState {
 //
 // Topology: the rebuilt table gets the DB's default shard count when one
 // is configured (the tenant's topology is authoritative), falling back to
-// the state's own. When the recorded placement matches the target count,
-// rows land in exactly the shards they came from — replay rebuilds the
-// same partitioning, including pre-shard rows recorded in shard 0. When
-// the counts differ (or the state predates sharding) the rows reshard by
-// user-id hash: resizing a topology is a pure storage reorganization,
-// invisible to releases because every reader merges shards anyway.
+// the state's own. Rows go through AppendRows, so each lands in
+// shardFor(user id) whatever the state's shard count was: resizing a
+// topology is a pure storage reorganization, invisible to releases.
 func (db *DB) Import(st TableState) (*Table, error) {
 	target := db.DefaultShards()
 	if target == 0 {
@@ -91,15 +83,7 @@ func (db *DB) Import(st TableState) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	stShards := st.Shards
-	if stShards < 1 {
-		stShards = 1
-	}
-	shardOf := st.ShardOf
-	if stShards != t.NumShards() || len(shardOf) != len(st.Rows) {
-		shardOf = nil // topology changed (or pre-shard state): reshard by hash
-	}
-	if err := t.appendRouted(st.Rows, shardOf); err != nil {
+	if err := t.AppendRows(st.Rows); err != nil {
 		return nil, fmt.Errorf("dpsql: importing table %q: %w", st.Name, err)
 	}
 	return t, nil

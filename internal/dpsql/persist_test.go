@@ -25,6 +25,37 @@ func seedTable(t *testing.T) (*DB, *Table) {
 	return db, tab
 }
 
+// TestSingleShardExportEncoding pins a single-shard table's snapshot
+// encoding byte for byte: no shard count and no placement, exactly the
+// pre-shard format, so such snapshots never change across versions.
+func TestSingleShardExportEncoding(t *testing.T) {
+	tab, err := NewDB().Create("events", []Column{
+		{Name: "uid", Kind: KindString},
+		{Name: "v", Kind: KindFloat},
+		{Name: "n", Kind: KindInt},
+	}, "uid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]Value{
+		{Str("ua"), Float(0.5), Int(0)},
+		{Str("ub"), Float(-1.25), Int(7)},
+		{Str("ua"), Int(2), Float(-3)},
+	} {
+		if err := tab.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := json.Marshal(tab.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"name":"events","columns":[{"name":"uid","kind":2},{"name":"v","kind":0},{"name":"n","kind":1}],"user_col":"uid","rows":[[{"k":2,"s":"ua"},{"f":0.5},{"k":1}],[{"k":2,"s":"ub"},{"f":-1.25},{"k":1,"f":7}],[{"k":2,"s":"ua"},{"f":2},{"k":1,"f":-3}]]}`
+	if string(got) != want {
+		t.Fatalf("single-shard export encoding changed:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestTableExportImportRoundTrip(t *testing.T) {
 	_, tab := seedTable(t)
 	st := tab.Export()

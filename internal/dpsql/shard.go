@@ -18,13 +18,13 @@ import (
 // for large shards, over column-range chunks within a shard).
 //
 // Why merging is free (privacy): the universal estimators consume one
-// contribution per user. Per-shard scans produce partial per-user
-// aggregates (sum, count) that combine by addition, and the combined
-// collapse is exactly the collapse a monolithic scan would have produced —
-// the partition-then-merge view of decomposable statistics. The merge
-// happens before the single mechanism invocation and the single ledger
-// deduction, so shard count changes throughput, never noise semantics or
-// privacy cost.
+// contribution per user. Each user lives in exactly one shard, so a
+// shard's per-user aggregate (sum, count) is that user's whole one; the
+// merge only places the aggregates in user-id order, and the combined
+// collapse is exactly the collapse a monolithic scan would have produced.
+// The merge happens before the single mechanism invocation and the single
+// ledger deduction, so shard count changes throughput, never noise
+// semantics or privacy cost.
 //
 // Determinism: the estimators consume the seeded RNG in input order, so
 // contributions go out in user-id order, read from a rank-indexed
@@ -161,9 +161,6 @@ func (sh *tableShard) view(t *Table) shardSnap {
 	}
 	return sn
 }
-
-// uid reads row i's user id through the dictionary.
-func (sn shardSnap) uid(i int) string { return sn.uids[sn.uix[i]] }
 
 // float reads row i of a numeric column as its Value.F payload — the
 // exact float64 the row store carried (int columns store int64(F), and
@@ -368,29 +365,6 @@ func mergeOrder(snaps []shardSnap, emit func(shard, row int)) {
 	}
 }
 
-// mergeBySeq materializes the full row set in global insertion order —
-// the persistence path (Export, snapshot). Rows are built fresh from the
-// typed columns, bit-identical to the rows the store once held. shardOf,
-// when non-nil, receives the shard index of each merged row — the
-// topology carrier Export serializes.
-func mergeBySeq(t *Table, snaps []shardSnap, shardOf *[]int) [][]Value {
-	total := 0
-	for _, sn := range snaps {
-		total += sn.n
-	}
-	out := make([][]Value, 0, total)
-	if shardOf != nil {
-		*shardOf = make([]int, 0, total)
-	}
-	mergeOrder(snaps, func(s, i int) {
-		out = append(out, snaps[s].row(t, i))
-		if shardOf != nil {
-			*shardOf = append(*shardOf, s)
-		}
-	})
-	return out
-}
-
 // Chunked-scan tuning knobs. Shards at or above scanChunkMin rows split
 // into ~scanChunkRows-row column-range chunks (at most scanChunkMax) that
 // run as independent jobs on the fan-out, so one oversized shard stops
@@ -417,10 +391,10 @@ func chunksFor(n int) int {
 	return k
 }
 
-// shardUserAggs folds one shard's rows into partial per-user accumulators
-// (sum over colIx, row count), in row order — all of a hash-routed user's
-// rows live in this shard in arrival order, so the partial IS that user's
-// full accumulator, built in the same order a monolithic scan would use.
+// shardUserAggs folds one shard's rows into per-user accumulators (sum
+// over colIx, row count), in row order — all of a hash-routed user's rows
+// live in this shard in arrival order, so each is that user's full
+// accumulator, built in the same order a monolithic scan would use.
 // colIx < 0 accumulates row counts only. Large shards take the chunked
 // parallel path; the bits are identical either way.
 func (t *Table) shardUserAggs(sn shardSnap, colIx int) []userAgg {
@@ -553,25 +527,19 @@ func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) []userAgg {
 	return aggs
 }
 
-// mergeUserAggs folds per-shard partials (parts[s] dense over shard s's
-// user dictionary) into one per user, in user-id order: each partial
-// lands in its user's rank slot in shard order — the first copied, the
-// rest added — so a user whose rows span shards (possible only for
-// hand-built placements) combines its partials in shard order, and no
-// user id is compared. This is the replace-one-user reduction's sharded
-// form: the merged collapse still changes in exactly one position
-// between neighboring databases.
-func mergeUserAggs[T any](ord *userOrder, parts [][]T, add func(dst *T, src T)) []T {
+// mergeUserAggs places per-shard aggregates (parts[s] dense over shard
+// s's user dictionary) in user-id order: each lands in its user's rank
+// slot, and no user id is compared. A user lives in one shard, so every
+// slot is filled at most once. This is the replace-one-user reduction's
+// sharded form: the merged collapse still changes in exactly one
+// position between neighboring databases.
+func mergeUserAggs[T any](ord *userOrder, parts [][]T) []T {
 	acc := make([]T, len(ord.ids))
 	seen := make([]bool, len(ord.ids))
 	for s, p := range parts {
 		rank := ord.rank[s]
 		for u, v := range p {
-			if r := rank[u]; seen[r] {
-				add(&acc[r], v)
-			} else {
-				acc[r], seen[r] = v, true
-			}
+			acc[rank[u]], seen[rank[u]] = v, true
 		}
 	}
 	out := acc[:0] // compact in place
@@ -591,9 +559,9 @@ func mergeUserAggs[T any](ord *userOrder, parts [][]T, add func(dst *T, src T)) 
 type ShardObserver func(shard, rows int, d time.Duration)
 
 // fanUsers folds every shard (in parallel under the installed fan-out)
-// into dense per-user partials, reporting each shard's scan to every
+// into dense per-user aggregates, reporting each shard's scan to every
 // observer, and merges them in user-id order (see mergeUserAggs).
-func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T, add func(dst *T, src T)) []T {
+func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T) []T {
 	snaps := t.shardSnapshots()
 	parts := make([][]T, len(snaps))
 	t.runFan(len(snaps), func(i int) {
@@ -603,11 +571,10 @@ func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T,
 			ob(i, snaps[i].n, time.Since(s0))
 		}
 	})
-	return mergeUserAggs(t.userOrder(snaps), parts, add)
+	return mergeUserAggs(t.userOrder(snaps), parts)
 }
 
-// fanUserAggs is fanUsers over the (sum of colIx, row count) partials.
+// fanUserAggs is fanUsers over the (sum of colIx, row count) aggregates.
 func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []userAgg {
-	return fanUsers(t, obs, func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, colIx) },
-		func(d *userAgg, s userAgg) { d.sum, d.count = d.sum+s.sum, d.count+s.count })
+	return fanUsers(t, obs, func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, colIx) })
 }

@@ -116,13 +116,14 @@ func TestShardExecEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardExportImportRoundTrip: a sharded export carries topology, and
-// importing it rebuilds the same partitioning and the same answers.
+// TestShardExportImportRoundTrip: a sharded export carries its shard
+// count, and importing it rebuilds the same partitioning and the same
+// answers.
 func TestShardExportImportRoundTrip(t *testing.T) {
 	_, tab := buildTwin(t, 4)
 	st := tab.Export()
-	if st.Shards != 4 || len(st.ShardOf) != len(st.Rows) {
-		t.Fatalf("export topology: shards=%d shard_of=%d rows=%d", st.Shards, len(st.ShardOf), len(st.Rows))
+	if st.Shards != 4 {
+		t.Fatalf("export topology: shards=%d", st.Shards)
 	}
 	db2 := NewDB()
 	db2.SetDefaultShards(4)
@@ -138,9 +139,11 @@ func TestShardExportImportRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(f1, f2) {
 		t.Fatal("round-trip lost insertion order")
 	}
-	st2 := tab2.Export()
-	if !reflect.DeepEqual(st.ShardOf, st2.ShardOf) {
-		t.Fatal("round-trip changed row placement")
+	s1, s2 := tab.shardSnapshots(), tab2.shardSnapshots()
+	for i := range s1 {
+		if s1[i].n != s2[i].n || !reflect.DeepEqual(s1[i].uids[:s1[i].nu], s2[i].uids[:s2[i].nu]) {
+			t.Fatalf("round-trip changed shard %d's rows", i)
+		}
 	}
 }
 
@@ -173,7 +176,7 @@ func TestShardImportReshards(t *testing.T) {
 }
 
 // TestShardImportPreShardState: a TableState written before sharding (no
-// Shards, no ShardOf) imports cleanly into a single shard, and into a
+// Shards) imports cleanly into a single shard, and into a
 // sharded target by hash.
 func TestShardImportPreShardState(t *testing.T) {
 	st := TableState{
@@ -205,8 +208,21 @@ func TestShardImportPreShardState(t *testing.T) {
 	}
 }
 
-// TestInsertShardRouting: a user's rows always land in one shard, Insert
-// and AppendRows agree on the destination, and InsertShard reports it.
+// checkHashPlacement asserts from the shard views that every row sits in
+// shardFor(its user id) — the table's one placement rule.
+func checkHashPlacement(t *testing.T, tab *Table) {
+	t.Helper()
+	for s, sn := range tab.shardSnapshots() {
+		for i := 0; i < sn.n; i++ {
+			if uid := sn.uids[sn.uix[i]]; tab.shardFor(uid) != s {
+				t.Fatalf("row %d of shard %d: user %q belongs in shard %d", i, s, uid, tab.shardFor(uid))
+			}
+		}
+	}
+}
+
+// TestInsertShardRouting: Insert and AppendRows both put every row in
+// shardFor(user id), so a user's rows never split across shards.
 func TestInsertShardRouting(t *testing.T) {
 	db := NewDB()
 	tab, err := db.CreateSharded("r",
@@ -214,25 +230,23 @@ func TestInsertShardRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{}
 	for i := 0; i < 50; i++ {
-		uid := fmt.Sprintf("user-%d", i%10)
-		si, err := tab.InsertShard(Str(uid), Float(float64(i)))
-		if err != nil {
+		if err := tab.Insert(Str(fmt.Sprintf("user-%d", i%10)), Float(float64(i))); err != nil {
 			t.Fatal(err)
 		}
-		if prev, ok := want[uid]; ok && prev != si {
-			t.Fatalf("user %q split across shards %d and %d", uid, prev, si)
-		}
-		want[uid] = si
 	}
-	if err := tab.AppendRows([][]Value{{Str("user-3"), Float(99)}}); err != nil {
+	if err := tab.AppendRows([][]Value{{Str("user-3"), Float(99)}, {Str("user-new"), Float(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	st := tab.Export()
-	last := st.ShardOf[len(st.ShardOf)-1]
-	if last != want["user-3"] {
-		t.Fatalf("AppendRows routed user-3 to shard %d, Insert used %d", last, want["user-3"])
+	checkHashPlacement(t, tab)
+	used := map[int]bool{}
+	for s, sn := range tab.shardSnapshots() {
+		if sn.n > 0 {
+			used[s] = true
+		}
+	}
+	if len(used) < 2 {
+		t.Fatalf("11 users landed in %d of 8 shards", len(used))
 	}
 }
 

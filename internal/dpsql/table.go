@@ -3,6 +3,7 @@ package dpsql
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,14 +63,6 @@ type Table struct {
 	// (see order.go); orderMu serializes its rebuilds.
 	order   atomic.Pointer[userOrder]
 	orderMu sync.Mutex
-
-	// mixedPlacement records that at least one row was imported with an
-	// explicit shard assignment that disagrees with the hash route for
-	// its user — only hand-built TableStates can do this. Such a user's
-	// rows may straddle shards, which breaks the per-shard contribution
-	// clamp of bounded GROUP BY; ExecQueryTraced checks this flag and
-	// falls back to a sequential arrival-order clamp walk.
-	mixedPlacement atomic.Bool
 }
 
 // DB is a collection of tables with an optional shared privacy budget.
@@ -221,6 +214,11 @@ func (t *Table) ColumnIndex(name string) (int, error) {
 // kind-coerced copy (ints are accepted into float columns; integral
 // floats into int columns). It is deterministic, so replaying the same
 // raw row from a WAL converges on the same stored row.
+//
+// Every INT cell, Int values included, must be integral and inside the
+// int64 range. Int(math.MaxInt64) carries F = 2^63, whose conversion Go
+// leaves implementation-defined (amd64 reads it back as math.MinInt64),
+// so without the check two user ids could silently become one.
 func (t *Table) convertRow(vals []Value) ([]Value, error) {
 	if len(vals) != len(t.Columns) {
 		return nil, fmt.Errorf("%w: got %d values for %d columns", ErrSchema, len(vals), len(t.Columns))
@@ -229,11 +227,15 @@ func (t *Table) convertRow(vals []Value) ([]Value, error) {
 	for i, v := range vals {
 		want := t.Columns[i].Kind
 		switch {
+		case want == KindInt && v.IsNumeric():
+			if f := v.F; !(-0x1p63 <= f && f < 0x1p63 && f == math.Trunc(f)) {
+				return nil, fmt.Errorf("%w: column %q wants %s, got %s %v",
+					ErrSchema, t.Columns[i].Name, want, v.Kind, f)
+			}
+			v = Int(int64(v.F))
 		case v.Kind == want:
 		case want == KindFloat && v.Kind == KindInt:
 			v = Float(v.F)
-		case want == KindInt && v.Kind == KindFloat && v.F == float64(int64(v.F)):
-			v = Int(int64(v.F))
 		default:
 			return nil, fmt.Errorf("%w: column %q wants %s, got %s",
 				ErrSchema, t.Columns[i].Name, want, v.Kind)
@@ -244,46 +246,31 @@ func (t *Table) convertRow(vals []Value) ([]Value, error) {
 }
 
 // Insert appends one row; values must match the schema's kinds (ints are
-// accepted into float columns).
+// accepted into float columns). The row lands in shardFor(user id), and
+// only that shard's lock is taken, so concurrent inserts to different
+// shards do not contend.
 func (t *Table) Insert(vals ...Value) error {
-	_, err := t.InsertShard(vals...)
-	return err
-}
-
-// InsertShard appends one row and reports the shard it was routed to (by
-// user-id hash) — the ingest handler needs the destination to tag the
-// row's WAL record. Only the destination shard's lock is taken, so
-// concurrent inserts to different shards do not contend.
-func (t *Table) InsertShard(vals ...Value) (int, error) {
 	row, err := t.convertRow(vals)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	si := t.shardFor(row[t.userIx].String())
-	sh := t.shards[si]
+	sh := t.shards[t.shardFor(row[t.userIx].String())]
 	sh.mu.Lock()
 	// The sequence number is assigned under the shard lock so each
 	// shard's seqs stay strictly increasing (the k-way merge invariant).
 	sh.appendRow(t, row, t.nextSeq.Add(1)-1)
 	sh.mu.Unlock()
-	return si, nil
+	return nil
 }
 
 // AppendRows validates and appends a batch of rows — the bulk path
 // snapshot import and WAL replay use. The batch is validated in full
-// before any row is stored, so a bad row rejects the whole batch; every
-// shard lock is held while the batch lands, so the batch becomes visible
-// atomically and in its original order. Rows are routed by user-id hash.
+// before any row is stored, so a bad row rejects the whole batch. Every
+// row lands in shardFor(user id), the table's one placement rule. All
+// shard locks are held (taken in index order) while the batch lands, so
+// the batch becomes visible atomically and its sequence numbers follow
+// batch order exactly.
 func (t *Table) AppendRows(rows [][]Value) error {
-	return t.appendRouted(rows, nil)
-}
-
-// appendRouted stores a validated batch. shardOf, when non-nil, overrides
-// hash routing with an explicit destination per row (snapshot import
-// preserving recorded topology); entries out of range fall back to the
-// hash. All shard locks are taken (in index order) so sequence numbers
-// follow batch order exactly.
-func (t *Table) appendRouted(rows [][]Value, shardOf []int) error {
 	conv := make([][]Value, len(rows))
 	for i, r := range rows {
 		row, err := t.convertRow(r)
@@ -295,18 +282,8 @@ func (t *Table) appendRouted(rows [][]Value, shardOf []int) error {
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 	}
-	for i, row := range conv {
-		si := -1
-		if shardOf != nil && i < len(shardOf) && shardOf[i] >= 0 && shardOf[i] < t.nshards {
-			si = shardOf[i]
-			if t.nshards > 1 && si != t.shardFor(row[t.userIx].String()) {
-				t.mixedPlacement.Store(true)
-			}
-		}
-		if si < 0 {
-			si = t.shardFor(row[t.userIx].String())
-		}
-		t.shards[si].appendRow(t, row, t.nextSeq.Add(1)-1)
+	for _, row := range conv {
+		t.shards[t.shardFor(row[t.userIx].String())].appendRow(t, row, t.nextSeq.Add(1)-1)
 	}
 	for _, sh := range t.shards {
 		sh.mu.Unlock()
@@ -334,7 +311,16 @@ func (t *Table) NumRows() int {
 // table was fed — the persistence path (Export) and tests use it; the
 // scan paths never box rows.
 func (t *Table) snapshot() [][]Value {
-	return mergeBySeq(t, t.shardSnapshots(), nil)
+	snaps := t.shardSnapshots()
+	total := 0
+	for _, sn := range snaps {
+		total += sn.n
+	}
+	out := make([][]Value, 0, total)
+	mergeOrder(snaps, func(s, i int) {
+		out = append(out, snaps[s].row(t, i))
+	})
+	return out
 }
 
 // userAgg is one user's accumulated contribution to a numeric column.
@@ -361,8 +347,8 @@ type selPart struct {
 // RNG in input order. Parts are walked in shard order, rows in selection
 // order, each row added into its user's slot of acc — a zeroed
 // rank-indexed accumulator (len(ord.ids)), left zeroed for the next
-// collapse — so every user's fold, even one whose rows span shards, is
-// the sequential fold the row store ran.
+// collapse — so every user's fold is the sequential fold the row store
+// ran.
 func (t *Table) collapseSelection(ord *userOrder, snaps []shardSnap, parts []selPart, colIx int, acc []userAgg) []userAgg {
 	var kind Kind
 	if colIx >= 0 {
@@ -407,9 +393,9 @@ func (t *Table) numericIndex(col string) (int, error) {
 // UserMeans collapses the named numeric column to one contribution per
 // user — the mean of that user's rows. The scan fans out over the shards
 // (parallel under an installed Fanout), each shard folding its typed
-// column into dense per-user partials that merge by addition; because
-// users are hash-routed the merged collapse is bit-for-bit the
-// monolithic one. This is the estimate endpoint's input. Optional
+// column into dense per-user aggregates; because users are hash-routed,
+// each is that user's whole fold, so the merged collapse is bit-for-bit
+// the monolithic one. This is the estimate endpoint's input. Optional
 // observers receive one sample per shard of the fan (see ShardObserver).
 func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 	ix, err := t.numericIndex(col)
@@ -426,11 +412,16 @@ func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 
 // NumUsers returns the number of distinct users across every shard — the
 // unit count a user-level COUNT release privatizes (sensitivity 1 under a
-// one-user change). Per-shard counts cannot simply be summed while legacy
-// data replayed into shard 0 may share users with hash-routed rows, so
-// the users are merged by rank.
-func (t *Table) NumUsers(obs ...ShardObserver) int {
-	return len(t.fanUserAggs(-1, obs...))
+// one-user change). Every user lives in exactly one shard (shardFor), so
+// it is the sum of the shards' user-dictionary sizes: no scan, no merge.
+func (t *Table) NumUsers() int {
+	n := 0
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		n += len(sh.uids)
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // ColumnFloats returns the named numeric column's raw per-row values in
@@ -501,8 +492,8 @@ func (t *Table) ColumnInts(col string) ([]int64, error) {
 // shape the paper's empirical-setting estimators (Section 3) take. Each
 // shard folds its int column into dense per-user partial sums (exact,
 // unlike float accumulation — chunked shards just add per-chunk
-// partials, integer addition being associative) that add into rank slots
-// in shard order. Optional observers receive one sample per shard of the
+// partials, integer addition being associative) that land in rank
+// slots. Optional observers receive one sample per shard of the
 // fan (see ShardObserver).
 func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	ix, err := t.ColumnIndex(col)
@@ -538,5 +529,5 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 			}
 		}
 		return sums
-	}, func(d *int64, s int64) { *d += s }), nil
+	}), nil
 }

@@ -64,7 +64,8 @@ type Value struct {
 // Float wraps a float64.
 func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
 
-// Int wraps an int64 (stored as float64; exact below 2^53).
+// Int wraps an int64 (stored as float64; exact below 2^53). Past 2^53 it
+// rounds, and Int(math.MaxInt64) rounds to 2^63, which tables refuse.
 func Int(i int64) Value { return Value{Kind: KindInt, F: float64(i)} }
 
 // Str wraps a string.

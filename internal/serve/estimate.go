@@ -132,13 +132,14 @@ func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, r
 	// lands as a child span under "scan" (shard index + row count), so a
 	// straggler shard is attributable from the retained trace. The
 	// record-order readers (ColumnInts/ColumnFloats/NumRows) are
-	// merge-dominated snapshot walks with no per-shard fan to attribute.
+	// merge-dominated snapshot walks, and the user count sums the shards'
+	// dictionary sizes: none has a per-shard fan to attribute.
 	shardObs := dpsql.ShardObserver(shardSpanObserver(rel))
 	switch {
 	case stat == "count" && req.Unit == "record":
 		n = tab.NumRows()
 	case stat == "count":
-		n = tab.NumUsers(shardObs)
+		n = tab.NumUsers()
 	case empiricalStat && req.Unit == "record":
 		zs, err = tab.ColumnInts(req.Column)
 	case empiricalStat:

@@ -228,40 +228,30 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: inserted})
 }
 
-// shardRun is a contiguous run of same-shard rows within one wire batch
-// — the unit insertBatch logs. Splitting a batch into runs (rather than
-// one record per shard) keeps the WAL's record order equal to arrival
-// order: replaying the records back to back reproduces both the
-// partitioning AND the global insertion interleaving, so a WAL-tail
-// recovery is order-identical to the pre-crash table (record-unit
-// releases included), not just user-identical.
-type shardRun struct {
-	shard int
-	rows  [][]dpsql.Value
-}
-
 // insertBatch converts and stores a batch of wire rows, logging the
-// successfully-inserted prefix — including on partial failure — before
-// returning. Rows route to the table's shards by user-id hash (each
-// insert takes only its destination shard's lock, so concurrent batches
-// for different users stripe instead of serializing), and the log gets
-// one shard-tagged record per contiguous same-shard run, in arrival
-// order. The persist read lock is held (and released by defer) for the
-// whole insert+log pair so it cannot straddle a snapshot capture. Row
-// records are buffered, not fsynced: a crash may lose trailing
-// ingestion, never recorded spend. An append ERROR is a different class
-// from that tolerated loss — the log is fail-stop after it, so
-// acknowledging the batch would keep returning 200 for rows that will
-// never be durable; it is surfaced as persistErr instead. On a
-// malformed row, failure carries the 400 body with the stored-prefix
-// count so the client can resume precisely. The two phases are timed
-// separately into the ingest stage histogram — "store" (decode + sharded
-// insert) and "wal" (the buffered row-record appends) — so an ingest
-// cliff is attributable to one of them from /metrics alone.
+// successfully-inserted prefix — including on partial failure — as one
+// rows record before returning. Rows route to the table's shards by
+// user-id hash (each insert takes only its destination shard's lock, so
+// concurrent batches for different users stripe instead of
+// serializing); the record carries no placement, since replay routes the
+// same way, and keeps arrival order, so a WAL-tail recovery is
+// order-identical to the pre-crash table. The persist read lock is held
+// (and released by defer) for the whole insert+log pair so it cannot
+// straddle a snapshot capture. Row records are buffered, not fsynced: a
+// crash may lose trailing ingestion, never recorded spend. An append
+// ERROR is a different class from that tolerated loss — the log is
+// fail-stop after it, so acknowledging the batch would keep returning
+// 200 for rows that will never be durable; it is surfaced as persistErr
+// instead. On a malformed row, failure carries the 400 body with the
+// stored-prefix count so the client can resume precisely. The two phases
+// are timed separately into the ingest stage histogram — "store" (decode
+// + sharded insert) and "wal" (the buffered row-record append) — so an
+// ingest cliff is attributable to one of them from /metrics alone.
 func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted int, failure map[string]any, persistErr error) {
-	var stored []shardRun // contiguous same-shard runs, in arrival order
+	var stored [][]dpsql.Value // the inserted prefix, in arrival order
 	storeStart := time.Now()
 	if t.log != nil {
+		stored = make([][]dpsql.Value, 0, len(rows))
 		t.persistMu.RLock()
 		defer t.persistMu.RUnlock()
 		defer func() {
@@ -269,11 +259,8 @@ func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted
 			defer func() {
 				s.metrics.ingestSeconds.With("wal").Observe(time.Since(walStart).Seconds())
 			}()
-			for _, run := range stored {
-				if err := t.log.AppendRows(tab.Name, run.shard, run.rows); err != nil {
-					persistErr = fmt.Errorf("%w: recording ingested rows (stored in memory, not durable): %v", errPersist, err)
-					return // the log is fail-stop; further appends only repeat the error
-				}
+			if err := t.log.AppendRows(tab.Name, 0, stored); err != nil {
+				persistErr = fmt.Errorf("%w: recording ingested rows (stored in memory, not durable): %v", errPersist, err)
 			}
 		}()
 	}
@@ -295,18 +282,13 @@ func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted
 			}
 			vals[j] = v
 		}
-		si, err := tab.InsertShard(vals...)
-		if err != nil {
+		if err := tab.Insert(vals...); err != nil {
 			return i, map[string]any{
 				"error": err.Error(), "code": "bad_row", "inserted": i,
 			}, nil
 		}
 		if t.log != nil {
-			if n := len(stored); n > 0 && stored[n-1].shard == si {
-				stored[n-1].rows = append(stored[n-1].rows, vals)
-			} else {
-				stored = append(stored, shardRun{shard: si, rows: [][]dpsql.Value{vals}})
-			}
+			stored = append(stored, vals)
 		}
 	}
 	return len(rows), nil, nil

@@ -82,19 +82,22 @@
 // — see pool.fan). Three invariants make the topology invisible to
 // everything but the clock:
 //
-//   - merge-as-post-processing: per-shard scans produce partial per-user
-//     aggregates that combine by addition into exactly the collapse a
-//     monolithic scan yields, BEFORE the mechanism runs — because users
-//     are hash-routed, a user's rows colocate in arrival order and the
-//     merged collapse is bit-for-bit the unsharded one;
+//   - merge-as-post-processing: per-shard scans produce per-user
+//     aggregates that merge into exactly the collapse a monolithic scan
+//     yields, BEFORE the mechanism runs — because users are hash-routed,
+//     a user's rows colocate in arrival order and the merged collapse is
+//     bit-for-bit the unsharded one;
 //   - single deduction: the merge happens under the tenant's one ledger,
 //     so a release charges exactly once regardless of N, with unchanged
 //     noise semantics (a sharded tenant and an unsharded twin with the
 //     same seed release identical answers and identical spend);
-//   - durable topology: WAL row records carry a shard tag and snapshots
-//     carry per-row placement, so recovery rebuilds the same partitioning;
-//     untagged (pre-shard) records replay into shard 0, and a pre-shard
-//     data directory boots as a single-shard tenant with spend preserved.
+//   - durable topology: a row's shard is hash(user id) mod the tenant's
+//     shard count, and nothing records it — WAL row records and snapshots
+//     carry the shard count only, and recovery rebuilds the partitioning
+//     by routing every row again. The shard tags and placement arrays of
+//     older directories are ignored (they name the same shards), and a
+//     pre-shard data directory boots as a single-shard tenant with spend
+//     preserved.
 //
 // Endpoints (all JSON; see handlers.go for wire types):
 //
@@ -186,9 +189,7 @@ type Options struct {
 	// acks the whole batch (deductions + audit records together). The
 	// zero value enables group commit with natural adaptive batching —
 	// a lone release commits immediately, releases arriving during an
-	// in-flight fsync form the next batch. Set Disable to restore one
-	// fsync per deduction plus one per audit record. Ignored without
-	// DataDir.
+	// in-flight fsync form the next batch. Ignored without DataDir.
 	GroupCommit store.GroupCommitOptions
 	// TraceRing sizes the flight recorder: the last TraceRing completed
 	// release traces are retained (plus up to TraceRing slow/errored/shed

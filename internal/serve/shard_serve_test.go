@@ -306,8 +306,8 @@ func TestShardConcurrentIngestReleaseFlush(t *testing.T) {
 
 // TestShardWALReplayPreservesRowOrder: a WAL-tail-only recovery (no
 // snapshot) must rebuild the table in the exact pre-crash insertion
-// order, not shard-major order — insertBatch logs one record per
-// contiguous same-shard run, so replaying the records back to back
+// order, not shard-major order — insertBatch logs each batch as one
+// record in arrival order, so replaying the records back to back
 // reproduces the interleaving record-unit releases depend on.
 func TestShardWALReplayPreservesRowOrder(t *testing.T) {
 	dir := t.TempDir()
@@ -347,8 +347,8 @@ func TestShardWALReplayPreservesRowOrder(t *testing.T) {
 }
 
 // TestShardTornTailRecovery tears the buffered tail of a sharded
-// tenant's WAL (a crash mid-append of a shard-tagged rows record) and
-// asserts recovery never loses a deduction.
+// tenant's WAL (a crash mid-append of a rows record, here one in the old
+// shard-tagged encoding) and asserts recovery never loses a deduction.
 func TestShardTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, cA, stopA := openDurable(t, dir, 4)
@@ -363,14 +363,15 @@ func TestShardTornTailRecovery(t *testing.T) {
 			answers++
 		}
 	}
-	// More ingestion after the releases: buffered, shard-tagged records
-	// past the last fsynced deduction.
+	// More ingestion after the releases: buffered rows records past the
+	// last fsynced deduction.
 	cA.do("POST", "/v1/tenants/acme/tables/metrics/rows", InsertRowsRequest{
 		Rows: [][]any{{"zz1", 1.0, 2.0, "a"}, {"zz2", 3.0, 4.0, "b"}},
 	}, nil)
 	stopA() // crash without Close: the row records may never be flushed
 
-	// Tear the tail further: a half-written shard-tagged record.
+	// Tear the tail further: a half-written, old-format shard-tagged
+	// record.
 	wal := filepath.Join(dir, "acme", "wal.log")
 	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -51,9 +51,6 @@ type GroupCommitOptions struct {
 	// bounds the batch WAL line's size and the worst-case re-lost work
 	// if a batch's fsync fails.
 	MaxBatch int
-	// Disable falls back to one fsync per deduction and per audit record
-	// (the pre-group-commit behavior).
-	Disable bool
 }
 
 const defaultMaxBatch = 256
@@ -97,7 +94,7 @@ type groupCommitter struct {
 // startCommitter attaches a running committer to the log. Called at
 // TenantLog construction, before the log is shared.
 func (tl *TenantLog) startCommitter(o *GroupCommitOptions) {
-	if o == nil || o.Disable {
+	if o == nil {
 		return
 	}
 	g := &groupCommitter{

@@ -354,16 +354,19 @@ func TestGroupCommitStress(t *testing.T) {
 }
 
 func TestGroupCommitDisabledFallsBack(t *testing.T) {
-	// Disable restores the per-record path: CommitDeduct still works (and
-	// is still durable), no committer goroutine exists.
+	// A store opened without SetGroupCommit has no committer: CommitDeduct
+	// takes the per-record path and is still durable.
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{Disable: true})
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tl.gc != nil {
-		t.Fatal("Disable left a committer attached")
+		t.Fatal("a committer is attached without SetGroupCommit")
 	}
 	if _, err := tl.CommitDeduct(dp.EpsCost(0.5)); err != nil {
 		t.Fatal(err)

@@ -294,21 +294,11 @@ func applyRecord(rec *RecoveredTenant, r record, haveConfig *bool, pendAudits *[
 		// Rows into a table replay does not know are dropped, not
 		// fatal: rows are the tolerated-loss class, and refusing to
 		// boot over a data batch would hold the ledger — the part that
-		// must recover — hostage to it. The record's shard tag extends
-		// the table's placement map so the importer rebuilds the same
-		// partitioning; untagged (pre-shard) records land in shard 0.
+		// must recover — hostage to it. Rows carry no placement (the
+		// importer routes each by user-id hash); an old record's shard tag
+		// is ignored.
 		if ti := findTable(rec.Tables, r.RowsTable); ti >= 0 {
 			tb := &rec.Tables[ti]
-			if r.Shard != 0 || len(tb.ShardOf) > 0 {
-				// Lazily materialize the placement map: rows seen
-				// before the first nonzero tag were all shard 0.
-				for len(tb.ShardOf) < len(tb.Rows) {
-					tb.ShardOf = append(tb.ShardOf, 0)
-				}
-				for range r.Rows {
-					tb.ShardOf = append(tb.ShardOf, r.Shard)
-				}
-			}
 			tb.Rows = append(tb.Rows, r.Rows...)
 		}
 	case recDeduct:

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dp"
@@ -15,8 +18,16 @@ func shardedConfig() TenantConfig {
 	return TenantConfig{Epsilon: 4, Accounting: "pure", Shards: 4}
 }
 
-// TestShardTaggedReplay: shard-tagged rows records rebuild the table's
-// placement map on recovery, interleaved with untagged (shard-0) ones.
+// frameBody frames a literal WAL record body as one CRC'd log line —
+// the way to write records in an older encoding than record's.
+func frameBody(body string) string {
+	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
+}
+
+// TestShardTaggedReplay: rows records written by earlier versions carry a
+// "shard" tag; replay ignores it and recovers every row in record order,
+// interleaved with untagged records and the deduction. New records carry
+// no tag, whatever AppendRows' int argument is.
 func TestShardTaggedReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -32,21 +43,32 @@ func TestShardTaggedReplay(t *testing.T) {
 	if err := tl.AppendTable(schema); err != nil {
 		t.Fatal(err)
 	}
-	// Batches land per shard, in record order: 2 rows to shard 0 (tag
-	// omitted on the wire), 1 to shard 2, 1 to shard 1.
-	if err := tl.AppendRows("events", 0, [][]dpsql.Value{row("u1", 1), row("u2", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tl.AppendRows("events", 2, [][]dpsql.Value{row("u3", 3)}); err != nil {
+	if err := tl.AppendRows("events", 3, [][]dpsql.Value{row("u1", 1), row("u2", 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tl.AppendDeduct(dp.EpsCost(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tl.AppendRows("events", 1, [][]dpsql.Value{row("u4", 4)}); err != nil {
+	s.Close()
+	wal := filepath.Join(dir, "acme", walName)
+	body, err := os.ReadFile(wal)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	if strings.Contains(string(body), `"shard":`) {
+		t.Fatalf("new rows record carries a shard tag:\n%s", body)
+	}
+	// Two old-format records, tagged for shards 2 and 1.
+	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(
+		frameBody(`{"seq":5,"type":"rows","rows":[[{"k":2,"s":"u3"},{"f":3}]],"rows_table":"events","shard":2}`) +
+			frameBody(`{"seq":6,"type":"rows","rows":[[{"k":2,"s":"u4"},{"f":4}]],"rows_table":"events","shard":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	s2, rec := recoverOne(t, dir)
 	defer s2.Close()
@@ -57,20 +79,18 @@ func TestShardTaggedReplay(t *testing.T) {
 	if tb.Shards != 4 {
 		t.Fatalf("recovered table shards = %d", tb.Shards)
 	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("recovered %d rows", len(tb.Rows))
-	}
-	if want := []int{0, 0, 2, 1}; !reflect.DeepEqual(tb.ShardOf, want) {
-		t.Fatalf("placement map %v, want %v", tb.ShardOf, want)
+	want := [][]dpsql.Value{row("u1", 1), row("u2", 2), row("u3", 3), row("u4", 4)}
+	if !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("recovered rows %v, want %v", tb.Rows, want)
 	}
 	if len(rec.Deducts) != 1 || rec.Deducts[0].Eps != 0.5 {
 		t.Fatalf("deducts: %+v", rec.Deducts)
 	}
 }
 
-// TestUntaggedReplayIsShardZero: a log written without shard tags (the
-// pre-shard encoding — shard-0 records are byte-identical to it) recovers
-// with no placement map, which the importer reads as everything-in-shard-0.
+// TestUntaggedReplayIsShardZero: a log written before sharding (no shard
+// count in the tenant config) recovers and imports as a single-shard
+// table holding every row.
 func TestUntaggedReplayIsShardZero(t *testing.T) {
 	dir := seedStore(t) // the PR 3 idiom: untagged rows records
 	s, rec := recoverOne(t, dir)
@@ -79,9 +99,6 @@ func TestUntaggedReplayIsShardZero(t *testing.T) {
 		t.Fatalf("legacy config grew shards = %d", rec.Config.Shards)
 	}
 	tb := rec.Tables[0]
-	if tb.ShardOf != nil {
-		t.Fatalf("legacy replay fabricated a placement map: %v", tb.ShardOf)
-	}
 	// The legacy state imports as a single-shard table with all rows.
 	db := dpsql.NewDB()
 	tab, err := db.Import(tb)
@@ -94,9 +111,9 @@ func TestUntaggedReplayIsShardZero(t *testing.T) {
 }
 
 // TestTornTailShardTaggedKeepsDeductions: tearing the buffered tail of a
-// shard-tagged log drops at most trailing row batches — the fsynced
-// deduction before them always survives, and the intact tagged records
-// keep their placement.
+// log, mid-way through an old-format shard-tagged rows record, drops at
+// most trailing row batches — the fsynced deduction before them always
+// survives, and so do the intact rows.
 func TestTornTailShardTaggedKeepsDeductions(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -138,10 +155,7 @@ func TestTornTailShardTaggedKeepsDeductions(t *testing.T) {
 		t.Fatalf("torn tagged tail lost the deduction: %+v", rec.Deducts)
 	}
 	tb := rec.Tables[0]
-	if len(tb.Rows) != 2 {
-		t.Fatalf("intact tagged rows dropped: %d", len(tb.Rows))
-	}
-	if want := []int{3, 2}; !reflect.DeepEqual(tb.ShardOf, want) {
-		t.Fatalf("placement map %v, want %v", tb.ShardOf, want)
+	if want := [][]dpsql.Value{row("u1", 1), row("u2", 2)}; !reflect.DeepEqual(tb.Rows, want) {
+		t.Fatalf("intact rows %v, want %v", tb.Rows, want)
 	}
 }

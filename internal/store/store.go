@@ -149,11 +149,9 @@ type TenantSnapshot struct {
 	Tables []dpsql.TableState `json:"tables,omitempty"`
 }
 
-// record is one WAL line's JSON body. Shard tags a rows record with the
-// table shard the batch landed in, so replay rebuilds the same
-// partitioning; it is omitted when zero, which makes shard-0 records
-// byte-identical to the pre-shard encoding — old logs replay into shard 0
-// and old readers would ignore the tag.
+// record is one WAL line's JSON body. Rows records carry no placement:
+// the importer routes every row by user-id hash. Decoding is lenient, so
+// the "shard" tag older logs put on rows records is ignored.
 type record struct {
 	Seq       uint64            `json:"seq"`
 	Type      string            `json:"type"`
@@ -161,7 +159,6 @@ type record struct {
 	Table     *dpsql.TableState `json:"table,omitempty"`
 	Rows      [][]dpsql.Value   `json:"rows,omitempty"`
 	RowsTable string            `json:"rows_table,omitempty"`
-	Shard     int               `json:"shard,omitempty"`
 	Cost      *dp.Cost          `json:"cost,omitempty"`
 	// Costs and Audits are a group-commit batch's payload: every
 	// deduction and audit record acked by one shared fsync, framed as a
@@ -539,17 +536,17 @@ func (tl *TenantLog) AppendTable(st dpsql.TableState) error {
 	return tl.append(record{Type: recTable, Table: &st}, true)
 }
 
-// AppendRows logs an ingestion batch bound for one table shard (the
-// ingest path splits a wire batch by destination and logs one record per
-// shard, so replay rebuilds the same partitioning; unsharded tables
-// always pass 0). It is buffered, not fsynced: a crash may lose trailing
-// batches (utility), never a deduction (privacy). The next AppendDeduct,
-// snapshot, or Close hardens it.
-func (tl *TenantLog) AppendRows(table string, shard int, rows [][]dpsql.Value) error {
+// AppendRows logs an ingestion batch for one table. The int argument is
+// unused — rows carry no placement, since replay routes each by user-id
+// hash — and stays only so existing callers keep compiling. The record
+// is buffered, not fsynced: a crash may lose trailing batches (utility),
+// never a deduction (privacy). The next AppendDeduct, snapshot, or Close
+// hardens it.
+func (tl *TenantLog) AppendRows(table string, _ int, rows [][]dpsql.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	return tl.append(record{Type: recRows, RowsTable: table, Shard: shard, Rows: rows}, false)
+	return tl.append(record{Type: recRows, RowsTable: table, Rows: rows}, false)
 }
 
 // AppendDeduct durably records one ledger deduction: flushed and fsynced
