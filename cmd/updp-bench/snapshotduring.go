@@ -19,11 +19,11 @@ import (
 // compaction removes: a durable tenant takes a steady stream of distinct
 // (cache-defeating) releases, first with no compaction at all, then with
 // compactions firing continuously in the background. Because compaction
-// replays sealed immutable WAL segments without the persist lock or the
+// replays sealed immutable WAL segments without any tenant lock or the
 // shard locks, the two phases should show the same release latency — the
-// during/steady p99 ratio printed at the end is the number to watch. The
-// old synchronous snapshot path held the tenant's persist lock for the
-// whole serialize+fsync, which parked every release behind it.
+// during/steady p99 ratio printed at the end is the number to watch.
+// Compaction is the only snapshot writer (shutdown's Flush runs it too),
+// so there is no capture of live state for releases to park behind.
 //
 // Combined with -shards sweep the drill runs once per shard count in
 // {1, 4, 16}; alone it uses -shards (or the server default of 1).
@@ -69,7 +69,7 @@ func runSnapshotDuring(cfg loadgenConfig, counts []int) error {
 	}
 	fmt.Println("steady is release latency with no compaction; during is the same stream with background")
 	fmt.Println("compactions (seal tail -> replay sealed segments -> publish snapshot) firing throughout the")
-	fmt.Println("phase. Compaction never takes the persist lock or the shard locks, so with a spare core for")
+	fmt.Println("phase. Compaction never takes a tenant lock or the shard locks, so with a spare core for")
 	fmt.Println("the compactor the p99 ratio should sit at ~1.00x — sustained excess there means hot-path")
 	fmt.Println("work is leaking into the compactor's brief seal/install windows. On a single-core machine")
 	fmt.Println("the ratio instead measures CPU competition from the replay itself (GOMAXPROCS(0)=" + fmt.Sprint(runtime.GOMAXPROCS(0)) + " here).")

@@ -57,9 +57,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dpsql"
 	"repro/internal/serve"
-	"repro/internal/store"
 	"repro/internal/xrand"
 )
 
@@ -69,8 +67,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		seed       = flag.Uint64("seed", 0, "RNG seed; 0 uses OS entropy (required for real privacy)")
 		dataDir    = flag.String("data-dir", "", "durable tenant state directory (WAL + snapshots); empty = in-memory only")
-		commitWait = flag.Duration("commit-delay", 0, "WAL group-commit coalescing window (0 = fire immediately; batches still form naturally under load)")
-		commitMax  = flag.Int("commit-batch", 0, "WAL group-commit max entries per batch (0 = 256)")
 		shards     = flag.Int("shards", 0, "default table shard count for new tenants (hash-partitioned by user id; 0 = 1, monolithic)")
 		demo       = flag.Bool("demo", false, "preload a demo tenant with synthetic salaries")
 		accounting = flag.String("accounting", "pure", `demo tenant composition backend: "pure", "zcdp", or "rdp"`)
@@ -104,7 +100,6 @@ func main() {
 		Seed:             *seed,
 		DataDir:          *dataDir,
 		DefaultShards:    *shards,
-		GroupCommit:      store.GroupCommitOptions{MaxDelay: *commitWait, MaxBatch: *commitMax},
 		TraceRing:        *traceRing,
 		Exemplars:        *exemplars,
 		SLOLatency:       *sloLatency,
@@ -127,46 +122,18 @@ func main() {
 		log.Printf("durable store at %s", *dataDir)
 	}
 	if *demo {
-		tn, recovered := srv.Tenant("demo")
-		if !recovered {
-			tn, err = srv.CreateTenantWith(serve.CreateTenantRequest{
-				ID:            "demo",
-				Epsilon:       16,
-				Accounting:    *accounting,
-				Delta:         *delta,
-				WindowSeconds: *window,
-				Orders:        orderGrid,
-			})
-			if err != nil {
-				log.Fatalf("updp-serve: demo tenant: %v", err)
-			}
+		msg, err := bootDemo(srv, serve.CreateTenantRequest{
+			ID:            "demo",
+			Epsilon:       16,
+			Accounting:    *accounting,
+			Delta:         *delta,
+			WindowSeconds: *window,
+			Orders:        orderGrid,
+		})
+		if err != nil {
+			log.Fatalf("updp-serve: %v", err)
 		}
-		switch _, tabErr := tn.DB().TableByName("salaries"); {
-		case recovered && tabErr == nil:
-			// Fully recovered — reloading would double the data and a
-			// fresh ledger would void the recovered spend.
-			log.Print("demo tenant recovered from data dir (spend preserved)")
-		default:
-			// Fresh tenant, or one recovered config-only (a crash landed
-			// between the durable creation and the data snapshot): load
-			// the data; the recovered ledger keeps whatever it spent.
-			if err := loadDemoData(tn); err != nil {
-				log.Fatalf("updp-serve: demo data: %v", err)
-			}
-			// Programmatic provisioning bypasses the WAL hooks; compact a
-			// snapshot now so the demo data is durable from the start.
-			if err := srv.Flush(); err != nil {
-				log.Fatalf("updp-serve: snapshotting demo data: %v", err)
-			}
-			if recovered {
-				// Config-only recovery: the durable config wins over the
-				// flags, so report it instead of what was typed.
-				log.Print("demo tenant data reloaded (recovered config and spend preserved; -accounting/-delta/-window flags ignored)")
-			} else {
-				log.Printf("demo tenant ready: tenant=demo table=salaries budget eps=16 accounting=%s window=%gs",
-					*accounting, *window)
-			}
-		}
+		log.Print(msg)
 	}
 
 	if *metricsAddr != "" {
@@ -239,32 +206,65 @@ func parseOrders(s string) ([]float64, error) {
 	return out, nil
 }
 
-// loadDemoData fills the demo tenant with a lognormal salaries table —
-// heavy-tailed data with no natural clipping bound, i.e. exactly the
-// regime the universal estimators exist for.
-func loadDemoData(tn *serve.Tenant) error {
-	db := tn.DB()
-	if err := db.Run(`CREATE TABLE salaries (
-		user_id STRING USER,
-		dept    STRING,
-		salary  FLOAT
-	)`); err != nil {
-		return err
-	}
-	tab, err := db.TableByName("salaries")
-	if err != nil {
-		return err
-	}
-	rng := xrand.New(7)
-	depts := []string{"eng", "sales", "ops"}
-	for u := 0; u < 5000; u++ {
-		uid := fmt.Sprintf("u%05d", u)
-		dept := depts[u%len(depts)]
-		// LogNormal(11, 0.5): median e^11 ≈ 59.9k, heavy right tail.
-		salary := math.Exp(11 + 0.5*rng.Gaussian())
-		if err := tab.Insert(dpsql.Str(uid), dpsql.Str(dept), dpsql.Float(salary)); err != nil {
-			return err
+// bootDemo provisions the demo tenant: created from req unless a data
+// dir recovered it, and its salaries table loaded unless that recovered
+// too. Table and rows go through the server's logged path, so on a
+// durable server they, and every row ingested later, survive restarts.
+// It returns the line to log.
+func bootDemo(srv *serve.Server, req serve.CreateTenantRequest) (string, error) {
+	tn, recovered := srv.Tenant(req.ID)
+	if !recovered {
+		var err error
+		if tn, err = srv.CreateTenantWith(req); err != nil {
+			return "", fmt.Errorf("demo tenant: %w", err)
 		}
 	}
-	return nil
+	tab, tabErr := tn.DB().TableByName("salaries")
+	if recovered && tabErr == nil && tab.NumRows() > 0 {
+		// Fully recovered — reloading would double the data and a fresh
+		// ledger would void the recovered spend.
+		return "demo tenant recovered from data dir (spend preserved)", nil
+	}
+	// Fresh tenant, or one recovered without its data: a crash landed
+	// before the table's synced DDL record, or between it and the
+	// hardening of its buffered rows record. Load what is missing; the
+	// recovered ledger keeps whatever it spent.
+	if tabErr != nil {
+		if err := srv.CreateTable(tn, serve.CreateTableRequest{
+			Name: "salaries",
+			Columns: []serve.ColumnSpec{
+				{Name: "user_id", Kind: "string"},
+				{Name: "dept", Kind: "string"},
+				{Name: "salary", Kind: "float"},
+			},
+			UserColumn: "user_id",
+		}); err != nil {
+			return "", fmt.Errorf("demo table: %w", err)
+		}
+	}
+	if _, err := srv.InsertRows(tn, "salaries", demoRows()); err != nil {
+		return "", fmt.Errorf("demo data: %w", err)
+	}
+	if recovered {
+		// The durable config wins over the flags, so report it instead of
+		// what was typed.
+		return "demo tenant data reloaded (recovered config and spend preserved; -accounting/-delta/-window flags ignored)", nil
+	}
+	return fmt.Sprintf("demo tenant ready: tenant=demo table=salaries budget eps=16 accounting=%s window=%gs",
+		req.Accounting, req.WindowSeconds), nil
+}
+
+// demoRows is the demo's lognormal salaries table — heavy-tailed data
+// with no natural clipping bound, i.e. exactly the regime the universal
+// estimators exist for — as wire rows (user_id, dept, salary).
+func demoRows() [][]any {
+	rng := xrand.New(7)
+	depts := []string{"eng", "sales", "ops"}
+	rows := make([][]any, 5000)
+	for u := range rows {
+		// LogNormal(11, 0.5): median e^11 ≈ 59.9k, heavy right tail.
+		salary := math.Exp(11 + 0.5*rng.Gaussian())
+		rows[u] = []any{fmt.Sprintf("u%05d", u), depts[u%len(depts)], salary}
+	}
+	return rows
 }

@@ -64,7 +64,7 @@
 // The log is segmented: compaction first seals the active tail into an
 // immutable, fully-fsynced wal.NNNNNNNNN.seg file (microseconds under
 // the log lock), then replays the sealed segments into a fresh snapshot
-// entirely off the hot path — no persist lock, no shard locks — so
+// entirely off the hot path — no tenant lock, no shard locks — so
 // releases and ingest on the tenant proceed at full speed while it runs;
 // a crash at any point between seal and the post-publish segment sweep
 // recovers exactly (covered segments are skipped, then cleaned by the
@@ -81,8 +81,10 @@
 // invariant stands: the deduction is on disk before its answer is
 // released, a torn batch drops atomically (never a prefix), and
 // "acknowledged implies audited" costs zero extra fsyncs because the
-// audit copy rides the same batch record. updp-serve -commit-delay and
-// -commit-batch tune the window. The building blocks are reusable: every dp ledger implements
+// audit copy rides the same batch record. The WAL is the only source of
+// truth: compaction, background or at shutdown, is the one snapshot
+// writer, and group commit the one commit path. The building blocks are
+// reusable: every dp ledger implements
 // Snapshot/Restore/ForceSpend (dp.StatefulLedger) and dpsql tables
 // export/import their full state. updp-bench -serve -restart is the
 // recovery drill: ingest + spend, snapshot, crash without flushing,

@@ -45,29 +45,6 @@ func SampleN(d Distribution, rng *xrand.RNG, n int) []float64 {
 	return out
 }
 
-// BulkLaplace draws n iid Laplace(0, scale) variates in one call — the
-// bulk primitive behind the serve layer's vectorized noise sampling:
-// mechanisms sharing a shape (same family, same scale) take their noise
-// from one draw, amortizing the per-sample generator handoff across a
-// whole commit batch of releases.
-func BulkLaplace(rng *xrand.RNG, scale float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = rng.Laplace(scale)
-	}
-	return out
-}
-
-// BulkGaussian draws n iid N(0, sigma²) variates in one call; the
-// Gaussian shape's twin of BulkLaplace.
-func BulkGaussian(rng *xrand.RNG, sigma float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = sigma * rng.Gaussian()
-	}
-	return out
-}
-
 // IQROf returns the population interquartile range F^{-1}(3/4) - F^{-1}(1/4).
 func IQROf(d Distribution) float64 {
 	return d.Quantile(0.75) - d.Quantile(0.25)

@@ -16,8 +16,8 @@ import (
 // lands and before the answer is acknowledged, so the log replays the
 // tenant's real spend history (budget-refused attempts and cache replays
 // charge nothing and are absent by construction). Durable tenants write
-// store.AuditLog (fsynced per line); in-memory tenants get memAudit so
-// the endpoint behaves identically either way.
+// store.AuditLog (durable on the WAL's group-commit barrier); in-memory
+// tenants get memAudit so the endpoint behaves identically either way.
 
 // auditSink is what a tenant's audit log must provide. store.AuditLog is
 // the durable implementation; memAudit the in-memory one.

@@ -12,8 +12,8 @@ import (
 
 // TestCompactionConcurrentWithReleases is the serve-level stall test:
 // releases keep charging and answering while CompactTenant runs
-// repeatedly on the same tenant — off-path compaction takes neither the
-// persist lock nor the shard locks, so nothing blocks or fails. The
+// repeatedly on the same tenant — off-path compaction takes neither a
+// tenant lock nor the shard locks, so nothing blocks or fails. The
 // server is then killed WITHOUT a flush: recovery from the compacted
 // snapshot + sealed segments + live tail must report spend at least the
 // pre-crash acknowledged spend.

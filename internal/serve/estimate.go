@@ -161,14 +161,6 @@ func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, r
 	if req.Rho > 0 {
 		cost = dp.RhoCost(req.Rho)
 	}
-	// Count releases have a fixed noise shape, so they register with the
-	// noise bank BEFORE parking on the durable commit barrier: every
-	// count release in the same commit batch is in flight here together,
-	// and the cohort size tells the bank how much noise one bulk draw
-	// should cover.
-	if stat == "count" {
-		defer s.noise.enter()()
-	}
 	// t.spender is the tenant ledger (WAL-interposed on a durable server:
 	// the deduction is on disk before the mechanism may run); the
 	// per-release wrap stamps the charge onto this release for auditing.
@@ -178,18 +170,17 @@ func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, r
 	}
 	noiseStart := time.Now()
 	defer func() { s.observeStage(rel, "noise", time.Since(noiseStart)) }()
-	o := []updp.Option{updp.WithBeta(req.Beta), updp.WithSeed(s.splitRNG().Uint64())}
+	rng := s.splitRNG()
+	o := []updp.Option{updp.WithBeta(req.Beta), updp.WithSeed(rng.Uint64())}
 	var value float64
 	switch stat {
 	case "count":
 		// Unit count (sensitivity 1 under one-unit change): Laplace when
 		// charged in ε, Gaussian — the natively-zCDP mechanism — in ρ.
-		// Noise comes from the bank: same-shape count releases dispatched
-		// together after the commit barrier share one bulk draw.
 		if req.Rho > 0 {
-			value = float64(n) + s.noise.draw("gaussian", dp.GaussianSigma(1, req.Rho))
+			value = dp.Gaussian(rng, float64(n), 1, req.Rho)
 		} else {
-			value = float64(n) + s.noise.draw("laplace", 1/req.Epsilon)
+			value = dp.Laplace(rng, float64(n), 1, req.Epsilon)
 		}
 	case "mean":
 		value, err = updp.Mean(xs, req.Epsilon, o...)

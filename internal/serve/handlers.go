@@ -145,28 +145,48 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
+	if code, err := createTable(t, req); err != nil {
+		status := http.StatusBadRequest
+		if code == "persist_failed" {
+			status = http.StatusInternalServerError
+		}
+		writeErr(w, status, code, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"table": req.Name})
+}
+
+// CreateTable registers a table on tenant t — the programmatic twin of
+// POST /v1/tenants/{id}/tables, through the same path: on a durable
+// server the table's DDL record is synced before it returns.
+func (s *Server) CreateTable(t *Tenant, req CreateTableRequest) error {
+	_, err := createTable(t, req)
+	return err
+}
+
+// createTable registers req's table on t, logging its DDL record on a
+// durable tenant; on failure code is the wire error code.
+func createTable(t *Tenant, req CreateTableRequest) (code string, err error) {
 	cols := make([]dpsql.Column, len(req.Columns))
 	for i, c := range req.Columns {
 		kind, err := decodeColumnKind(c.Kind)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad_kind", err)
-			return
+			return "bad_kind", err
 		}
 		cols[i] = dpsql.Column{Name: c.Name, Kind: kind}
 	}
-	// DDL takes the EXCLUSIVE persist lock (ingest and releases take the
-	// read side): registering the table makes it instantly visible to
-	// concurrent inserts, and without exclusion one could log its rows
-	// record at a lower seq than this table's DDL record — rows replay
-	// would then run before the table exists and silently drop them.
+	// DDL takes ddlMu exclusively (ingest takes the read side):
+	// registering the table makes it instantly visible to concurrent
+	// inserts, and without exclusion one could log its rows record at a
+	// lower seq than this table's DDL record — rows replay would then run
+	// before the table exists and silently drop them.
 	if t.log != nil {
-		t.persistMu.Lock()
-		defer t.persistMu.Unlock()
+		t.ddlMu.Lock()
+		defer t.ddlMu.Unlock()
 	}
 	tab, err := t.db.Create(req.Name, cols, req.UserColumn)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_schema", err)
-		return
+		return "bad_schema", err
 	}
 	if t.log != nil {
 		// DDL is synced before the table is acknowledged: an acknowledged
@@ -182,11 +202,10 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := t.log.AppendTable(st); err != nil {
 			t.db.Drop(tab.Name)
-			writeErr(w, http.StatusInternalServerError, "persist_failed", err)
-			return
+			return "persist_failed", err
 		}
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"table": req.Name})
+	return "", nil
 }
 
 func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
@@ -203,7 +222,53 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	inserted, failure, persistErr := insertBatch(s, t, tab, req.Rows)
+	inserted, err := s.ingest(t, tab, req.Rows)
+	var bad *rowError
+	switch {
+	case errors.As(err, &bad):
+		// The body carries the stored-prefix count the client needs to
+		// resume precisely.
+		writeJSON(w, http.StatusBadRequest, map[string]any{
+			"error": bad.Error(), "code": bad.code, "inserted": inserted,
+		})
+	case err != nil:
+		writeReleaseErr(w, err)
+	default:
+		writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: inserted})
+	}
+}
+
+// InsertRows appends rows to a table of tenant t — the programmatic twin
+// of POST /v1/tenants/{id}/tables/{table}/rows, through the same path:
+// cells are what that endpoint decodes (float64 or string), and on a
+// durable server the stored rows are logged as one WAL record. It
+// returns how many rows were stored; on a malformed row that is the
+// stored prefix.
+func (s *Server) InsertRows(t *Tenant, table string, rows [][]any) (int, error) {
+	tab, err := t.db.TableByName(table)
+	if err != nil {
+		return 0, err
+	}
+	return s.ingest(t, tab, rows)
+}
+
+// rowError is a malformed row in an ingest batch: code is its wire error
+// code; the rows before it are stored.
+type rowError struct {
+	code string
+	err  error
+}
+
+func (e *rowError) Error() string { return e.err.Error() }
+
+// ingest stores and logs a batch (insertBatch), then does what a landed
+// batch implies: counts it, invalidates the release cache, and polls the
+// compaction trigger. A malformed-row *rowError outranks a persist
+// error: its stored-prefix count is what the client needs to resume,
+// and the fail-stop log guarantees the very next durable operation
+// surfaces the persistence failure anyway.
+func (s *Server) ingest(t *Tenant, tab *dpsql.Table, rows [][]any) (int, error) {
+	inserted, failure, persistErr := insertBatch(s, t, tab, rows)
 	if inserted > 0 {
 		s.metrics.ingestRows.Add(int64(inserted))
 		// The data version moved: a repeated release is now a genuinely new
@@ -212,20 +277,14 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 		// prefix is in the table either way.
 		t.cache.clear()
 	}
-	// A malformed-batch 400 outranks a persist 500: its body carries the
-	// stored-prefix count the client needs to resume precisely, and the
-	// fail-stop log guarantees the very next durable operation surfaces
-	// the persistence failure anyway.
 	if failure != nil {
-		writeJSON(w, http.StatusBadRequest, failure)
-		return
+		return inserted, failure
 	}
 	if persistErr != nil {
-		writeReleaseErr(w, persistErr)
-		return
+		return inserted, persistErr
 	}
 	s.maybeSnapshot(t)
-	writeJSON(w, http.StatusOK, InsertRowsResponse{Inserted: inserted})
+	return inserted, nil
 }
 
 // insertBatch converts and stores a batch of wire rows, logging the
@@ -235,25 +294,26 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 // concurrent batches for different users stripe instead of
 // serializing); the record carries no placement, since replay routes the
 // same way, and keeps arrival order, so a WAL-tail recovery is
-// order-identical to the pre-crash table. The persist read lock is held
-// (and released by defer) for the whole insert+log pair so it cannot
-// straddle a snapshot capture. Row records are buffered, not fsynced: a
-// crash may lose trailing ingestion, never recorded spend. An append
-// ERROR is a different class from that tolerated loss — the log is
-// fail-stop after it, so acknowledging the batch would keep returning
-// 200 for rows that will never be durable; it is surfaced as persistErr
-// instead. On a malformed row, failure carries the 400 body with the
-// stored-prefix count so the client can resume precisely. The two phases
+// order-identical to the pre-crash table. ddlMu's read side is held
+// (and released by defer) for the whole insert+log pair, so the rows
+// record cannot land ahead of the table's DDL record (table creation
+// holds the write side until that record is logged). Row records are
+// buffered, not fsynced: a crash may lose trailing ingestion, never
+// recorded spend. An append ERROR is a different class from that
+// tolerated loss — the log is fail-stop after it, so acknowledging the
+// batch would keep returning 200 for rows that will never be durable; it
+// is surfaced as persistErr instead. On a malformed row, failure names
+// it and inserted is the stored prefix. The two phases
 // are timed separately into the ingest stage histogram — "store" (decode
 // + sharded insert) and "wal" (the buffered row-record append) — so an
 // ingest cliff is attributable to one of them from /metrics alone.
-func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted int, failure map[string]any, persistErr error) {
+func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted int, failure *rowError, persistErr error) {
 	var stored [][]dpsql.Value // the inserted prefix, in arrival order
 	storeStart := time.Now()
 	if t.log != nil {
 		stored = make([][]dpsql.Value, 0, len(rows))
-		t.persistMu.RLock()
-		defer t.persistMu.RUnlock()
+		t.ddlMu.RLock()
+		defer t.ddlMu.RUnlock()
 		defer func() {
 			walStart := time.Now()
 			defer func() {
@@ -274,18 +334,12 @@ func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted
 		for j, cell := range row {
 			v, err := decodeCell(cell)
 			if err != nil {
-				return i, map[string]any{
-					"error":    fmt.Sprintf("serve: row %d cell %d: %v", i, j, err),
-					"code":     "bad_cell",
-					"inserted": i,
-				}, nil
+				return i, &rowError{"bad_cell", fmt.Errorf("serve: row %d cell %d: %v", i, j, err)}, nil
 			}
 			vals[j] = v
 		}
 		if err := tab.Insert(vals...); err != nil {
-			return i, map[string]any{
-				"error": err.Error(), "code": "bad_row", "inserted": i,
-			}, nil
+			return i, &rowError{"bad_row", err}, nil
 		}
 		if t.log != nil {
 			stored = append(stored, vals)

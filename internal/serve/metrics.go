@@ -41,7 +41,7 @@ type metricsSet struct {
 	ingestSeconds  *obs.HistogramVec // ingestion batch, by stage
 
 	// storeMet is handed to store.SetMetrics so the durability engine's
-	// fsync/snapshot/WAL instruments land on the same registry.
+	// fsync/compaction/WAL instruments land on the same registry.
 	storeMet *store.Metrics
 }
 
@@ -64,8 +64,7 @@ func newMetricsSet() *metricsSet {
 	}
 	m.storeMet = &store.Metrics{
 		FsyncSeconds:      reg.Histogram("updp_wal_fsync_seconds", "WAL flush+fsync latency (one per commit batch; the release path's durability barrier).", lat),
-		SnapshotSeconds:   reg.Histogram("updp_snapshot_write_seconds", "Synchronous tenant snapshot latency (serialize, write, fsync, rename) — the shutdown/Flush path.", lat),
-		CompactionSeconds: reg.Histogram("updp_compaction_seconds", "Off-path WAL compaction latency: seal tail, replay sealed segments, publish snapshot, delete covered segments.", lat),
+		CompactionSeconds: reg.Histogram("updp_compaction_seconds", "WAL compaction latency (background and Flush): seal tail, replay sealed segments, publish snapshot, delete covered segments.", lat),
 		WALRecords:        reg.Counter("updp_wal_records_total", "WAL records appended across every tenant log."),
 		WALBytes:          reg.Counter("updp_wal_bytes_total", "WAL bytes appended across every tenant log."),
 		AuditFsyncSeconds: reg.Histogram("updp_audit_fsync_seconds", "Audit-log hardening (flush+fsync) latency on durable tenants.", lat),

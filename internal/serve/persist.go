@@ -24,14 +24,13 @@ var errPersist = errors.New("serve: persistence failure")
 //     write-ahead log — flushed and fsynced — after the in-memory
 //     check-and-deduct succeeds and before Spend returns, so no
 //     mechanism ever runs (and no answer is ever released) on a
-//     deduction a crash could forget. The tenant's persist lock (read
-//     side) excludes the pair from racing a snapshot capture, so a
-//     deduction is never both inside a snapshot and replayed from the
-//     WAL after it (double-counting). If the log write fails, Spend
-//     fails with errPersist while the in-memory charge stands:
-//     over-counting is the conservative direction, and the log is
-//     fail-stop anyway (ErrLogBroken) so the tenant degrades to 500s
-//     rather than silently un-durable releases.
+//     deduction a crash could forget. No tenant lock is taken: snapshots
+//     are compacted from the WAL alone, so a deduction reaches a
+//     snapshot only through its own WAL record and can never be counted
+//     twice. If the log write fails, Spend fails with errPersist while
+//     the in-memory charge stands: over-counting is the conservative
+//     direction, and the log is fail-stop anyway (ErrLogBroken) so the
+//     tenant degrades to 500s rather than silently un-durable releases.
 //   - telemetry: the in-memory deduct, the time parked on the commit
 //     barrier, and the shared batch fsync are timed into the
 //     ledger_deduct / group_commit_wait / wal_fsync stage histograms,
@@ -53,10 +52,6 @@ func (w *tenantLedger) Spend(c dp.Cost) error { return w.SpendTraced(c, nil) }
 // releaseLedger discovers this method by interface assertion, so the
 // per-release wrapper threads the trace without store ever importing obs.
 func (w *tenantLedger) SpendTraced(c dp.Cost, tr *obs.Trace) error {
-	if w.t.log != nil {
-		w.t.persistMu.RLock()
-		defer w.t.persistMu.RUnlock()
-	}
 	t0 := time.Now()
 	if err := w.t.led.Spend(c); err != nil {
 		return err
@@ -158,37 +153,6 @@ func (s *Server) restoreTenant(rec *store.RecoveredTenant) (*Tenant, error) {
 	return t, nil
 }
 
-// flushTenant synchronously captures one tenant's full live state into a
-// snapshot and rotates its WAL. The persist lock (write side) excludes
-// every mutation — ingest, DDL, deduct+log — for the duration, so the
-// snapshot and the post-rotation WAL partition the record stream exactly.
-// That exclusivity stalls releases and ingests on THIS tenant while the
-// snapshot serializes and fsyncs, which is why this path is reserved for
-// shutdown (Flush) and explicit checkpoints, where a final exact capture
-// of in-memory state is the point. Steady-state compaction goes through
-// compactTenant instead, which replays sealed WAL segments off the hot
-// path and never takes persistMu at all.
-func (s *Server) flushTenant(t *Tenant) error {
-	if t.log == nil {
-		return nil
-	}
-	t.persistMu.Lock()
-	defer t.persistMu.Unlock()
-	sl, ok := t.led.(dp.StatefulLedger)
-	if !ok {
-		return fmt.Errorf("serve: tenant %q ledger %T is not snapshottable", t.id, t.led)
-	}
-	ls, err := sl.Snapshot()
-	if err != nil {
-		return fmt.Errorf("serve: snapshotting tenant %q: %w", t.id, err)
-	}
-	return t.log.WriteSnapshot(store.TenantSnapshot{
-		Config: t.cfg,
-		Ledger: ls,
-		Tables: t.db.Export(),
-	})
-}
-
 // replayLedger rebuilds a ledger state from a prior snapshot state (or
 // fresh from the tenant config when there is none) plus the deductions
 // recorded in sealed WAL segments — the serve-side half of off-path
@@ -221,13 +185,13 @@ func (s *Server) replayLedger(cfg store.TenantConfig, prev *dp.LedgerState, dedu
 	return sl.Snapshot()
 }
 
-// compactTenant folds one tenant's sealed WAL segments into a fresh
-// snapshot without stalling the tenant: the log seals its active tail
-// (microseconds under the log lock), then the merge reads only immutable
-// files — no persistMu, no shard locks — while releases, ingests, and
-// group commit proceed at full speed. The duration lands on the "compact"
-// stage histogram (store's CompactionSeconds histogram times the same
-// interval from inside the log, so the two views stay in sync).
+// compactTenant folds one tenant's WAL into a fresh snapshot without
+// stalling the tenant: the log seals its active tail (microseconds under
+// the log lock), then the merge reads only immutable files — no tenant
+// lock, no shard locks — while releases, ingests, and group commit
+// proceed at full speed. The duration lands on the "compact" stage
+// histogram (store's CompactionSeconds histogram times the same interval
+// from inside the log, so the two views stay in sync).
 func (s *Server) compactTenant(t *Tenant) error {
 	if t.log == nil {
 		return nil
@@ -272,7 +236,8 @@ func (s *Server) maybeSnapshot(t *Tenant) {
 
 // Flush compacts every tenant into a fresh snapshot (durable servers
 // only) — the graceful-shutdown path, also exposed for benchmarks and
-// operational checkpoints.
+// operational checkpoints. It is the same compaction the background
+// trigger runs, so its duration lands on the "compact" stage.
 func (s *Server) Flush() error {
 	if s.st == nil {
 		return nil
@@ -285,7 +250,7 @@ func (s *Server) Flush() error {
 	s.mu.RUnlock()
 	var firstErr error
 	for _, t := range tenants {
-		if err := s.flushTenant(t); err != nil && firstErr == nil {
+		if err := s.compactTenant(t); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

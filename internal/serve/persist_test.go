@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/dp"
 )
 
 // openDurable starts a durable test server on dir.
@@ -243,6 +246,96 @@ func TestCloseFlushCompacts(t *testing.T) {
 	}
 	if st.Spent != 0.5 || st.Total != 8 {
 		t.Fatalf("recovered ledger: spent=%v total=%v", st.Spent, st.Total)
+	}
+}
+
+// TestWindowedRestartOverCounts: a graceful restart restores a windowed
+// tenant the way crash recovery and background compaction do. Close
+// compacts from the WAL, whose replay pins every deduction into the
+// current window, so spend may be over-counted until the next boundary —
+// never under-counted, and the budget refills within one window.
+func TestWindowedRestartOverCounts(t *testing.T) {
+	dir := t.TempDir()
+	const window = 0.2 // seconds
+	srvA, cA, stopA := openDurable(t, dir, 10)
+	if code := cA.do("POST", "/v1/tenants", CreateTenantRequest{
+		ID: "w", Epsilon: 1, WindowSeconds: window,
+	}, nil); code != http.StatusCreated {
+		t.Fatalf("create windowed tenant: %d", code)
+	}
+	seedTables(t, cA, "w", 50)
+	// Exhaust the window, wait out the refill, spend again.
+	if code := cA.do("POST", "/v1/tenants/w/estimate", EstimateRequest{
+		Table: "metrics", Column: "v", Stat: "mean", Epsilon: 1,
+	}, nil); code != http.StatusOK {
+		t.Fatalf("exhausting release: %d", code)
+	}
+	pollRelease(t, cA, time.Now().Add(5*time.Second), "windowed tenant never refilled")
+	var before TenantStatus
+	if code := cA.do("GET", "/v1/tenants/w", nil, &before); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	if before.Spent <= 0 {
+		t.Fatalf("pre-close spend %v — the refilled window was not spent", before.Spent)
+	}
+	stopA()
+	if err := srvA.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if snap, err := os.ReadFile(filepath.Join(dir, "w", "snapshot.json")); err != nil || len(snap) == 0 {
+		t.Fatalf("Close did not write a snapshot: %v", err)
+	}
+	if wal, err := os.ReadFile(filepath.Join(dir, "w", "wal.log")); err != nil || len(wal) != 0 {
+		t.Fatalf("WAL not empty after Close: %d bytes, %v", len(wal), err)
+	}
+
+	srvB, cB, stopB := openDurable(t, dir, 11)
+	defer stopB()
+	defer srvB.Close()
+	reopened := time.Now()
+	tn, ok := srvB.Tenant("w")
+	if !ok {
+		t.Fatal("windowed tenant not recovered")
+	}
+	wl, ok := tn.Ledger().(*dp.WindowedLedger)
+	if !ok {
+		t.Fatalf("recovered ledger %T, want *dp.WindowedLedger", tn.Ledger())
+	}
+	// The inner ledger, read without the decorator's refill, holds the
+	// recovered spend: both windows' deductions (1 + 0.5), pinned into
+	// this one.
+	got := wl.Inner().Spent()
+	if got < before.Spent {
+		t.Fatalf("recovered spend %v < pre-close spend %v", got, before.Spent)
+	}
+	if got < 1.5 {
+		t.Fatalf("recovered spend %v < 1.5: a replayed deduction was dropped, not pinned", got)
+	}
+	// Close's replay set the next boundary one window after it ran, so
+	// the pinned spend refills within one window of the restart (the
+	// slack covers request latency).
+	deadline := reopened.Add(time.Duration(window*float64(time.Second)) + 500*time.Millisecond)
+	pollRelease(t, cB, deadline, "recovered windowed tenant did not refill within one window")
+}
+
+// pollRelease retries a 0.5-ε release on tenant w's metrics table while
+// it is refused for budget, failing with msg once deadline passes.
+func pollRelease(t *testing.T, c *client, deadline time.Time, msg string) {
+	t.Helper()
+	for {
+		code := c.do("POST", "/v1/tenants/w/estimate", EstimateRequest{
+			Table: "metrics", Column: "v", Stat: "median", Epsilon: 0.5,
+		}, nil)
+		if code == http.StatusOK {
+			return
+		}
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("release: status %d", code)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -58,21 +58,21 @@
 //     check-and-deduct succeeds and before the mechanism runs — no
 //     answer ever leaves the process on a deduction a crash could
 //     forget. Concurrent deductions share the fsync through the WAL
-//     group committer (Options.GroupCommit): releases park on a commit
-//     barrier and one batch record — one fsync — acks all of them,
-//     their audit records riding the same barrier, so durable
-//     throughput scales with concurrency instead of being bounded by
-//     per-release fsync latency;
+//     group committer: releases park on a commit barrier and one batch
+//     record — one fsync — acks all of them, their audit records riding
+//     the same barrier, so durable throughput scales with concurrency
+//     instead of being bounded by per-release fsync latency;
 //   - row ingestion batches: logged without fsync (hardened by the next
-//     deduction's fsync, a snapshot, or Close).
+//     commit batch's fsync, a seal, or Close).
 //
 // The invariant, "spend is never under-counted": after any crash,
 // recovered spend >= the spend of every answered release. The converse
 // loss is tolerated asymmetrically — a torn WAL tail may drop trailing
 // data rows (utility) but replay never drops a recorded deduction
 // (privacy), and replaying the same log twice converges on the same
-// state. Close compacts a final snapshot; kill -9 merely means the next
-// Open replays a longer WAL tail.
+// state. Snapshots are compacted from the WAL alone, in the background
+// and at Close; kill -9 merely means the next Open replays a longer WAL
+// tail.
 //
 // Sharding ("shards" at tenant creation, Options.DefaultShards): a
 // tenant's tables are hash-partitioned by user id into N shards, each
@@ -184,13 +184,6 @@ type Options struct {
 	// structured line with its release ID and full per-stage span
 	// breakdown. 0 means 250ms; negative disables the log.
 	SlowRelease time.Duration
-	// GroupCommit tunes the WAL group committer on durable servers:
-	// concurrent releases park on a shared commit barrier and one fsync
-	// acks the whole batch (deductions + audit records together). The
-	// zero value enables group commit with natural adaptive batching —
-	// a lone release commits immediately, releases arriving during an
-	// in-flight fsync form the next batch. Ignored without DataDir.
-	GroupCommit store.GroupCommitOptions
 	// TraceRing sizes the flight recorder: the last TraceRing completed
 	// release traces are retained (plus up to TraceRing slow/errored/shed
 	// traces, tail-sampled so healthy floods never evict them) and served
@@ -248,11 +241,6 @@ type Server struct {
 	rngMu sync.Mutex
 	rng   *xrand.RNG
 
-	// noise banks bulk draws for fixed-shape mechanisms (the count
-	// stat), so a commit batch of same-shape releases shares one
-	// vectorized sampling pass.
-	noise *noiseBank
-
 	start time.Time
 
 	// metrics is the single source of truth for server-wide counters:
@@ -275,23 +263,24 @@ type Server struct {
 type Tenant struct {
 	id         string
 	db         *dpsql.DB
-	led        dp.Ledger // the real composition backend (status, snapshots)
+	led        dp.Ledger // the real composition backend (status, replay)
 	accounting string    // "pure" or "zcdp"
 	windowSecs float64   // > 0 when the ledger refills on a window
 	shards     int       // table shard count (>= 1; 1 for pre-shard tenants)
 	cache      *respCache
 	created    time.Time
 
-	// Durability (zero-valued for in-memory tenants): spender is the
-	// ledger every release path charges — t.led directly, or a walLedger
-	// that records each deduction durably before Spend returns. persistMu
-	// excludes state mutation (ingest, DDL, deduct+log) during snapshot
-	// capture, so a compacted snapshot plus the rotated WAL never loses a
-	// record between them.
+	// spender is the ledger every release path charges: a tenantLedger
+	// over led, which on durable tenants records each deduction in the
+	// WAL before Spend returns. The durability fields are zero-valued
+	// for in-memory tenants. ddlMu keeps a table's DDL record ahead of
+	// its rows records in the WAL — DDL takes the write side, ingest the
+	// read side — so replay never meets rows for a table it does not
+	// know yet.
 	spender    dp.Ledger
 	log        *store.TenantLog
 	cfg        store.TenantConfig
-	persistMu  sync.RWMutex
+	ddlMu      sync.RWMutex
 	compacting atomic.Bool // single-flight guard for background snapshots
 
 	// odo tracks the budget burn rate over a sliding window (the
@@ -360,7 +349,6 @@ func Open(opts Options) (*Server, error) {
 		defShards: defShards,
 		tenants:   map[string]*Tenant{},
 		creating:  map[string]struct{}{},
-		noise:     newNoiseBank(rng.Split()),
 		rng:       rng,
 		start:     time.Now(),
 		metrics:   newMetricsSet(),
@@ -388,10 +376,8 @@ func Open(opts Options) (*Server, error) {
 		}
 		s.st = st
 		// Install the metric instruments before recovery so replayed WAL
-		// reopens and the first snapshot land on the registry, and the
-		// group-commit config so recovered logs start their committers.
+		// reopens and the first snapshot land on the registry.
 		st.SetMetrics(s.metrics.storeMet)
-		st.SetGroupCommit(opts.GroupCommit)
 		recs, err := st.Recover()
 		if err == nil {
 			for _, rec := range recs {
@@ -456,8 +442,10 @@ func (s *Server) splitRNG() *xrand.RNG {
 	return s.rng.Split()
 }
 
-// DB exposes the tenant's database for programmatic provisioning (demo
-// data, benchmarks); its releases draw from the tenant's accountant.
+// DB exposes the tenant's database (inspection, in-memory benchmarks);
+// its releases draw from the tenant's accountant. Writes made through it
+// bypass the WAL, so on a durable server they are lost at the next
+// restart or compaction: provision through CreateTable and InsertRows.
 func (t *Tenant) DB() *dpsql.DB { return t.db }
 
 // CreateTenant registers a tenant with a total ε budget under pure-ε

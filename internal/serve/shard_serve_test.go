@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dp"
 	"repro/internal/dpsql"
 	"repro/internal/store"
 )
@@ -428,10 +427,20 @@ func TestPR3DataDirBootsSharded(t *testing.T) {
 	if err := tl.AppendRows("events", 0, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := tl.AppendDeduct(dp.EpsCost(1.5)); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
+	// That format recorded each deduction as its own fsynced "deduct"
+	// record (seq 4, after create, table and rows); the store no longer
+	// writes one, so the record is appended as the bytes it wrote.
+	f, err := os.OpenFile(filepath.Join(dir, "legacy", "wal.log"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("c3230104 {\"seq\":4,\"type\":\"deduct\",\"cost\":{\"eps\":1.5}}\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 

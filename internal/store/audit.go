@@ -27,23 +27,16 @@ import (
 // the answer is acknowledged — so every acknowledged release has its
 // audit record durable (a crash can leave an audit record for a
 // charged-but-unanswered release, never the reverse; over-recording
-// matches the WAL's over-counting direction). HOW it becomes durable
-// depends on whether the tenant log runs a group committer:
-//
-//   - Routed (committer attached): Append parks on the WAL's commit
-//     barrier. The line is written to this file BUFFERED, and a copy
-//     rides inside the batch WAL record — the batch's single fsync makes
-//     the audit record durable, zero extra fsyncs. The buffered file is
-//     hardened (flushed + fsynced) before any WAL truncation
-//     (WriteSnapshot) and at Close; after a crash, OpenAudit reconciles
-//     the file against the WAL's batch copies (Reconcile), re-appending
-//     lines the buffer lost. Seqs stay contiguous because they are
-//     assigned in barrier order and both files truncate tail-only.
-//   - Standalone (no committer): each append is flushed and fsynced
-//     before it returns, the pre-group-commit behavior.
-//
-// A torn tail (crash mid-append) is truncated at open, exactly like the
-// WAL.
+// matches the WAL's over-counting direction). Append parks on the
+// tenant WAL's commit barrier: the line is written to this file
+// BUFFERED, and a copy rides inside the batch WAL record — the batch's
+// single fsync makes the audit record durable, zero extra fsyncs. The
+// buffered file is hardened (flushed + fsynced) before Compact deletes
+// the segments holding those copies, and at Close; after a crash,
+// OpenAudit reconciles the file against the WAL's batch copies
+// (reconcile), re-appending lines the buffer lost. Seqs stay contiguous
+// because they are assigned in barrier order and both files truncate
+// tail-only.
 
 // auditName is the per-tenant audit file, next to wal.log.
 const auditName = "audit.log"
@@ -66,10 +59,10 @@ type AuditRecord struct {
 	BestOrder  float64 `json:"best_order,omitempty"`
 }
 
-// AuditLog is one tenant's open audit file. Appends are serialized and
-// fsynced; a write error makes the log fail-stop like the WAL (a torn
-// line must never be followed by an intact one, or the tail-truncation
-// rule at open would silently drop it).
+// AuditLog is one tenant's open audit file. Appends are serialized by
+// the WAL's commit barrier; a write error makes the log fail-stop like
+// the WAL (a torn line must never be followed by an intact one, or the
+// tail-truncation rule at open would silently drop it).
 type AuditLog struct {
 	mu     sync.Mutex
 	path   string
@@ -78,19 +71,24 @@ type AuditLog struct {
 	seq    uint64 // last assigned record seq (== line count: tail-only truncation)
 	broken bool
 	met    *Metrics
-	gc     *groupCommitter // non-nil routes Append through the WAL barrier
+	gc     *groupCommitter // the tenant WAL's commit barrier Append parks on
 }
 
-// auditBufSize is the audit writer's buffer; routed appends accumulate
+// auditBufSize is the audit writer's buffer; appends accumulate
 // here between hardenings (their durable copy rides the WAL batch).
 const auditBufSize = 32 << 10
 
-// OpenAudit opens (creating if absent) the audit log for an existing
-// tenant directory, truncating a torn tail. Call it after CreateTenant
-// or recovery has established the directory.
+// OpenAudit opens (creating if absent) the audit log of a tenant whose
+// WAL is open, truncating a torn tail. Call it after CreateTenant or
+// Recover has opened the tenant's log; a tenant without one is refused,
+// since its appends would have no commit barrier to become durable on.
 func (s *Store) OpenAudit(id string) (*AuditLog, error) {
 	if err := CheckTenantID(id); err != nil {
 		return nil, err
+	}
+	tl, ok := s.Tenant(id)
+	if !ok {
+		return nil, fmt.Errorf("store: audit log for %q: tenant log not open", id)
 	}
 	s.mu.Lock()
 	met := s.metrics
@@ -100,10 +98,12 @@ func (s *Store) OpenAudit(id string) (*AuditLog, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: reading audit log for %q: %w", id, err)
 	}
-	// Scan for the intact prefix. Audit lines are written one fsynced
-	// append at a time, so any damage is a torn tail: truncate there.
-	// (Unlike the WAL there is no buffered class, hence no corrupt-vs-torn
-	// distinction to draw — nothing intact can follow a tear.)
+	// Scan for the intact prefix and truncate at the first damaged line.
+	// Lines are buffered, so a crash can tear any unhardened suffix; every
+	// record in it has its durable copy in a WAL batch record, which the
+	// reconcile below re-appends. (Unlike the WAL there is no
+	// corrupt-vs-torn distinction to draw — the WAL, not this file, is
+	// what proves a record was acknowledged.)
 	goodEnd, n := 0, uint64(0)
 	off := 0
 	for off < len(data) {
@@ -128,14 +128,12 @@ func (s *Store) OpenAudit(id string) (*AuditLog, error) {
 			return nil, fmt.Errorf("store: truncating torn audit tail for %q: %w", id, err)
 		}
 	}
-	a := &AuditLog{path: path, f: f, w: bufio.NewWriterSize(f, auditBufSize), seq: n, met: met}
+	a := &AuditLog{path: path, f: f, w: bufio.NewWriterSize(f, auditBufSize), seq: n, met: met, gc: tl.gc}
 	// Attach to the tenant's open WAL so audit appends ride its commit
-	// barrier (one fsync covers deduction + audit) and snapshots harden
-	// this file before truncating the WAL. Then reconcile: batch WAL
+	// barrier (one fsync covers deduction + audit) and compaction hardens
+	// this file before deleting segments. Then reconcile: batch WAL
 	// records may hold audit lines a crash caught in this file's buffer.
-	if tl, ok := s.Tenant(id); ok {
-		tl.attachAudit(a)
-	}
+	tl.attachAudit(a)
 	s.mu.Lock()
 	pend := s.pendingAudits[id]
 	delete(s.pendingAudits, id)
@@ -151,7 +149,7 @@ func (s *Store) OpenAudit(id string) (*AuditLog, error) {
 // that the file itself lost from its buffer in a crash — preserving
 // their original seq and timestamp. Records the file already holds
 // (seq <= line count) are skipped; the survivors are written buffered,
-// because the WAL still carries them until the next snapshot hardens
+// because the WAL still carries them until the next compaction hardens
 // this file first.
 func (a *AuditLog) reconcile(pend []AuditRecord) error {
 	a.mu.Lock()
@@ -173,28 +171,17 @@ func (a *AuditLog) reconcile(pend []AuditRecord) error {
 }
 
 // Append records one charged release durably — the caller may
-// acknowledge the release only after this succeeds. With a committer
-// attached the append parks on the WAL's group-commit barrier (the
-// batch's one fsync covers it); standalone, it is written, flushed, and
-// fsynced here.
+// acknowledge the release only after this succeeds. The append parks on
+// the WAL's group-commit barrier; the batch's one fsync covers it.
 func (a *AuditLog) Append(rec *AuditRecord) error {
-	a.mu.Lock()
-	gc := a.gc
-	a.mu.Unlock()
-	if gc != nil {
-		_, err := gc.submit(nil, rec)
-		return err
-	}
-	if err := a.appendBuffered(rec); err != nil {
-		return err
-	}
-	return a.harden()
+	_, err := a.gc.submit(nil, rec)
+	return err
 }
 
 // appendBuffered assigns the record's seq and timestamp and writes its
-// line to the buffer WITHOUT fsync. Callers must arrange durability: the
-// committer puts a copy in the batch WAL record; the standalone Append
-// hardens immediately.
+// line to the buffer WITHOUT fsync. The committer calls it and puts a
+// copy of the record in the batch WAL record, which is what makes it
+// durable.
 func (a *AuditLog) appendBuffered(rec *AuditRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -229,8 +216,8 @@ func (a *AuditLog) writeLocked(rec *AuditRecord) error {
 }
 
 // harden flushes the buffer and fsyncs the file — the audit log's own
-// durability barrier, paid per append standalone and only at snapshot/
-// close when appends ride the WAL barrier.
+// durability barrier, paid only at compaction and close, since appends
+// ride the WAL barrier.
 func (a *AuditLog) harden() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -278,7 +265,7 @@ func (a *AuditLog) Page(after uint64, limit int) ([]AuditRecord, error) {
 	if a.f == nil {
 		return nil, ErrLogBroken
 	}
-	// Routed appends may still be sitting in the buffer; reads must see
+	// Appends may still be sitting in the buffer; reads must see
 	// every acknowledged record (their durability is the WAL's problem,
 	// their visibility is ours).
 	if err := a.w.Flush(); err != nil {

@@ -150,3 +150,25 @@ func TestAuditBadTenantID(t *testing.T) {
 		t.Fatal("traversal tenant id accepted")
 	}
 }
+
+// TestOpenAuditRefusesTenantWithoutLog: an audit file needs its tenant's
+// open WAL — appends become durable only on that log's commit barrier —
+// so OpenAudit refuses a tenant with no open log and creates no file.
+func TestOpenAuditRefusesTenantWithoutLog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.Mkdir(filepath.Join(dir, "acme"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if al, err := st.OpenAudit("acme"); err == nil {
+		al.Close()
+		t.Fatal("OpenAudit accepted a tenant with no open log")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "acme", auditName)); !os.IsNotExist(err) {
+		t.Fatalf("refused OpenAudit left an audit file: %v", err)
+	}
+}

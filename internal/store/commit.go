@@ -16,16 +16,15 @@ import (
 // committer commits alone immediately (no added latency), while releases
 // arriving during an in-flight fsync accumulate and form the next batch
 // — the natural group-commit rhythm, where the batch size tracks the
-// offered concurrency. MaxDelay adds an optional coalescing sleep on top
-// for workloads that prefer larger batches over first-release latency.
+// offered concurrency.
 //
-// Durability is unchanged from the per-record path: submit returns only
-// after the batch record holding the entry is flushed AND fsynced, so no
-// answer is ever released ahead of its batch's barrier. Because the
-// whole batch is one CRC-framed WAL line, a crash mid-write tears the
-// batch as a unit — recovery's torn-tail truncation drops all of it or
-// none of it, never a prefix, and nothing in a dropped batch was ever
-// acknowledged.
+// Every tenant log runs a committer, so this is the only commit path:
+// submit returns only after the batch record holding the entry is
+// flushed AND fsynced, so no answer is ever released ahead of its
+// batch's barrier. Because the whole batch is one CRC-framed WAL line, a
+// crash mid-write tears the batch as a unit — recovery's torn-tail
+// truncation drops all of it or none of it, never a prefix, and nothing
+// in a dropped batch was ever acknowledged.
 //
 // Audit piggyback: entries may carry an audit record instead of (or as
 // well as) a cost. Audit lines are written to the tenant's audit file
@@ -33,36 +32,19 @@ import (
 // so the single barrier fsync makes both the deduction and its audit
 // line durable — "acknowledged implies audited" costs zero extra fsyncs.
 // Recovery reconciles the buffered audit file against the WAL's batch
-// copies (see OpenAudit), and WriteSnapshot hardens the audit file
-// before truncating the WAL so a compaction never destroys an audit
-// line's only durable copy.
+// copies (see OpenAudit), and Compact hardens the audit file before
+// deleting the segments that hold those copies.
 
-// GroupCommitOptions tunes the committer. The zero value enables group
-// commit with natural (concurrency-driven) batching and a 256-entry
-// batch cap.
-type GroupCommitOptions struct {
-	// MaxDelay is an optional coalescing window: a committer that wakes
-	// with fewer than MaxBatch entries sleeps once for up to MaxDelay to
-	// let stragglers join the batch. 0 (the default) fires immediately —
-	// a lone release pays no added latency, and batches form naturally
-	// from arrivals during the previous batch's fsync.
-	MaxDelay time.Duration
-	// MaxBatch caps entries per batch record (0 means 256). The cap
-	// bounds the batch WAL line's size and the worst-case re-lost work
-	// if a batch's fsync fails.
-	MaxBatch int
-}
+// GroupCommitOptions is empty: group commit has no settings. It and
+// SetGroupCommit remain only so existing callers keep compiling.
+type GroupCommitOptions struct{}
 
-const defaultMaxBatch = 256
+// SetGroupCommit is a no-op: every tenant log starts its committer.
+func (s *Store) SetGroupCommit(GroupCommitOptions) {}
 
-// SetGroupCommit installs the group-commit configuration. Call it once,
-// after Open and before Recover or the first CreateTenant — tenant logs
-// start their committers at construction.
-func (s *Store) SetGroupCommit(o GroupCommitOptions) {
-	s.mu.Lock()
-	s.gcOpts = &o
-	s.mu.Unlock()
-}
+// maxBatch caps entries per batch record. The cap bounds the batch WAL
+// line's size and the work a failed batch fsync refuses at once.
+const maxBatch = 256
 
 // commitEntry is one parked submission: a deduction, an audit record, or
 // both. done closes when the entry's batch barrier cleared (or failed).
@@ -80,8 +62,7 @@ type commitEntry struct {
 // groupCommitter is one tenant log's commit barrier.
 type groupCommitter struct {
 	tl       *TenantLog
-	maxBatch int
-	maxDelay time.Duration
+	maxBatch int // entries per batch: maxBatch, lowered by tests to churn batches
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -93,19 +74,8 @@ type groupCommitter struct {
 
 // startCommitter attaches a running committer to the log. Called at
 // TenantLog construction, before the log is shared.
-func (tl *TenantLog) startCommitter(o *GroupCommitOptions) {
-	if o == nil {
-		return
-	}
-	g := &groupCommitter{
-		tl:       tl,
-		maxBatch: o.MaxBatch,
-		maxDelay: o.MaxDelay,
-		exited:   make(chan struct{}),
-	}
-	if g.maxBatch <= 0 {
-		g.maxBatch = defaultMaxBatch
-	}
+func (tl *TenantLog) startCommitter() {
+	g := &groupCommitter{tl: tl, maxBatch: maxBatch, exited: make(chan struct{})}
 	g.cond = sync.NewCond(&g.mu)
 	tl.gc = g
 	go g.run()
@@ -117,9 +87,6 @@ func (tl *TenantLog) startCommitter(o *GroupCommitOptions) {
 // arriving after the stop fail with ErrLogBroken.
 func (tl *TenantLog) stopCommitter() {
 	g := tl.gc
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -143,16 +110,10 @@ type CommitTimings struct {
 
 // CommitDeduct durably records one ledger deduction through the group
 // commit barrier: the call parks until a batch holding the deduction is
-// flushed and fsynced, exactly as durable as AppendDeduct but sharing
-// the fsync with every other entry in the batch. Without a committer it
-// degrades to the per-record AppendDeduct.
+// flushed and fsynced, sharing the fsync with every other entry in the
+// batch.
 func (tl *TenantLog) CommitDeduct(c dp.Cost) (CommitTimings, error) {
-	if g := tl.gc; g != nil {
-		return g.submit(&c, nil)
-	}
-	t0 := time.Now()
-	err := tl.AppendDeduct(c)
-	return CommitTimings{Fsync: time.Since(t0)}, err
+	return tl.gc.submit(&c, nil)
 }
 
 // submit parks one entry on the barrier and waits for its batch.
@@ -170,9 +131,9 @@ func (g *groupCommitter) submit(c *dp.Cost, a *AuditRecord) (CommitTimings, erro
 	return CommitTimings{Waited: e.waited, Fsync: e.fsync}, e.err
 }
 
-// run is the committer loop: wait for entries, optionally coalesce,
-// drain up to maxBatch, commit with one fsync, repeat. On close it
-// drains whatever is queued into final batches before exiting.
+// run is the committer loop: wait for entries, drain up to maxBatch,
+// commit with one fsync, repeat. On close it drains whatever is queued
+// into final batches before exiting.
 func (g *groupCommitter) run() {
 	defer close(g.exited)
 	for {
@@ -183,13 +144,6 @@ func (g *groupCommitter) run() {
 		if len(g.queue) == 0 {
 			g.mu.Unlock() // closed and drained
 			return
-		}
-		if g.maxDelay > 0 && !g.closed && len(g.queue) < g.maxBatch {
-			// Optional coalescing: one bounded sleep, then take whatever
-			// has accumulated. Never loops — latency stays bounded.
-			g.mu.Unlock()
-			time.Sleep(g.maxDelay)
-			g.mu.Lock()
 		}
 		n := len(g.queue)
 		if n > g.maxBatch {

@@ -23,13 +23,12 @@ import (
 // adopts the directory lock (see TestDataDirLock), so the drills run
 // in-process.
 
-func openGrouped(t *testing.T, dir string, o GroupCommitOptions) *Store {
+func openStore(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetGroupCommit(o)
 	return s
 }
 
@@ -41,7 +40,7 @@ func TestGroupCommitAckedDeductsSurviveCrash(t *testing.T) {
 	// batch record is fsynced, so a batch a crash can lose is a batch no
 	// caller was ever released from.)
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{})
+	s := openStore(t, dir)
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +112,7 @@ func TestTornBatchDropsWholeBatchNeverPrefix(t *testing.T) {
 	// every cost it carries or none — a replayed prefix would charge the
 	// ledger for releases that were never acknowledged.
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{})
+	s := openStore(t, dir)
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +154,13 @@ func TestTornBatchDropsWholeBatchNeverPrefix(t *testing.T) {
 }
 
 func TestGroupCommitAuditReconciledAfterCrash(t *testing.T) {
-	// Routed audit appends are BUFFERED in the audit file — the durable
-	// copy rides the batch WAL record. A crash throws the buffer away;
+	// Audit appends are BUFFERED in the audit file — the durable copy
+	// rides the batch WAL record. A crash throws the buffer away;
 	// recovery must rebuild the file from the WAL copies so that every
 	// acknowledged (acked-by-barrier) release is audited, with seqs
 	// contiguous.
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{})
+	s := openStore(t, dir)
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -221,12 +220,12 @@ func TestGroupCommitAuditReconciledAfterCrash(t *testing.T) {
 }
 
 func TestGroupCommitSnapshotHardensAuditBeforeTruncation(t *testing.T) {
-	// WriteSnapshot truncates the WAL — destroying the batch records that
-	// are the buffered audit lines' only durable copy — so it must harden
-	// the audit file FIRST. Drill: append routed, snapshot, crash; the
+	// Compact deletes the sealed segments — destroying the batch records
+	// that are the buffered audit lines' only durable copy — so it must
+	// harden the audit file FIRST. Drill: append, compact, crash; the
 	// audit file alone must hold every record.
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{})
+	s := openStore(t, dir)
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -241,38 +240,41 @@ func TestGroupCommitSnapshotHardensAuditBeforeTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	led, _ := dp.NewBasicLedger(4)
-	ls, _ := led.Snapshot()
-	if err := tl.WriteSnapshot(TenantSnapshot{Config: testConfig(), Ledger: ls}); err != nil {
+	if err := tl.Compact(testConfig(), testReplayer()); err != nil {
 		t.Fatal(err)
 	}
+	if got := tl.SegmentCount(); got != 0 {
+		t.Fatalf("compaction kept %d segments", got)
+	}
 
-	// Crash. The WAL is truncated (batch copies gone); the hardened
-	// audit file is now the only record.
+	// Crash. The segments are gone (batch copies with them); the
+	// hardened audit file is now the only record.
 	s2, rec := recoverOne(t, dir)
 	defer s2.Close()
-	_ = rec
-	a2, err := s2.OpenAudit("acme")
+	a2, err := s2.OpenAudit(rec.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a2.Close()
 	if got := a2.Len(); got != n {
-		t.Fatalf("snapshot destroyed audit records: len %d, want %d", got, n)
+		t.Fatalf("compaction destroyed audit records: len %d, want %d", got, n)
 	}
 }
 
 func TestGroupCommitStress(t *testing.T) {
-	// Parked releases vs routed audit appends vs WriteSnapshot vs Close,
-	// for -race: submitters hammer until Close breaks the log, treating
-	// ErrLogBroken as the stop signal; nothing may hang, tear, or lose an
-	// acked record. MaxBatch is small so batch boundaries churn.
+	// Parked releases vs audit appends vs Compact vs Close, for -race:
+	// submitters hammer until Close breaks the log, treating ErrLogBroken
+	// as the stop signal; nothing may hang, tear, or lose an acked
+	// record. The batch cap is lowered so batch boundaries churn.
 	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{MaxBatch: 4})
+	s := openStore(t, dir)
 	tl, err := s.CreateTenant("acme", testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl.gc.mu.Lock()
+	tl.gc.maxBatch = 4
+	tl.gc.mu.Unlock()
 	a, err := s.OpenAudit("acme")
 	if err != nil {
 		t.Fatal(err)
@@ -312,10 +314,12 @@ func TestGroupCommitStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		led, _ := dp.NewBasicLedger(4)
-		ls, _ := led.Snapshot()
 		for i := 0; i < 5; i++ {
-			_ = tl.WriteSnapshot(TenantSnapshot{Config: testConfig(), Ledger: ls})
+			// A compaction racing Close may find the log closed
+			// (ErrLogBroken); it must never lose or tear anything.
+			if err := tl.Compact(testConfig(), testReplayer()); err != nil && !errors.Is(err, ErrLogBroken) {
+				t.Errorf("Compact: %v", err)
+			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -336,70 +340,20 @@ func TestGroupCommitStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The directory recovers cleanly — neither the racing snapshots nor
-	// the mid-flight Close tore the WAL or the audit file. (The stress
-	// snapshots carry a deliberately stale ledger, as in
-	// TestConcurrentAppendsVsSnapshot, so spend preservation is asserted
-	// by the dedicated crash drills above, not here.)
+	// The directory recovers cleanly — neither the racing compactions
+	// nor the mid-flight Close tore the WAL or the audit file — with
+	// every acknowledged deduction's spend.
 	if acked.Load() == 0 {
 		t.Error("stress acked nothing — the race never exercised the barrier")
 	}
 	s2, rec := recoverOne(t, dir)
 	defer s2.Close()
+	if got, want := recoveredSpend(t, rec), float64(acked.Load())*1e-6; got < want*(1-1e-9) {
+		t.Fatalf("recovered spend %v < acknowledged %v", got, want)
+	}
 	a2, err := s2.OpenAudit(rec.ID)
 	if err != nil {
 		t.Fatalf("audit file torn by stress: %v", err)
 	}
 	a2.Close()
-}
-
-func TestGroupCommitDisabledFallsBack(t *testing.T) {
-	// A store opened without SetGroupCommit has no committer: CommitDeduct
-	// takes the per-record path and is still durable.
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl, err := s.CreateTenant("acme", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl.gc != nil {
-		t.Fatal("a committer is attached without SetGroupCommit")
-	}
-	if _, err := tl.CommitDeduct(dp.EpsCost(0.5)); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, rec := recoverOne(t, dir)
-	defer s2.Close()
-	if len(rec.Deducts) != 1 || rec.Deducts[0].Eps != 0.5 {
-		t.Fatalf("fallback deduct lost: %+v", rec.Deducts)
-	}
-}
-
-func TestGroupCommitMaxDelayCoalesces(t *testing.T) {
-	// MaxDelay is a bounded coalescing sleep, not a loop: a lone release
-	// with MaxDelay set still commits (after at most one window).
-	dir := t.TempDir()
-	s := openGrouped(t, dir, GroupCommitOptions{MaxDelay: 2 * time.Millisecond})
-	defer s.Close()
-	tl, err := s.CreateTenant("acme", testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := tl.CommitDeduct(dp.EpsCost(0.1))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("MaxDelay committer never fired for a lone release")
-	}
 }

@@ -155,8 +155,12 @@ type LedgerReplayer func(cfg TenantConfig, prev *dp.LedgerState, deducts []dp.Co
 // authoritative configuration (written into the new snapshot); replay
 // rebuilds the ledger state and is required.
 //
-// Crash safety, step by step: the new snapshot is published with the
-// same tmp+fsync+rename+dirsync dance as WriteSnapshot; the audit file
+// Compact is the store's only snapshot writer: the snapshot is a
+// function of the WAL, never a capture of live memory, so it cannot be
+// stale. A graceful shutdown (the serve layer's Flush) compacts too.
+//
+// Crash safety, step by step: the new snapshot is published with a
+// tmp+fsync+rename+dirsync dance (writeSnapshotFile); the audit file
 // is hardened BEFORE any segment is deleted (batch records in segments
 // may hold the only durable copy of buffered audit lines); and segment
 // deletion is last, so a crash at any point leaves either the old
@@ -167,10 +171,10 @@ func (tl *TenantLog) Compact(cfg TenantConfig, replay LedgerReplayer) error {
 	if replay == nil {
 		return fmt.Errorf("store: compaction needs a ledger replayer")
 	}
-	// compactMu serializes compactions and excludes WriteSnapshot (which
-	// also rewrites snapshot.json and deletes segments). It is never held
-	// while waiting on tl.mu-holders' work — tl.mu is taken only for the
-	// seal and the final install, both brief.
+	// compactMu serializes compactions (each rewrites snapshot.json and
+	// deletes segments). It is never held while waiting on tl.mu-holders'
+	// work — tl.mu is taken only for the seal and the final install, both
+	// brief.
 	tl.compactMu.Lock()
 	defer tl.compactMu.Unlock()
 	if m := tl.met; m != nil && m.CompactionSeconds != nil {

@@ -144,10 +144,11 @@ func (s *Store) recoverTenant(id string) (*RecoveredTenant, error) {
 	// record after damage means media corruption that may sit before an
 	// acknowledged deduction, and recovery refuses loudly instead of
 	// silently under-counting spend. O_APPEND on the reopened handle is
-	// load-bearing beyond convenience: WriteSnapshot truncates the file
-	// to zero, and only append mode guarantees the next write lands at
-	// the new EOF instead of the stale offset (which would leave a
-	// zero-filled hole that the next recovery reads as a torn prefix).
+	// load-bearing beyond convenience: the handle opens at offset 0 and
+	// the Truncate below may cut a torn tail, and only append mode
+	// guarantees every write lands at the (possibly truncated) EOF —
+	// never over intact records, never past EOF leaving a zero-filled
+	// hole that the next recovery reads as damage.
 	walPath := filepath.Join(dir, walName)
 	data, err := os.ReadFile(walPath)
 	switch {
@@ -204,12 +205,14 @@ func (s *Store) recoverTenant(id string) (*RecoveredTenant, error) {
 		}
 		if r.Seq <= startSeq {
 			// Intact leftovers of a crash between snapshot publication and
-			// WAL truncation: the snapshot already includes their effects
-			// (the idempotence guard). Keep the bytes, skip the replay —
-			// except a batch record's audit copies, which must still reach
-			// the audit file if the crash landed between the snapshot
-			// becoming durable and the audit hardening that precedes
-			// truncation (reconciliation skips ones the file already has).
+			// WAL truncation — a shape the synchronous snapshot writer of
+			// earlier versions left; Compact seals the tail first, so its
+			// covered records are segments. The snapshot already includes
+			// their effects (the idempotence guard). Keep the bytes, skip
+			// the replay — except a batch record's audit copies, which must
+			// still reach the audit file if the crash landed before the
+			// audit hardening that preceded truncation (reconciliation
+			// skips ones the file already has).
 			if r.Type == recBatch {
 				pendAudits = append(pendAudits, r.Audits...)
 			}
@@ -248,7 +251,6 @@ func (s *Store) recoverTenant(id string) (*RecoveredTenant, error) {
 	}
 	s.mu.Lock()
 	met := s.metrics
-	gcOpts := s.gcOpts
 	if len(pendAudits) > 0 {
 		// Audit copies recovered from batch records wait here until
 		// OpenAudit reconciles them against the audit file's intact
@@ -271,7 +273,7 @@ func (s *Store) recoverTenant(id string) (*RecoveredTenant, error) {
 		segs:      segs,
 		met:       met,
 	}
-	rec.Log.startCommitter(gcOpts)
+	rec.Log.startCommitter()
 	return rec, nil
 }
 

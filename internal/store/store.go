@@ -32,32 +32,35 @@
 //
 //   - Tenant creation and table DDL are synced before the call returns —
 //     an acknowledged tenant or table always recovers.
-//   - Ledger deductions (AppendDeduct) are flushed AND fsynced before the
-//     call returns. The serve layer deducts durably *before* the
-//     mechanism's answer leaves the process, so every answered release is
-//     on disk. Because the WAL is a single sequential stream, a deduct's
-//     fsync also hardens every row batch buffered before it.
-//   - Group-commit batches (CommitDeduct through a groupCommitter) carry
-//     many deductions plus their audit records as ONE record, acked by
-//     one shared fsync — same durability as AppendDeduct per entry, a
-//     fraction of the fsyncs. The single-line framing makes a crash tear
-//     the batch atomically: recovery drops all of an unacked batch or
-//     none of it, never a prefix.
+//   - Ledger deductions and audit records go through the tenant log's
+//     group committer (CommitDeduct, AuditLog.Append; see commit.go):
+//     every entry parked on the barrier is written into ONE batch record,
+//     flushed and fsynced before any of their calls returns. The serve
+//     layer deducts durably *before* the mechanism's answer leaves the
+//     process, so every answered release is on disk. The single-line
+//     framing makes a crash tear the batch atomically: recovery drops all
+//     of an unacked batch or none of it, never a prefix. Because the WAL
+//     is a single sequential stream, a batch's fsync also hardens every
+//     row batch buffered before it.
 //   - Row batches (AppendRows) are buffered without fsync: losing the
 //     last moments of ingestion on a crash costs utility, never privacy.
+//
+// Snapshots come from one writer, Compact, which replays the sealed WAL
+// segments: the WAL is the only source of truth, and a snapshot is a
+// function of it, never a capture of live memory.
 //
 // # Recovery
 //
 // Recover loads each tenant's snapshot (if any), then replays WAL records
-// with seq > snapshot seq — so a crash between writing a snapshot and
-// truncating the WAL merely replays records the snapshot already
-// contains, and replaying the same log twice converges on the same state
-// (idempotence). A torn or corrupt tail ends replay at the last intact
-// record and the file is truncated there: the only records that can live
-// past a durably-recorded (fsynced) deduction are ones that were never
-// acknowledged, so a torn tail can drop trailing data rows but never an
-// answered deduction — post-restart spend >= pre-crash acknowledged
-// spend, always. A corrupt snapshot file, by contrast, fails recovery
+// with seq > snapshot seq — so a crash between publishing a snapshot and
+// deleting the segments it covers merely skips records the snapshot
+// already contains, and replaying the same log twice converges on the
+// same state (idempotence). A torn or corrupt tail ends replay at the
+// last intact record and the file is truncated there: the only records
+// that can live past a durably-recorded (fsynced) deduction are ones that
+// were never acknowledged, so a torn tail can drop trailing data rows but
+// never an answered deduction — post-restart spend >= pre-crash
+// acknowledged spend, always. A corrupt snapshot file, by contrast, fails recovery
 // loudly: silently ignoring it would refill the budget.
 package store
 
@@ -109,7 +112,7 @@ const (
 	recCreate = "create" // tenant creation: Config
 	recTable  = "table"  // table DDL: Table (schema only)
 	recRows   = "rows"   // ingestion batch: RowsTable + Rows
-	recDeduct = "deduct" // ledger deduction: Cost
+	recDeduct = "deduct" // ledger deduction: Cost (written before group commit; replayed only)
 	recBatch  = "batch"  // group-commit batch: Costs + Audits, one fsync
 )
 
@@ -174,26 +177,20 @@ type record struct {
 // nothing. Latencies are in seconds on obs.LatencyBuckets.
 type Metrics struct {
 	// FsyncSeconds observes every WAL flush+fsync (the release path's
-	// durability barrier: one per commit batch — or per deduction with
-	// group commit disabled — plus snapshot hardening).
+	// durability barrier: one per commit batch, plus DDL records and
+	// seals).
 	FsyncSeconds *obs.Histogram
-	// SnapshotSeconds observes WriteSnapshot end to end (serialize, temp
-	// write, fsync, rename, dir sync) — the legacy synchronous snapshot
-	// path (shutdown flush), which stalls the tenant under the persist
-	// lock. The background path is CompactionSeconds.
-	SnapshotSeconds *obs.Histogram
 	// CompactionSeconds observes Compact end to end (seal, segment
-	// replay, snapshot publish, segment deletion) — the off-path
-	// compaction that runs concurrently with releases.
+	// replay, snapshot publish, segment deletion) — the one snapshot
+	// writer, which runs concurrently with releases.
 	CompactionSeconds *obs.Histogram
 	// WALRecords and WALBytes count appended records and their encoded
 	// bytes (CRC prefix and newline included) across every tenant log.
 	WALRecords *obs.Counter
 	WALBytes   *obs.Counter
-	// AuditFsyncSeconds observes audit-log hardenings (per-append when
-	// group commit is off; per flush-point — snapshot, close — when audit
-	// durability rides the WAL batch barrier). AuditRecords counts
-	// appended audit records.
+	// AuditFsyncSeconds observes audit-log hardenings, one per
+	// compaction and close (audit durability rides the WAL batch
+	// barrier). AuditRecords counts appended audit records.
 	AuditFsyncSeconds *obs.Histogram
 	AuditRecords      *obs.Counter
 	// BatchSize observes the number of entries acked per group-commit
@@ -208,7 +205,6 @@ type Store struct {
 	mu      sync.Mutex
 	logs    map[string]*TenantLog
 	metrics *Metrics
-	gcOpts  *GroupCommitOptions
 	// pendingAudits stashes audit records recovered from WAL batch
 	// records, per tenant, until OpenAudit reconciles them into the
 	// (buffered, possibly behind) audit file.
@@ -225,10 +221,8 @@ func (s *Store) SetMetrics(m *Metrics) {
 }
 
 // TenantLog is one tenant's open write-ahead log. Appends are serialized
-// by its mutex; WriteSnapshot compacts and rotates under the same lock,
-// so an append can never land between a snapshot's capture and its WAL
-// truncation (the serve layer additionally excludes state mutation during
-// capture with its own per-tenant lock).
+// by its mutex; deductions and audit records reach it through the log's
+// group committer, which every log runs from construction to Close.
 type TenantLog struct {
 	id  string
 	dir string
@@ -238,35 +232,31 @@ type TenantLog struct {
 	w         *bufio.Writer
 	seq       uint64       // last assigned sequence number (never resets)
 	snapSeq   uint64       // seq covered by the on-disk snapshot
-	tailStart uint64       // last seq NOT in the active tail (seal/truncate point)
-	pending   int          // records appended since the last snapshot
+	tailStart uint64       // last seq NOT in the active tail (the seal point)
+	pending   int          // records the on-disk snapshot does not cover
 	broken    bool         // fail-stop after a write error
 	segs      []walSegment // sealed immutable segments, ascending end seq
 
-	// compactMu serializes Compact and WriteSnapshot — both rewrite
-	// snapshot.json and delete covered segments. Lock order: compactMu
-	// before mu, never the reverse.
+	// compactMu serializes compactions — each rewrites snapshot.json and
+	// deletes covered segments. Lock order: compactMu before mu, never
+	// the reverse.
 	compactMu sync.Mutex
 
 	met *Metrics        // telemetry instruments (nil records nothing)
-	gc  *groupCommitter // shared fsync barrier (nil: per-record fsync)
+	gc  *groupCommitter // the shared fsync barrier every deduction parks on
 
 	auditMu sync.Mutex
 	audit   *AuditLog // attached audit file riding the commit barrier
 }
 
-// attachAudit routes the tenant's audit appends through the log's commit
-// barrier: audit lines are buffered and their durable copy rides the
-// batch WAL record, so one fsync covers both the deduction and its audit
-// line. Without a committer the attachment only lets WriteSnapshot and
-// Close harden the audit file alongside the WAL.
+// attachAudit sets the audit file the committer writes audit lines into
+// (buffered; their durable copy rides the batch WAL record, so one fsync
+// covers both the deduction and its audit line) and Compact hardens
+// before deleting segments.
 func (tl *TenantLog) attachAudit(a *AuditLog) {
 	tl.auditMu.Lock()
 	tl.audit = a
 	tl.auditMu.Unlock()
-	a.mu.Lock()
-	a.gc = tl.gc
-	a.mu.Unlock()
 }
 
 // attachedAudit reads the attached audit file, if any.
@@ -418,7 +408,7 @@ func (s *Store) CreateTenant(id string, cfg TenantConfig) (*TenantLog, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	tl := &TenantLog{id: id, dir: dir, f: f, w: bufio.NewWriterSize(f, walBufSize), met: s.metrics}
-	tl.startCommitter(s.gcOpts)
+	tl.startCommitter()
 	if err := tl.append(record{Type: recCreate, Config: &cfg}, true); err != nil {
 		tl.stopCommitter()
 		_ = f.Close()
@@ -540,7 +530,7 @@ func (tl *TenantLog) AppendTable(st dpsql.TableState) error {
 // unused — rows carry no placement, since replay routes each by user-id
 // hash — and stays only so existing callers keep compiling. The record
 // is buffered, not fsynced: a crash may lose trailing batches (utility),
-// never a deduction (privacy). The next AppendDeduct, snapshot, or Close
+// never a deduction (privacy). The next commit batch, seal, or Close
 // hardens it.
 func (tl *TenantLog) AppendRows(table string, _ int, rows [][]dpsql.Value) error {
 	if len(rows) == 0 {
@@ -549,89 +539,12 @@ func (tl *TenantLog) AppendRows(table string, _ int, rows [][]dpsql.Value) error
 	return tl.append(record{Type: recRows, RowsTable: table, Rows: rows}, false)
 }
 
-// AppendDeduct durably records one ledger deduction: flushed and fsynced
-// before return. The serve layer calls this after the in-memory
-// check-and-deduct succeeds and before the mechanism's answer is
-// released, so every answered release's spend is on disk.
-func (tl *TenantLog) AppendDeduct(c dp.Cost) error {
-	return tl.append(record{Type: recDeduct, Cost: &c}, true)
-}
-
 // RecordsSinceSnapshot reports how many WAL records the current snapshot
 // does not cover — the compaction trigger the serve layer polls.
 func (tl *TenantLog) RecordsSinceSnapshot() int {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	return tl.pending
-}
-
-// WriteSnapshot compacts the tenant's full state synchronously: the
-// snapshot is written to a temp file, fsynced, and atomically renamed
-// over the previous one, and only then is the WAL truncated (tail zeroed,
-// covered sealed segments deleted). A crash at any point leaves either
-// the old snapshot with a full WAL or the new snapshot with (possibly)
-// records it already covers — both replay to the same state thanks to the
-// seq guard. The caller must guarantee snap captures all state through
-// the log's current record (the serve layer holds its per-tenant persist
-// lock across capture and this call); snap.Seq is set here. This is the
-// shutdown-flush path; the steady-state path is Compact, which never
-// needs a state capture or the caller's locks.
-func (tl *TenantLog) WriteSnapshot(snap TenantSnapshot) error {
-	tl.compactMu.Lock()
-	defer tl.compactMu.Unlock()
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	if tl.broken || tl.f == nil {
-		// Broken, or closed underneath a background compaction.
-		return ErrLogBroken
-	}
-	if m := tl.met; m != nil && m.SnapshotSeconds != nil {
-		t0 := time.Now()
-		defer func() { m.SnapshotSeconds.Observe(time.Since(t0).Seconds()) }()
-	}
-	// Harden the WAL first: if the snapshot write fails midway, the log
-	// must still carry everything.
-	if err := tl.flushLocked(); err != nil {
-		return err
-	}
-	snap.Seq = tl.seq
-	if err := writeSnapshotFile(tl.dir, snap); err != nil {
-		return err
-	}
-	if err := syncDir(tl.dir); err != nil {
-		// The rename's directory entry is not confirmed durable: a crash
-		// could still resurface the OLD snapshot, so the WAL must stay
-		// authoritative — truncating it here would vanish every deduction
-		// between the two snapshots. Keeping it is always safe: the seq
-		// guard skips covered records on replay. pending stays nonzero so
-		// compaction retries.
-		return nil
-	}
-	// Harden the attached audit file before dropping the WAL: batch
-	// records about to be truncated (or deleted with their segment) may
-	// hold the only durable copy of buffered audit lines. On failure,
-	// keep the WAL authoritative. (Lock order is safe: the committer
-	// never holds the audit mutex while waiting for tl.mu —
-	// appendBuffered releases it per line.)
-	if a := tl.attachedAudit(); a != nil {
-		if err := a.harden(); err != nil {
-			return nil
-		}
-	}
-	tl.snapSeq = snap.Seq
-	tl.pending = 0
-	// The snapshot is durable; the WAL records it covers — the whole
-	// tail and every sealed segment (snap.Seq == tl.seq covers them all)
-	// — are dead weight. Truncation/deletion failures are not fatal:
-	// replay's seq guard skips covered records and the next compaction
-	// re-deletes covered segments.
-	_ = tl.f.Truncate(0)
-	tl.tailStart = tl.seq
-	for _, sg := range tl.segs {
-		_ = os.Remove(sg.path)
-	}
-	tl.segs = nil
-	return nil
 }
 
 // Close drains the group committer (parked entries are committed, late
@@ -660,8 +573,8 @@ func (tl *TenantLog) Close() error {
 // syncDir fsyncs a directory so entry creation/rename is durable. The
 // tenant-creation path refuses the creation on failure (an acknowledged
 // tenant whose directory entry was never durable could vanish on crash
-// and recover with a fresh budget); the snapshot path gates WAL
-// truncation on it.
+// and recover with a fresh budget); compaction gates segment deletion on
+// it.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -29,6 +29,31 @@ func row(uid string, v float64) []dpsql.Value {
 	return []dpsql.Value{dpsql.Str(uid), dpsql.Float(v)}
 }
 
+// AppendDeduct writes one standalone deduct record, flushed and fsynced
+// — the record directories written before group commit hold, which
+// recovery must still replay. Live deductions go through CommitDeduct.
+func (tl *TenantLog) AppendDeduct(c dp.Cost) error {
+	return tl.append(record{Type: recDeduct, Cost: &c}, true)
+}
+
+// recoveredSpend is a recovered tenant's total spend: its snapshot
+// ledger (if any) plus every replayed deduction.
+func recoveredSpend(t *testing.T, rec *RecoveredTenant) float64 {
+	t.Helper()
+	spent := 0.0
+	if rec.Ledger != nil {
+		led, err := dp.RestoreLedger(*rec.Ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spent = led.Spent()
+	}
+	for _, c := range rec.Deducts {
+		spent += c.Eps
+	}
+	return spent
+}
+
 // seedStore writes a tenant with a table, rows, and deducts, returning
 // the data dir.
 func seedStore(t *testing.T) string {
@@ -157,9 +182,8 @@ func TestTornTailDropsRowsNeverDeductions(t *testing.T) {
 }
 
 func TestSnapshotPlusTailEquivalence(t *testing.T) {
-	// The same operation stream applied (a) straight through a WAL and
-	// (b) with a snapshot compaction in the middle must recover to the
-	// same state as an in-memory twin.
+	// An operation stream with a compaction in the middle must recover
+	// to the same state as an in-memory twin.
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -177,26 +201,12 @@ func TestSnapshotPlusTailEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = twin.Spend(dp.EpsCost(0.5))
-	if err := tl.AppendDeduct(dp.EpsCost(0.5)); err != nil {
+	if _, err := tl.CommitDeduct(dp.EpsCost(0.5)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Compact: snapshot captures config+ledger+tables through here.
-	ls, err := twin.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = tl.WriteSnapshot(TenantSnapshot{
-		Config: testConfig(),
-		Ledger: ls,
-		Tables: []dpsql.TableState{{
-			Name:    "events",
-			Columns: eventsSchema().Columns,
-			UserCol: "uid",
-			Rows:    [][]dpsql.Value{row("u1", 1), row("u2", 2)},
-		}},
-	})
-	if err != nil {
+	// Compact: the snapshot folds config+ledger+tables through here.
+	if err := tl.Compact(testConfig(), testReplayer()); err != nil {
 		t.Fatal(err)
 	}
 	if got := tl.RecordsSinceSnapshot(); got != 0 {
@@ -208,7 +218,7 @@ func TestSnapshotPlusTailEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = twin.Spend(dp.EpsCost(0.25))
-	if err := tl.AppendDeduct(dp.EpsCost(0.25)); err != nil {
+	if _, err := tl.CommitDeduct(dp.EpsCost(0.25)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -241,24 +251,22 @@ func TestSnapshotPlusTailEquivalence(t *testing.T) {
 
 func TestCrashBetweenSnapshotAndTruncationIsIdempotent(t *testing.T) {
 	// Simulate the worst interleaving: the snapshot is durable but the
-	// WAL still holds every record it covers. The seq guard must skip
-	// them instead of double-applying.
+	// WAL tail still holds every record it covers (the shape a crash
+	// between snapshot and truncation left in earlier versions). The seq
+	// guard must skip them instead of double-applying.
 	dir := seedStore(t)
 	s, rec := recoverOne(t, dir)
 	walPath := filepath.Join(dir, "acme", walName)
-	preTrunc, err := os.ReadFile(walPath)
+	preCompact, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	led, _ := dp.NewBasicLedger(4)
-	_ = led.Spend(dp.EpsCost(0.75)) // both deducts
-	ls, _ := led.Snapshot()
-	if err := rec.Log.WriteSnapshot(TenantSnapshot{Config: rec.Config, Ledger: ls, Tables: rec.Tables}); err != nil {
+	if err := rec.Log.Compact(rec.Config, testReplayer()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	// Put the pre-truncation WAL back: every record is now "covered".
-	if err := os.WriteFile(walPath, preTrunc, 0o644); err != nil {
+	// Put the pre-compaction WAL back: every record is now "covered".
+	if err := os.WriteFile(walPath, preCompact, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -276,21 +284,18 @@ func TestCrashBetweenSnapshotAndTruncationIsIdempotent(t *testing.T) {
 }
 
 func TestSnapshotOnRecoveredLogKeepsLaterDeducts(t *testing.T) {
-	// Regression: a recovered WAL must be reopened in append mode. Without
-	// O_APPEND, WriteSnapshot's Truncate(0) left the file offset past EOF,
-	// so the next append landed after a zero-filled hole and the NEXT
-	// recovery read the hole as a torn prefix — dropping fsynced
-	// deductions recorded after the snapshot (a partial budget refill).
+	// Regression: a recovered WAL must be reopened in append mode, or a
+	// write after the log was cut could land past EOF, leaving a
+	// zero-filled hole the NEXT recovery reads as a torn prefix —
+	// dropping fsynced deductions recorded after the snapshot (a partial
+	// budget refill).
 	dir := seedStore(t)
 	s, rec := recoverOne(t, dir)
-	led, _ := dp.NewBasicLedger(4)
-	_ = led.Spend(dp.EpsCost(0.75))
-	ls, _ := led.Snapshot()
-	if err := rec.Log.WriteSnapshot(TenantSnapshot{Config: rec.Config, Ledger: ls, Tables: rec.Tables}); err != nil {
+	if err := rec.Log.Compact(rec.Config, testReplayer()); err != nil {
 		t.Fatal(err)
 	}
 	// An answered release after the compaction.
-	if err := rec.Log.AppendDeduct(dp.EpsCost(0.5)); err != nil {
+	if _, err := rec.Log.CommitDeduct(dp.EpsCost(0.5)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -299,6 +304,9 @@ func TestSnapshotOnRecoveredLogKeepsLaterDeducts(t *testing.T) {
 	defer s2.Close()
 	if len(rec2.Deducts) != 1 || rec2.Deducts[0].Eps != 0.5 {
 		t.Fatalf("fsynced post-snapshot deduction lost: %+v", rec2.Deducts)
+	}
+	if got := recoveredSpend(t, rec2); got != 1.25 {
+		t.Fatalf("recovered spend %v, want 1.25", got)
 	}
 	wal, err := os.ReadFile(filepath.Join(dir, "acme", walName))
 	if err != nil {
@@ -445,8 +453,9 @@ func TestCheckTenantID(t *testing.T) {
 }
 
 func TestConcurrentAppendsVsSnapshot(t *testing.T) {
-	// Appends racing WriteSnapshot must neither tear the log nor lose a
-	// deduct (run under -race in CI).
+	// Appends racing Compact must neither tear the log nor lose a
+	// deduct (run under -race in CI): recovered spend covers every
+	// acknowledged deduction.
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -460,42 +469,39 @@ func TestConcurrentAppendsVsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 50
+	acked := 0
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			if err := tl.AppendDeduct(dp.EpsCost(0.001)); err != nil {
+			if _, err := tl.CommitDeduct(dp.EpsCost(0.001)); err != nil {
 				t.Error(err)
 				return
 			}
+			acked++
 			_ = tl.AppendRows("events", 0, [][]dpsql.Value{row("u1", float64(i))})
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		led, _ := dp.NewBasicLedger(4)
-		ls, _ := led.Snapshot()
 		for i := 0; i < 5; i++ {
-			// WriteSnapshot stamps tl.seq under the same mutex appends
-			// take. This snapshot's payload is deliberately stale (no
-			// tables — the serve layer's persist lock prevents that);
-			// recovery must still neither tear nor fail, merely drop the
-			// orphaned row batches.
-			_ = tl.WriteSnapshot(TenantSnapshot{Config: testConfig(), Ledger: ls})
+			if err := tl.Compact(testConfig(), testReplayer()); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, rec := recoverOne(t, dir)
 	defer s2.Close()
-	if _, err := s2.Recover(); err != nil {
-		t.Fatalf("log torn by concurrent snapshot: %v", err)
+	if got, want := recoveredSpend(t, rec), float64(acked)*0.001; got < want-1e-9 {
+		t.Fatalf("recovered spend %v < acknowledged %v", got, want)
+	}
+	if got := len(rec.Tables[0].Rows); got != acked {
+		t.Fatalf("recovered %d rows, want %d", got, acked)
 	}
 }
 
