@@ -20,9 +20,9 @@
 // concurrently on a bounded worker pool while ingestion streams in; the
 // ledgers and the dpsql engine are safe for concurrent use, with atomic
 // check-and-deduct budget enforcement so racing releases can never
-// jointly overdraw a tenant's budget. cmd/updp-bench doubles as the
-// service-level load generator (-serve) reporting throughput and latency
-// percentiles, and (-compare) as the composition-backend exhaustion duel.
+// jointly overdraw a tenant's budget. perfbench (perfbench/run.sh, its
+// own module) measures the service end to end: release throughput and
+// latency percentiles on three workloads, with every answer checked.
 // See examples/serve for a full client walkthrough.
 //
 // # Privacy accounting backends
@@ -50,9 +50,10 @@
 // cache (LRU-evicted, free post-processing) and supports record-level
 // privacy units for tables where a row is a user. docs/ACCOUNTING.md is
 // the operator's guide to choosing a backend and pricing; docs/API.md is
-// the complete HTTP wire reference; updp-bench -serve -compare is the
-// three-way exhaustion duel demonstrating rdp >= zcdp >= pure sustained
-// releases from the same nominal budget.
+// the complete HTTP wire reference. The serve tests
+// TestZCDPTenantSustainsTwiceThePureReleases and
+// TestRDPTenantSustainsMostReleases pin the exhaustion duel: rdp >= zcdp
+// >= pure sustained releases from the same nominal budget.
 //
 // # Durable tenant state
 //
@@ -86,14 +87,12 @@
 // writer, and group commit the one commit path. The building blocks are
 // reusable: every dp ledger implements
 // Snapshot/Restore/ForceSpend (dp.StatefulLedger) and dpsql tables
-// export/import their full state. updp-bench -serve -restart is the
-// recovery drill: ingest + spend, snapshot, crash without flushing,
-// re-open, and report the carried-over spend and recovery wall-time;
-// updp-bench -serve -duel measures the remaining durability tax as an
-// ephemeral/durable throughput ratio under a distinct-release load; and
-// updp-bench -serve -snapshot-during measures release p99 with
-// compactions firing continuously against the compaction-free steady
-// state — the direct check that compaction no longer stalls releases.
+// export/import their full state. The serve test
+// TestCompactionConcurrentWithReleases is the recovery drill: releases
+// run through 15 compactions, the server crashes without flushing, and
+// the re-opened tenant's spend must be at least the acknowledged spend.
+// perfbench's durable-ingest workload reports the durability cost per
+// release (store.fsyncs_per_release with --trace 1).
 //
 // # Columnar sharded storage
 //
@@ -134,8 +133,10 @@
 // shard count and nothing records it: recovery routes every row again,
 // older directories' shard tags and placement arrays are ignored (they
 // name the same shards), and pre-shard and pre-columnar data directories
-// boot unchanged with spend preserved. updp-bench -serve -shards sweep
-// reports ingest rows/sec and release latency at N=1,4,16.
+// boot unchanged with spend preserved. BenchmarkShardIngest and
+// BenchmarkGroupedScan/shards=* price ingest and release scans by shard
+// count, and perfbench's grouped-sharded workload runs 16 shards end to
+// end.
 //
 // # Observability
 //
@@ -153,7 +154,6 @@
 // recorded spend. docs/OBSERVABILITY.md is the operator's
 // catalog (metrics, trace stages, audit schema, scrape and pprof
 // setup); updp-serve -metrics-addr and -debug-addr mount the scrape
-// and net/http/pprof on dedicated listeners; updp-bench -serve prints
-// a per-stage latency breakdown differenced from the server's own
-// histograms.
+// and net/http/pprof on dedicated listeners; perfbench --trace 1 adds
+// the per-stage latency split to its run record.
 package repro

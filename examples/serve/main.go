@@ -28,7 +28,10 @@ import (
 func main() {
 	// An in-process server on a loopback port; in production this is
 	// `updp-serve -addr :8500` and clients speak plain HTTP+JSON.
-	srv := serve.New(serve.Options{Seed: 42})
+	srv, err := serve.Open(serve.Options{Seed: 42})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -38,3 +38,34 @@ func BenchmarkFiniteDomainQuantile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSpend prices one ledger deduction of a tiny pure-ε cost on
+// each composition backend, against a budget no run can exhaust: pure
+// adds ε, zCDP converts it to ρ = ε²/2, and RDP adds the pure-ε curve at
+// every order of its grid.
+func BenchmarkSpend(b *testing.B) {
+	ledgers := []struct {
+		name string
+		open func() (Ledger, error)
+	}{
+		{"pure", func() (Ledger, error) { return NewBasicLedger(1e12) }},
+		{"zcdp", func() (Ledger, error) { return NewZCDPLedger(1e12, 1e-6) }},
+		{"rdp", func() (Ledger, error) { return NewRDPLedger(1e12, 1e-6, nil) }},
+	}
+	for _, lg := range ledgers {
+		b.Run(lg.name, func(b *testing.B) {
+			l, err := lg.open()
+			if err != nil {
+				b.Fatal(err)
+			}
+			cost := EpsCost(1e-6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := l.Spend(cost); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

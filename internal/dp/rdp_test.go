@@ -250,8 +250,9 @@ func TestRDPLedgerRejectsBadParams(t *testing.T) {
 // On a mixed Laplace+Gaussian stream with the same nominal (ε, δ)
 // budget, the RDP ledger sustains at least as many releases as the zCDP
 // ledger, which sustains more than the pure one — the deterministic core
-// of the updp-bench three-way duel. The pure ledger cannot express the
-// Gaussian at all, so its stream charges the count in ε instead.
+// of the serve-level three-way duel, TestRDPTenantSustainsMostReleases.
+// The pure ledger cannot express the Gaussian at all, so its stream
+// charges the count in ε instead.
 func TestRDPOutlastsZCDPOnMixedWorkload(t *testing.T) {
 	const (
 		nominal = 0.5

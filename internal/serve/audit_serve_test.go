@@ -14,7 +14,7 @@ import (
 // count, and NativeCost summing to TenantStatus.Spent — while cache
 // replays and budget refusals leave no record.
 func TestAuditMatchesLedger(t *testing.T) {
-	srv := New(Options{Seed: 11, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 11, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -101,7 +101,7 @@ func TestAuditMatchesLedger(t *testing.T) {
 // contract: NextAfter chains pages with no gaps or repeats and is absent
 // on the last page; bad parameters are 400s.
 func TestAuditPagination(t *testing.T) {
-	srv := New(Options{Seed: 12, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 12, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -69,7 +69,7 @@ func TestRespCacheVersionFenceSurvivesLRU(t *testing.T) {
 // TestCacheEvictionsInStats drives a tiny cache through the HTTP surface
 // and checks the counter lands in /v1/stats and the tenant status.
 func TestCacheEvictionsInStats(t *testing.T) {
-	srv := New(Options{Seed: 20, Workers: 2})
+	srv := mustOpen(t, Options{Seed: 20, Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

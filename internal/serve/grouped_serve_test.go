@@ -43,7 +43,7 @@ func provisionGrouped(t *testing.T, c *client, id string, eps float64) {
 // release's ε for the whole grouped answer, appends exactly one audit
 // record, and replays byte-identical repeats from the cache for free.
 func TestHistogramEndpoint(t *testing.T) {
-	srv := New(Options{Seed: 5, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 5, Workers: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -128,7 +128,7 @@ func TestHistogramEndpoint(t *testing.T) {
 // release, grouped estimate responses carry Groups, and the malformed
 // shapes map to the new error codes.
 func TestGroupedQueryAndEstimate(t *testing.T) {
-	srv := New(Options{Seed: 6, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 6, Workers: 4})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer srv.Close()
@@ -190,6 +190,78 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 	}
 	if st.Spent != 1.0 || st.AuditRecords != 2 {
 		t.Fatalf("refused requests charged: spent=%v audit=%d", st.Spent, st.AuditRecords)
+	}
+}
+
+// TestGroupedParallelSustainsKTimesEvenSplit is the grouped accounting
+// duel: two pure tenants with the same budget release k = 3 bucket
+// histograms at equal per-bucket accuracy until each is refused. The
+// parallel twin asks for ε₀ at the default contribution bound: groups
+// partition users, so each bucket gets the full ε₀ and the histogram costs
+// ε₀. The even-split twin reaches the same per-bucket noise through the
+// legacy unbounded mode (contribution_bound -1), which splits the request
+// ε/k per bucket, so it must ask for, and is charged, k·ε₀. Same
+// accuracy, k times the price: the parallel twin sustains ~k× the
+// releases.
+func TestGroupedParallelSustainsKTimesEvenSplit(t *testing.T) {
+	srv := mustOpen(t, Options{Seed: 21, Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	c := newClient(t, ts.URL)
+
+	const (
+		k      = 3
+		budget = 100.0
+		eps0   = 0.5
+	)
+	twins := []struct {
+		id        string
+		eps       float64
+		bound     int
+		trueCount float64 // per bucket: 4 first-seen users, or all 12 unclamped
+	}{
+		{"parallel", eps0, 0, 4},
+		{"even-split", k * eps0, -1, 12},
+	}
+	var sustained [2]int
+	var mse [2]float64
+	for i, tw := range twins {
+		provisionGrouped(t, c, tw.id, budget)
+		var sq float64
+		for n := 0; ; n++ {
+			// A relative 1e-9 jitter keeps every request byte-distinct, so
+			// none is a free cache replay.
+			var h HistogramResponse
+			code := c.do("POST", "/v1/tenants/"+tw.id+"/histogram", HistogramRequest{
+				Table: "events", GroupBy: "grp", Epsilon: tw.eps * (1 + float64(n)*1e-9), ContributionBound: tw.bound,
+			}, &h)
+			if code == http.StatusTooManyRequests {
+				sustained[i] = n
+				break
+			}
+			if code != http.StatusOK || h.Cached || len(h.Buckets) != k {
+				t.Fatalf("%s release %d: code %d, %+v", tw.id, n, code, h)
+			}
+			for _, b := range h.Buckets {
+				d := b.Count - tw.trueCount
+				sq += d * d
+			}
+		}
+		if sustained[i] == 0 {
+			t.Fatalf("%s: first release refused", tw.id)
+		}
+		mse[i] = sq / float64(k*sustained[i])
+	}
+	t.Logf("sustained: parallel %d, even-split %d; per-bucket MSE %.2f vs %.2f (Laplace(1/ε₀) variance %.0f)",
+		sustained[0], sustained[1], mse[0], mse[1], 2/(eps0*eps0))
+
+	if ratio := float64(sustained[0]) / float64(sustained[1]); ratio < 2.9 {
+		t.Fatalf("parallel twin sustained %d releases, even-split %d: ratio %.2f, want >= 2.9", sustained[0], sustained[1], ratio)
+	}
+	// The duel is only fair if both twins buy the same accuracy.
+	if r := mse[0] / mse[1]; r > 2 || r < 0.5 {
+		t.Fatalf("per-bucket MSE parallel %.2f vs even-split %.2f: not equal accuracy (ratio %.2f)", mse[0], mse[1], r)
 	}
 }
 

@@ -21,7 +21,7 @@ var promNameRE = regexp.MustCompile(`^[a-z_:][a-z0-9_:]*$`)
 var promLineRE = regexp.MustCompile(`^[a-z_:][a-z0-9_:]*(\{[^{}]*\})? (NaN|[+-]?Inf|[+-]?[0-9].*)$`)
 
 func TestMetricNamesValid(t *testing.T) {
-	srv := New(Options{Seed: 1})
+	srv := mustOpen(t, Options{Seed: 1})
 	defer srv.Close()
 	names := srv.metrics.reg.Names()
 	if len(names) == 0 {
@@ -74,7 +74,7 @@ func scrape(t *testing.T, base string) (map[string]float64, string) {
 // checks the scrape: valid text format, per-stage histograms, per-tenant
 // budget gauges, and counters that agree with what actually happened.
 func TestMetricsExposition(t *testing.T) {
-	srv := New(Options{Seed: 2, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 2, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -148,7 +148,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestStatsMetricsParity: /v1/stats and /metrics read the same
 // instruments, so their counters are equal on a quiescent server.
 func TestStatsMetricsParity(t *testing.T) {
-	srv := New(Options{Seed: 3, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 3, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -196,7 +196,7 @@ func TestStatsMetricsParity(t *testing.T) {
 // TestReleaseIDHeader: every release response carries X-Release-Id, on
 // success, cache replay, and refusal alike.
 func TestReleaseIDHeader(t *testing.T) {
-	srv := New(Options{Seed: 4})
+	srv := mustOpen(t, Options{Seed: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -238,7 +238,7 @@ func TestReleaseIDHeader(t *testing.T) {
 // scrapes (run with -race): the gauges read live tenant state while
 // handlers mutate it.
 func TestConcurrentScrape(t *testing.T) {
-	srv := New(Options{Seed: 5, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 5, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -20,10 +20,7 @@ func openDurable(t *testing.T, dir string, seed uint64, opts ...func(*Options)) 
 	for _, f := range opts {
 		f(&o)
 	}
-	srv, err := Open(o)
-	if err != nil {
-		t.Fatalf("Open(%s): %v", dir, err)
-	}
+	srv := mustOpen(t, o)
 	hs := httptest.NewServer(srv)
 	return srv, newClient(t, hs.URL), hs.Close
 }
@@ -439,9 +436,9 @@ func TestConcurrentIngestVsFlush(t *testing.T) {
 }
 
 // TestInMemoryServerUnchanged: without DataDir nothing touches disk and
-// the legacy New constructor still works.
+// the server still hosts tenants.
 func TestInMemoryServerUnchanged(t *testing.T) {
-	srv := New(Options{Seed: 10})
+	srv := mustOpen(t, Options{Seed: 10})
 	defer srv.Close()
 	if srv.DataDir() != "" {
 		t.Fatalf("in-memory server has a data dir: %q", srv.DataDir())

@@ -12,7 +12,7 @@ import (
 // ---------- rdp accounting over the wire ----------
 
 func TestCreateTenantRDPConfig(t *testing.T) {
-	srv := New(Options{Seed: 31})
+	srv := mustOpen(t, Options{Seed: 31})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -71,7 +71,7 @@ func TestCreateTenantRDPConfig(t *testing.T) {
 // strictly increasing in α for pure+Gaussian spends, with the scalar
 // view equal to the best order's conversion.
 func TestRDPTenantStatusPerOrderSpend(t *testing.T) {
-	srv := New(Options{Seed: 32, Workers: 2})
+	srv := mustOpen(t, Options{Seed: 32, Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -235,11 +235,12 @@ func TestMixedBackendsDataDirBoot(t *testing.T) {
 // The headline three-way ordering over the wire: with the same nominal
 // (ε, δ) budget and the same mixed Laplace+Gaussian stream, the rdp twin
 // sustains at least as many releases as the zcdp twin, which sustains at
-// least twice the pure twin — the serve-level mirror of the updp-bench
-// -compare duel. (The pure twin takes the count releases through Laplace
-// at ε₀, since the Gaussian is unrepresentable on its backend.)
+// least twice the pure twin — the serve-level mirror of the ledger-level
+// TestRDPOutlastsZCDPOnMixedWorkload. (The pure twin takes the count
+// releases through Laplace at ε₀, since the Gaussian is unrepresentable
+// on its backend.)
 func TestRDPTenantSustainsMostReleases(t *testing.T) {
-	srv := New(Options{Seed: 33, Workers: 2})
+	srv := mustOpen(t, Options{Seed: 33, Workers: 2})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -219,7 +219,7 @@ type Options struct {
 // per-shard bookkeeping costs more than lock striping wins.
 const maxTenantShards = dpsql.MaxShards
 
-// Server hosts tenants and serves the HTTP API. Create with New; it is
+// Server hosts tenants and serves the HTTP API. Create with Open; it is
 // safe for concurrent use.
 type Server struct {
 	mux  *http.ServeMux
@@ -295,17 +295,6 @@ type Tenant struct {
 	refusals    atomic.Int64
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-}
-
-// New returns a ready-to-serve in-memory Server. It panics if Open would
-// fail, which only a durable configuration (Options.DataDir) can cause —
-// durable servers should call Open and handle the error.
-func New(opts Options) *Server {
-	s, err := Open(opts)
-	if err != nil {
-		panic(fmt.Sprintf("serve.New: %v (use serve.Open for durable servers)", err))
-	}
-	return s
 }
 
 // Open returns a ready-to-serve Server. With Options.DataDir set it opens

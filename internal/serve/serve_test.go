@@ -15,6 +15,16 @@ import (
 	"repro/internal/xrand"
 )
 
+// mustOpen opens a test server, failing the test if Open fails.
+func mustOpen(t *testing.T, opts Options) *Server {
+	t.Helper()
+	srv, err := Open(opts)
+	if err != nil {
+		t.Fatalf("Open(%+v): %v", opts, err)
+	}
+	return srv
+}
+
 // client is a minimal JSON client for the test server.
 type client struct {
 	t    *testing.T
@@ -97,7 +107,7 @@ func seedTenant(t *testing.T, c *client, id string, totalEps float64, nUsers int
 }
 
 func TestEndToEndSingleTenant(t *testing.T) {
-	srv := New(Options{Seed: 1, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 1, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -138,7 +148,7 @@ func TestEndToEndSingleTenant(t *testing.T) {
 }
 
 func TestEstimateStatsAndErrors(t *testing.T) {
-	srv := New(Options{Seed: 2, Workers: 4})
+	srv := mustOpen(t, Options{Seed: 2, Workers: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -201,7 +211,7 @@ func TestEstimateStatsAndErrors(t *testing.T) {
 // traffic across two tenants, with exact per-tenant budget enforcement.
 // Run under -race.
 func TestConcurrentMixedWorkloadBudgetEnforcement(t *testing.T) {
-	srv := New(Options{Seed: 3, Workers: 8, QueueDepth: 64})
+	srv := mustOpen(t, Options{Seed: 3, Workers: 8, QueueDepth: 64})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -286,7 +296,7 @@ func TestConcurrentMixedWorkloadBudgetEnforcement(t *testing.T) {
 
 // Ingestion racing queries through the full HTTP stack. Run under -race.
 func TestIngestWhileQuerying(t *testing.T) {
-	srv := New(Options{Seed: 4})
+	srv := mustOpen(t, Options{Seed: 4})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -330,7 +340,7 @@ func TestIngestWhileQuerying(t *testing.T) {
 // Tenants are isolated: a release against one tenant must not move
 // another's ledger, and tenant ids must not collide.
 func TestTenantIsolation(t *testing.T) {
-	srv := New(Options{Seed: 5})
+	srv := mustOpen(t, Options{Seed: 5})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -360,7 +370,7 @@ func TestTenantIsolation(t *testing.T) {
 // A load-shed estimate (full queue → 503) must not be charged: the spend
 // happens on the worker, after the request is accepted.
 func TestShedEstimateCostsNoBudget(t *testing.T) {
-	srv := New(Options{Seed: 7, Workers: 1, QueueDepth: 1})
+	srv := mustOpen(t, Options{Seed: 7, Workers: 1, QueueDepth: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -407,7 +417,7 @@ func TestShedEstimateCostsNoBudget(t *testing.T) {
 
 // The /v1/stats counters add up across tenants.
 func TestServerStats(t *testing.T) {
-	srv := New(Options{Seed: 6})
+	srv := mustOpen(t, Options{Seed: 6})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -31,7 +31,7 @@ func postRelease(t *testing.T, base, path, body string) (int, string) {
 // each tagged with its shard index and row count.
 func TestTraceExplorerShardedRelease(t *testing.T) {
 	const shards = 4
-	srv := New(Options{Seed: 11, Workers: 4, DefaultShards: shards})
+	srv := mustOpen(t, Options{Seed: 11, Workers: 4, DefaultShards: shards})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -104,7 +104,7 @@ func TestTraceExplorerShardedRelease(t *testing.T) {
 // SlowRelease emits exactly one structured log line carrying the release
 // id, and that id retrieves the full trace from GET /v1/traces/{id}.
 func TestSlowReleaseLogAndRetrieval(t *testing.T) {
-	srv := New(Options{Seed: 12, Workers: 2, SlowRelease: time.Nanosecond})
+	srv := mustOpen(t, Options{Seed: 12, Workers: 2, SlowRelease: time.Nanosecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -158,7 +158,7 @@ func TestRecorderRetainsSlowUnderLoad(t *testing.T) {
 	// Phase 1: every release is slow (threshold 1ns); all must be
 	// retrievable afterwards — tail-sampling never drops them while they
 	// fit the ring.
-	srv := New(Options{Seed: 13, Workers: 4, SlowRelease: time.Nanosecond, TraceRing: 64})
+	srv := mustOpen(t, Options{Seed: 13, Workers: 4, SlowRelease: time.Nanosecond, TraceRing: 64})
 	ts := httptest.NewServer(srv)
 	c := newClient(t, ts.URL)
 	seedTenant(t, c, "acme", 1e6, 100)
@@ -199,7 +199,7 @@ func TestRecorderRetainsSlowUnderLoad(t *testing.T) {
 
 	// Phase 2: a flood of healthy releases on a small ring stays bounded
 	// at the cap (nothing noteworthy, so only the recent ring fills).
-	srv2 := New(Options{Seed: 14, Workers: 4, SlowRelease: -1, TraceRing: 16})
+	srv2 := mustOpen(t, Options{Seed: 14, Workers: 4, SlowRelease: -1, TraceRing: 16})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()

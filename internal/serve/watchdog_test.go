@@ -17,7 +17,7 @@ import (
 // retained traces; the cooldown suppresses retriggering.
 func TestWatchdogIncidentBundle(t *testing.T) {
 	dir := t.TempDir()
-	srv := New(Options{
+	srv := mustOpen(t, Options{
 		Seed:             21,
 		Workers:          2,
 		SLOLatency:       time.Nanosecond,
@@ -108,7 +108,7 @@ func TestWatchdogIncidentBundle(t *testing.T) {
 // TestWatchdogDisarmed: without SLO options no watchdog runs and the
 // traces endpoint still works — observability features are independent.
 func TestWatchdogDisarmed(t *testing.T) {
-	srv := New(Options{Seed: 22})
+	srv := mustOpen(t, Options{Seed: 22})
 	defer srv.Close()
 	if srv.watchdog != nil {
 		t.Fatal("watchdog armed without SLOLatency/IncidentDir")
