@@ -1,17 +1,26 @@
 // Command benchdiff compares two benchmark-smoke artifacts (`go test
-// -json -bench` output, as CI's bench-smoke job records) and prints a
-// markdown summary of per-benchmark ns/op deltas, flagging regressions
-// past a threshold. CI runs it non-blocking against the committed
-// baseline so the perf trajectory is visible on every run:
+// -json -bench -benchmem -count N` output, as CI's bench-smoke job
+// records) and prints a markdown summary of per-benchmark medians:
+// ns/op, B/op and allocs/op.
 //
 //	benchdiff -old BENCH_BASELINE.json -new BENCH_1.json
 //	benchdiff -old old.json -new new.json -threshold 0.5
 //
-// It always exits 0: the diff is a surface, not a gate (single-iteration
-// smoke numbers on shared CI hardware are too noisy to block on). Refresh
-// the baseline with:
+// Time is a surface, not a gate: a median ns/op slowdown past -threshold
+// only emits a ::warning annotation (single-iteration timings on shared
+// CI hardware are too noisy to block on). Allocation counts are
+// different: a benchmark whose allocs/op was identical across every
+// baseline run (at least two) allocates deterministically, so when its
+// median allocs/op rises — in every fresh run, not just most — the
+// change is real, and benchdiff exits 1 with an ::error annotation.
+// Requiring every run keeps the gate quiet on benchmarks that allocate
+// deterministically only most of the time: runtime and goroutine
+// fan-out allocations shift a count by a few now and then. Between four
+// 5-run artifacts of one unchanged tree, a median-only rule fired in 4
+// of 12 comparisons and the every-run rule in none. Refresh the baseline
+// when a change shifts allocations on purpose:
 //
-//	go test -json -bench . -benchtime=1x -run '^$' ./... > BENCH_BASELINE.json
+//	go test -json -bench . -benchtime=1x -count 5 -benchmem -cpu 2 -run '^$' ./... > BENCH_BASELINE.json
 package main
 
 import (
@@ -22,6 +31,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,66 +39,132 @@ import (
 
 // benchLine matches a full Go benchmark result line, capturing the name
 // (GOMAXPROCS suffix stripped so runs from different machines align) and
-// the ns/op figure.
-var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-\d+)?\s+\d+\s+([0-9.eE+]+) ns/op`)
+// the metrics that follow the iteration count.
+var benchLine = regexp.MustCompile(`^(Benchmark[^\s-]+)(?:-\d+)?\s+\d+\s+(.*ns/op.*)$`)
 
-// resultOnly matches the result half alone: test2json often splits a
-// benchmark's echoed name and its result line into separate output
-// events, leaving the name only in the event's Test field.
-var resultOnly = regexp.MustCompile(`^\s*\d+\s+([0-9.eE+]+) ns/op`)
+// resultOnly matches the result half alone: test2json sometimes ends a
+// benchmark's echoed name with a newline and prints its result on a line
+// of its own, leaving the name only in the event's Test field.
+var resultOnly = regexp.MustCompile(`^\s*\d+\s+(.*ns/op.*)$`)
+
+// metric matches one "value unit" pair of a result line.
+var metric = regexp.MustCompile(`([0-9.eE+-]+) (ns/op|B/op|allocs/op)\b`)
 
 // testEvent is the subset of test2json's event schema benchdiff reads.
 type testEvent struct {
-	Action string `json:"Action"`
-	Test   string `json:"Test"`
-	Output string `json:"Output"`
+	Action  string `json:"Action"`
+	Package string `json:"Package"`
+	Test    string `json:"Test"`
+	Output  string `json:"Output"`
 }
 
 // stripProcs drops a -N GOMAXPROCS suffix from a benchmark name.
 var stripProcs = regexp.MustCompile(`-\d+$`)
 
-// parseBench extracts name -> ns/op from a test2json stream (or, as a
-// fallback, plain `go test -bench` text output).
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+// runs holds one benchmark's samples, one per -count run. bytes and
+// allocs are empty when the artifact was recorded without -benchmem.
+type runs struct {
+	ns, bytes, allocs []float64
+}
+
+// parseBench extracts every benchmark's samples from a test2json stream
+// (or, as a fallback, plain `go test -bench` text output). test2json
+// splits a result line into several output events — the padded name,
+// then the figures — and with -count the later runs' events carry no
+// Test field at all, so fragments are joined per package until a
+// newline completes the line.
+func parseBench(r io.Reader) (map[string]*runs, error) {
+	out := map[string]*runs{}
+	partial := map[string]string{} // package -> unterminated output
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Bytes()
-		text := string(line)
+		text := sc.Text()
 		testName := ""
 		var ev testEvent
-		if err := json.Unmarshal(line, &ev); err == nil && ev.Action != "" {
+		if err := json.Unmarshal(sc.Bytes(), &ev); err == nil && ev.Action != "" {
 			if ev.Action != "output" {
 				continue
 			}
-			text = ev.Output
+			text = partial[ev.Package] + ev.Output
+			if !strings.HasSuffix(text, "\n") {
+				partial[ev.Package] = text
+				continue
+			}
+			delete(partial, ev.Package)
+			text = strings.TrimRight(text, "\n")
 			testName = ev.Test
 		}
-		name, nsText := "", ""
+		name, rest := "", ""
 		if m := benchLine.FindStringSubmatch(text); m != nil {
-			name, nsText = m[1], m[2]
+			name, rest = m[1], m[2]
 		} else if m := resultOnly.FindStringSubmatch(text); m != nil && strings.HasPrefix(testName, "Benchmark") {
-			name, nsText = stripProcs.ReplaceAllString(testName, ""), m[1]
+			name, rest = stripProcs.ReplaceAllString(testName, ""), m[1]
 		} else {
 			continue
 		}
-		ns, err := strconv.ParseFloat(nsText, 64)
-		if err != nil {
-			continue
+		rs := out[name]
+		if rs == nil {
+			rs = &runs{}
+			out[name] = rs
 		}
-		out[name] = ns
+		for _, m := range metric.FindAllStringSubmatch(rest, -1) {
+			v, err := strconv.ParseFloat(m[1], 64)
+			if err != nil {
+				continue
+			}
+			switch m[2] {
+			case "ns/op":
+				rs.ns = append(rs.ns, v)
+			case "B/op":
+				rs.bytes = append(rs.bytes, v)
+			case "allocs/op":
+				rs.allocs = append(rs.allocs, v)
+			}
+		}
+		if len(rs.ns) == 0 {
+			delete(out, name)
+		}
 	}
 	return out, sc.Err()
 }
 
-func loadBench(path string) (map[string]float64, error) {
+func loadBench(path string) (map[string]*runs, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return parseBench(f)
+}
+
+// median returns the middle sample (the mean of the middle two for an
+// even count); ok is false when there are none.
+func median(xs []float64) (m float64, ok bool) {
+	if len(xs) == 0 {
+		return 0, false
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2], true
+	}
+	return (s[n/2-1] + s[n/2]) / 2, true
+}
+
+// deterministic reports whether every sample is the same value, over at
+// least two samples — one run cannot show that a count is stable.
+func deterministic(xs []float64) bool {
+	if len(xs) < 2 {
+		return false
+	}
+	for _, x := range xs[1:] {
+		if x != xs[0] {
+			return false
+		}
+	}
+	return true
 }
 
 func human(ns float64) string {
@@ -104,40 +180,69 @@ func human(ns float64) string {
 	}
 }
 
+// countCell renders a per-op count's medians (B/op, allocs/op), or "—"
+// when either artifact was recorded without -benchmem.
+func countCell(base, cur []float64) string {
+	b, okB := median(base)
+	c, okC := median(cur)
+	if !okB || !okC {
+		return "—"
+	}
+	if b == c {
+		return strconv.FormatFloat(c, 'f', -1, 64)
+	}
+	return fmt.Sprintf("%s → %s", strconv.FormatFloat(b, 'f', -1, 64), strconv.FormatFloat(c, 'f', -1, 64))
+}
+
+// diffCounts is what writeDiff found.
+type diffCounts struct {
+	slower int // median ns/op past +threshold: warnings
+	allocs int // median allocs/op rose on a deterministic benchmark: errors
+}
+
 // writeDiff renders the markdown comparison of two parsed artifacts and
-// returns how many benchmarks regressed past threshold (a relative ns/op
-// increase, e.g. 0.25 = +25%). Extracted from main so the threshold
-// semantics are testable.
-func writeDiff(w io.Writer, oldB, newB map[string]float64, threshold float64) (regressions int) {
+// counts the regressions: median ns/op increases past threshold (a
+// relative increase, e.g. 0.25 = +25%) and allocs/op increases, in every
+// fresh run, on benchmarks whose baseline allocs/op never varied.
+// Extracted from main so both rules are testable.
+func writeDiff(w io.Writer, oldB, newB map[string]*runs, threshold float64) diffCounts {
 	names := make([]string, 0, len(newB))
 	for n := range newB {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 
-	fmt.Fprintf(w, "### Benchmark diff vs committed baseline (threshold +%.0f%%)\n\n", threshold*100)
-	fmt.Fprintln(w, "| benchmark | baseline | current | delta | |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---|")
+	fmt.Fprintf(w, "### Benchmark diff vs committed baseline (median ns/op threshold +%.0f%%; allocs/op gated)\n\n", threshold*100)
+	fmt.Fprintln(w, "| benchmark | baseline | current | delta | B/op | allocs/op | |")
+	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---|")
+	var dc diffCounts
 	improved, added := 0, 0
 	for _, n := range names {
 		cur := newB[n]
+		curNs, _ := median(cur.ns)
 		base, ok := oldB[n]
 		if !ok {
-			fmt.Fprintf(w, "| %s | — | %s | new | |\n", n, human(cur))
+			fmt.Fprintf(w, "| %s | — | %s | new | %s | %s | |\n", n, human(curNs), countCell(cur.bytes, cur.bytes), countCell(cur.allocs, cur.allocs))
 			added++
 			continue
 		}
-		delta := (cur - base) / base
-		flag := ""
+		baseNs, _ := median(base.ns)
+		delta := (curNs - baseNs) / baseNs
+		var flags []string
 		switch {
 		case delta > threshold:
-			flag = "⚠ regression"
-			regressions++
+			flags = append(flags, "⚠ slower")
+			dc.slower++
 		case delta < -threshold:
-			flag = "✓ faster"
+			flags = append(flags, "✓ faster")
 			improved++
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %+.1f%% | %s |\n", n, human(base), human(cur), delta*100, flag)
+		if deterministic(base.allocs) && len(cur.allocs) > 0 && slices.Min(cur.allocs) > base.allocs[0] {
+			flags = append(flags, "✗ more allocs")
+			dc.allocs++
+		}
+		fmt.Fprintf(w, "| %s | %s | %s | %+.1f%% | %s | %s | %s |\n", n, human(baseNs), human(curNs), delta*100,
+			countCell(base.bytes, cur.bytes), countCell(base.allocs, cur.allocs), strings.Join(flags, " "))
 	}
 	removed := 0
 	for n := range oldB {
@@ -145,17 +250,17 @@ func writeDiff(w io.Writer, oldB, newB map[string]float64, threshold float64) (r
 			removed++
 		}
 	}
-	fmt.Fprintf(w, "\n%d benchmarks; %d flagged ⚠ (> +%.0f%%), %d faster, %d new, %d removed. ",
-		len(names), regressions, threshold*100, improved, added, removed)
-	fmt.Fprintln(w, "Single-iteration smoke numbers are noisy; treat flags as pointers, not verdicts.")
-	return regressions
+	fmt.Fprintf(w, "\n%d benchmarks; %d ⚠ slower (> +%.0f%%), %d faster, %d ✗ more allocs, %d new, %d removed. ",
+		len(names), dc.slower, threshold*100, improved, dc.allocs, added, removed)
+	fmt.Fprintln(w, "Smoke timings are noisy pointers; an allocs/op rise on a benchmark whose baseline count never varied is a verdict.")
+	return dc
 }
 
 func main() {
 	var (
 		oldPath   = flag.String("old", "", "baseline artifact (test2json or plain bench output)")
 		newPath   = flag.String("new", "", "fresh artifact to compare")
-		threshold = flag.Float64("threshold", 0.25, "relative ns/op increase flagged as a regression (0.25 = +25%)")
+		threshold = flag.Float64("threshold", 0.25, "relative median ns/op increase flagged as a slowdown (0.25 = +25%)")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -168,7 +273,7 @@ func main() {
 	}
 	oldB, err := loadBench(*oldPath)
 	if err != nil {
-		// Non-blocking by design: a missing baseline is a note, not a failure.
+		// A missing baseline is a note, not a failure.
 		fmt.Printf("benchdiff: no usable baseline (%v) — nothing to compare\n", err)
 		return
 	}
@@ -177,13 +282,16 @@ func main() {
 		fmt.Printf("benchdiff: no usable fresh artifact (%v) — nothing to compare\n", err)
 		return
 	}
-	regressions := writeDiff(os.Stdout, oldB, newB, *threshold)
-	if regressions > 0 {
+	dc := writeDiff(os.Stdout, oldB, newB, *threshold)
+	if dc.slower > 0 {
 		// A GitHub workflow-command annotation: the run's summary page
-		// surfaces the warning without the diff itself becoming a gate
-		// (the exit code stays 0 — smoke numbers are pointers, not
-		// verdicts).
-		fmt.Fprintf(os.Stderr, "::warning title=benchdiff::%d benchmark(s) regressed more than +%.0f%% vs the committed baseline\n",
-			regressions, *threshold*100)
+		// surfaces the warning without timings becoming a gate.
+		fmt.Fprintf(os.Stderr, "::warning title=benchdiff::%d benchmark(s) slowed more than +%.0f%% (median ns/op) vs the committed baseline\n",
+			dc.slower, *threshold*100)
+	}
+	if dc.allocs > 0 {
+		fmt.Fprintf(os.Stderr, "::error title=benchdiff::%d benchmark(s) allocate more per op than the committed baseline, whose counts were identical across its runs\n",
+			dc.allocs)
+		os.Exit(1)
 	}
 }

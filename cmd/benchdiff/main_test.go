@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -25,17 +26,15 @@ func TestParseBenchTest2JSON(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("parsed %d benchmarks: %v", len(got), got)
 	}
-	if got["BenchmarkMean"] != 12345 {
-		t.Fatalf("BenchmarkMean = %v", got["BenchmarkMean"])
-	}
-	if got["BenchmarkIQR"] != 9.87e6 {
-		t.Fatalf("BenchmarkIQR = %v", got["BenchmarkIQR"])
-	}
-	if got["BenchmarkSplit"] != 3572365 {
-		t.Fatalf("BenchmarkSplit = %v", got["BenchmarkSplit"])
-	}
-	if got["BenchmarkSplitProcs"] != 99 {
-		t.Fatalf("BenchmarkSplitProcs = %v (suffix not stripped?)", got["BenchmarkSplitProcs"])
+	for name, want := range map[string]float64{
+		"BenchmarkMean":       12345,
+		"BenchmarkIQR":        9.87e6,
+		"BenchmarkSplit":      3572365,
+		"BenchmarkSplitProcs": 99, // suffix stripped
+	} {
+		if r := got[name]; r == nil || fmt.Sprint(r.ns) != fmt.Sprint([]float64{want}) {
+			t.Fatalf("%s = %+v, want ns/op [%v]", name, r, want)
+		}
 	}
 }
 
@@ -48,35 +47,38 @@ func TestParseBenchPlainText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkQuantile"] != 2000 {
-		t.Fatalf("got %v", got)
+	if r := got["BenchmarkQuantile"]; r == nil || fmt.Sprint(r.ns, r.bytes) != "[2000] [12]" {
+		t.Fatalf("got %+v", r)
 	}
 }
 
+// one builds a single-run sample set with no -benchmem figures.
+func one(ns float64) *runs { return &runs{ns: []float64{ns}} }
+
 func TestWriteDiffThreshold(t *testing.T) {
-	oldB := map[string]float64{
-		"BenchmarkStable":   1000,
-		"BenchmarkSlower":   1000, // +50% in newB
-		"BenchmarkBoundary": 1000, // exactly +25%: not past the threshold
-		"BenchmarkFaster":   1000, // -50% in newB
-		"BenchmarkRemoved":  1000,
+	oldB := map[string]*runs{
+		"BenchmarkStable":   one(1000),
+		"BenchmarkSlower":   one(1000), // +50% in newB
+		"BenchmarkBoundary": one(1000), // exactly +25%: not past the threshold
+		"BenchmarkFaster":   one(1000), // -50% in newB
+		"BenchmarkRemoved":  one(1000),
 	}
-	newB := map[string]float64{
-		"BenchmarkStable":   1010,
-		"BenchmarkSlower":   1500,
-		"BenchmarkBoundary": 1250,
-		"BenchmarkFaster":   500,
-		"BenchmarkAdded":    42,
+	newB := map[string]*runs{
+		"BenchmarkStable":   one(1010),
+		"BenchmarkSlower":   one(1500),
+		"BenchmarkBoundary": one(1250),
+		"BenchmarkFaster":   one(500),
+		"BenchmarkAdded":    one(42),
 	}
 	var buf strings.Builder
-	if got := writeDiff(&buf, oldB, newB, 0.25); got != 1 {
-		t.Fatalf("regressions = %d, want 1\n%s", got, buf.String())
+	if got := writeDiff(&buf, oldB, newB, 0.25); got != (diffCounts{slower: 1}) {
+		t.Fatalf("counts = %+v, want one slowdown\n%s", got, buf.String())
 	}
 	out := buf.String()
-	if !strings.Contains(out, "| BenchmarkSlower | 1.00µs | 1.50µs | +50.0% | ⚠ regression |") {
-		t.Fatalf("regression row missing:\n%s", out)
+	if !strings.Contains(out, "| BenchmarkSlower | 1.00µs | 1.50µs | +50.0% | — | — | ⚠ slower |") {
+		t.Fatalf("slowdown row missing:\n%s", out)
 	}
-	if strings.Count(out, "⚠ regression") != 1 {
+	if strings.Count(out, "⚠ slower |") != 1 {
 		t.Fatalf("boundary delta must not be flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "✓ faster") {
@@ -88,8 +90,78 @@ func TestWriteDiffThreshold(t *testing.T) {
 
 	// A tighter threshold flags the boundary case too.
 	buf.Reset()
-	if got := writeDiff(&buf, oldB, newB, 0.10); got != 2 {
-		t.Fatalf("threshold 0.10: regressions = %d, want 2\n%s", got, buf.String())
+	if got := writeDiff(&buf, oldB, newB, 0.10); got.slower != 2 {
+		t.Fatalf("threshold 0.10: slowdowns = %d, want 2\n%s", got.slower, buf.String())
+	}
+}
+
+func TestParseBenchMemCount(t *testing.T) {
+	// -count 3 -benchmem in the shapes test2json really emits: the first
+	// run split into a name fragment and its figures (Test set), a later
+	// run whole with no Test field, and one split with no Test field.
+	// Every run is one sample, and a custom metric between ns/op and B/op
+	// (b.ReportMetric) does not shift the columns.
+	in := `{"Action":"output","Package":"p","Test":"BenchmarkDurable","Output":"BenchmarkDurable\n"}
+{"Action":"output","Package":"p","Test":"BenchmarkDurable","Output":"BenchmarkDurable-2   \t"}
+{"Action":"output","Package":"p","Test":"BenchmarkDurable","Output":"       1\t    416391 ns/op\t         1.000 fsyncs/op\t   77028 B/op\t     101 allocs/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkDurable-2   \t       1\t    300000 ns/op\t         1.000 fsyncs/op\t   77100 B/op\t     103 allocs/op\n"}
+{"Action":"output","Package":"p","Output":"BenchmarkDurable-2   \t"}
+{"Action":"output","Package":"q","Output":"unrelated line from another package\n"}
+{"Action":"output","Package":"p","Output":"       1\t    500000 ns/op\t         1.000 fsyncs/op\t   77000 B/op\t     101 allocs/op\n"}
+`
+	got, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := got["BenchmarkDurable"]
+	if r == nil || len(got) != 1 {
+		t.Fatalf("parsed %v", got)
+	}
+	if fmt.Sprint(r.ns, r.bytes, r.allocs) != "[416391 300000 500000] [77028 77100 77000] [101 103 101]" {
+		t.Fatalf("samples %+v", r)
+	}
+	if m, _ := median(r.ns); m != 416391 {
+		t.Fatalf("median ns/op %v", m)
+	}
+	if m, _ := median([]float64{4, 1, 3, 2}); m != 2.5 {
+		t.Fatalf("even-count median %v, want 2.5", m)
+	}
+}
+
+func TestWriteDiffAllocGate(t *testing.T) {
+	// The gate fires only when allocs/op rose in every fresh run (so the
+	// median rose too) AND the baseline's count never varied across at
+	// least two runs.
+	mk := func(allocs ...float64) *runs {
+		return &runs{ns: []float64{100, 100, 100}, allocs: allocs}
+	}
+	oldB := map[string]*runs{
+		"BenchmarkStableRise":   mk(10, 10, 10), // deterministic, rises: gated
+		"BenchmarkStableFall":   mk(10, 10, 10), // deterministic, falls: fine
+		"BenchmarkStableSame":   mk(10, 10, 10),
+		"BenchmarkNoisyRise":    mk(10, 11, 10), // varied baseline: not gated
+		"BenchmarkSingleRun":    {ns: []float64{100}, allocs: []float64{10}},
+		"BenchmarkNoBenchmem":   {ns: []float64{100, 100}},
+		"BenchmarkOutlierOnly":  mk(10, 10, 10), // one high run, median unchanged
+		"BenchmarkMostlyHigher": mk(10, 10, 10), // median rises, one run does not
+	}
+	newB := map[string]*runs{
+		"BenchmarkStableRise":   mk(11, 11, 11),
+		"BenchmarkStableFall":   mk(9, 9, 9),
+		"BenchmarkStableSame":   mk(10, 10, 10),
+		"BenchmarkNoisyRise":    mk(12, 12, 12),
+		"BenchmarkSingleRun":    {ns: []float64{100}, allocs: []float64{20}},
+		"BenchmarkNoBenchmem":   {ns: []float64{100, 100}, allocs: []float64{5, 5}},
+		"BenchmarkOutlierOnly":  mk(10, 40, 10),
+		"BenchmarkMostlyHigher": mk(11, 10, 11),
+	}
+	var buf strings.Builder
+	got := writeDiff(&buf, oldB, newB, 0.25)
+	if got != (diffCounts{allocs: 1}) {
+		t.Fatalf("counts = %+v, want exactly one alloc regression\n%s", got, buf.String())
+	}
+	if !strings.Contains(buf.String(), "| BenchmarkStableRise | 100ns | 100ns | +0.0% | — | 10 → 11 | ✗ more allocs |") {
+		t.Fatalf("gated row missing:\n%s", buf.String())
 	}
 }
 

@@ -109,10 +109,8 @@
 // string WHERE predicate is evaluated once per dictionary entry and
 // mapped to rows by code, GROUP BY on a string column finds each row's
 // group by its code with no per-row hash, and the per-user collapse
-// indexes accumulators directly. Large shards additionally split their
-// collapse into row-range chunks that run work-stealing on the same
-// worker pool (a counting-sort scatter keeps the float fold's bits
-// identical to a sequential pass).
+// indexes accumulators directly. Each shard folds its rows in one
+// sequential pass; the shard is the one unit of scan parallelism.
 //
 // The estimators consume the seeded RNG in input order, so per-user
 // contributions must reach them in user-id order. Each table caches that

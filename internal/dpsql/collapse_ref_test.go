@@ -219,6 +219,48 @@ func TestCollapseRankFoldMatchesSeqTwin(t *testing.T) {
 	}
 }
 
+// TestUserCollapseLargeShardTwin: one shard holding 20k rows of 5,000
+// users — the size of a durable tenant's table under load — folded under
+// a real goroutine fan-out must give the row-order reference's collapse
+// bit for bit, with ±0, NaN and ±Inf among the float values.
+func TestUserCollapseLargeShardTwin(t *testing.T) {
+	rng := xrand.New(20480)
+	db := NewDB()
+	db.SetFanout(goFanout)
+	tab, err := db.CreateSharded("big",
+		[]Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}}, "uid", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 20480)
+	for i := range rows {
+		rows[i] = []Value{Str(fmt.Sprintf("u%04d", rng.Uint64()%5000)), Float(signedValue(rng)), Int(int64(rng.Uint64()%1000) - 500)}
+	}
+	if err := tab.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	means, err := tab.UserMeans("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refUserMeans(rows, 1)
+	if len(means) != len(want) {
+		t.Fatalf("UserMeans: %d users, want %d", len(means), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(means[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("UserMeans user %d: %v, want %v", i, means[i], want[i])
+		}
+	}
+	sums, err := tab.UserIntSums("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refUserIntSums(rows, 2); fmt.Sprint(sums) != fmt.Sprint(want) {
+		t.Fatal("UserIntSums diverged from the row-order reference")
+	}
+}
+
 // TestCollapseRankFoldStraddlingState: a state written by an earlier
 // version may record a placement that puts one user's rows on several
 // shards. Import ignores it, and so does a later AppendRows, whose

@@ -17,9 +17,8 @@ import (
 // exact bits a row-oriented store folding rows in insertion order would.
 // The shard twin tests (shard_test.go) check topologies against each
 // other; the tests here check the engine against an independent
-// row-oriented reference implementation, force the chunked parallel
-// collapse on small fixtures, and stress ingest against vectorized scans
-// under the race detector.
+// row-oriented reference implementation and stress ingest against
+// vectorized scans under the race detector.
 
 // rowFixture builds a table at the given shard count and returns the
 // exact rows fed to it, in insertion order — the reference a row store
@@ -199,55 +198,10 @@ func TestColumnarPredicateRowReference(t *testing.T) {
 	}
 }
 
-// TestColumnarChunkedCollapseExact: the parallel chunked collapse must
-// return the same bits as the sequential per-shard fold — the fixture is
-// small, so the chunk knobs are shrunk to force chunking, and a real
-// goroutine fanout is installed so the chunk fan actually runs nested
-// inside the shard fan.
-func TestColumnarChunkedCollapseExact(t *testing.T) {
-	_, tab, _ := rowFixture(t, 2, 1200)
-	seqMeans, err := tab.UserMeans("v")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqSums, err := tab.UserIntSums("n")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	defer func(r, m, x int) { scanChunkRows, scanChunkMin, scanChunkMax = r, m, x }(scanChunkRows, scanChunkMin, scanChunkMax)
-	scanChunkRows, scanChunkMin, scanChunkMax = 64, 128, 32
-	tab.setFanout(func(n int, run func(int)) {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); run(i) }(i)
-		}
-		wg.Wait()
-	})
-	defer tab.setFanout(nil)
-
-	for trial := 0; trial < 5; trial++ { // schedule-independence, not luck
-		chMeans, err := tab.UserMeans("v")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(chMeans, seqMeans) {
-			t.Fatal("chunked UserMeans diverged from sequential fold")
-		}
-		chSums, err := tab.UserIntSums("n")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(chSums, seqSums) {
-			t.Fatal("chunked UserIntSums diverged from sequential fold")
-		}
-	}
-}
-
 // TestColumnarExecSeedStability: same seed, same query, same answer bits
-// — across shard counts AND with chunked scans forced. Releases are where
-// bit drift would become user-visible, so this is the end-to-end check.
+// across shard counts, with a real goroutine fan-out installed. Releases
+// are where bit drift would become user-visible, so this is the
+// end-to-end check.
 func TestColumnarExecSeedStability(t *testing.T) {
 	queries := []string{
 		"SELECT AVG(v) FROM events WHERE v < 10",
@@ -263,8 +217,6 @@ func TestColumnarExecSeedStability(t *testing.T) {
 		}
 		ref[i] = r
 	}
-	defer func(r, m, x int) { scanChunkRows, scanChunkMin, scanChunkMax = r, m, x }(scanChunkRows, scanChunkMin, scanChunkMax)
-	scanChunkRows, scanChunkMin, scanChunkMax = 32, 64, 32
 	for _, shards := range []int{3, 16} {
 		db, _, _ := rowFixture(t, shards, 700)
 		db.SetFanout(func(n int, run func(int)) {
@@ -358,8 +310,6 @@ func TestColumnarConcurrentStress(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	defer func(r, m, x int) { scanChunkRows, scanChunkMin, scanChunkMax = r, m, x }(scanChunkRows, scanChunkMin, scanChunkMax)
-	scanChunkRows, scanChunkMin, scanChunkMax = 64, 128, 32
 
 	// Enough users for a release before any reader starts, so every Exec
 	// below must succeed.

@@ -14,8 +14,8 @@ import (
 // slice — so release scans are tight loops over contiguous memory with no
 // per-row []Value boxing, interface dispatch or string hashing.
 // Ingestion stripes across the per-shard locks instead of serializing on
-// one table-wide lock, and release scans fan out over the shards (and,
-// for large shards, over column-range chunks within a shard).
+// one table-wide lock, and release scans fan out over the shards; the
+// shard is the one unit of scan parallelism.
 //
 // Why merging is free (privacy): the universal estimators consume one
 // contribution per user. Each user lives in exactly one shard, so a
@@ -32,10 +32,7 @@ import (
 // release sorts users. Users are routed by hash, so all of one user's
 // rows colocate in one shard in arrival order: each user's fold is the
 // one a single-shard table runs, bit-for-bit identical across shard
-// counts. The within-shard chunked collapse preserves the same bits:
-// chunks first count and gather each user's values into one contiguous
-// run in global row order, then a single left fold per user reproduces
-// the sequential accumulation exactly (see shardUserAggsChunked).
+// counts.
 // Record-order readers (ColumnFloats/ColumnInts) recover global
 // insertion order from per-row sequence numbers assigned at insert.
 
@@ -224,9 +221,9 @@ func (sn shardSnap) row(t *Table, i int) []Value {
 // Fanout runs n independent jobs run(0..n-1), returning when all have
 // completed. The serve layer installs a worker-pool-backed implementation
 // via DB.SetFanout so release scans spread across cores; nil means
-// sequential execution. Implementations must tolerate nested calls: the
-// within-shard chunked collapse fans again from inside a per-shard job
-// (the pool's caller-driven work stealing makes that deadlock-free).
+// sequential execution. Implementations must tolerate nested calls: a
+// release's shard fan itself runs from inside a worker-pool job (the
+// pool's caller-driven work stealing makes that deadlock-free).
 type Fanout func(n int, run func(i int))
 
 // shardFor routes a user id to its shard: FNV-1a over the id, mod the
@@ -245,18 +242,10 @@ func (t *Table) shardFor(uid string) int {
 // NumShards reports the table's shard count (fixed at creation).
 func (t *Table) NumShards() int { return t.nshards }
 
-// fanout returns the installed Fanout, if any.
-func (t *Table) fanout() Fanout {
-	if f := t.fan.Load(); f != nil {
-		return f.(Fanout)
-	}
-	return nil
-}
-
 // runFan executes run(0..n-1) through the installed fan-out (sequentially
 // when none is installed or there is nothing to parallelize).
 func (t *Table) runFan(n int, run func(int)) {
-	if f := t.fanout(); f != nil && n > 1 {
+	if f, _ := t.fan.Load().(Fanout); f != nil && n > 1 {
 		f(n, run)
 		return
 	}
@@ -365,48 +354,14 @@ func mergeOrder(snaps []shardSnap, emit func(shard, row int)) {
 	}
 }
 
-// Chunked-scan tuning knobs. Shards at or above scanChunkMin rows split
-// into ~scanChunkRows-row column-range chunks (at most scanChunkMax) that
-// run as independent jobs on the fan-out, so one oversized shard stops
-// being the straggler that bounds the whole scan. Vars, not consts, so
-// the equivalence tests can force the chunked path onto small fixtures.
-var (
-	scanChunkRows = 4096
-	scanChunkMin  = 8192
-	scanChunkMax  = 32
-)
-
-// chunksFor picks the chunk count for an n-row shard (1 = don't chunk).
-func chunksFor(n int) int {
-	if n < scanChunkMin {
-		return 1
-	}
-	k := (n + scanChunkRows - 1) / scanChunkRows
-	if k > scanChunkMax {
-		k = scanChunkMax
-	}
-	if k < 2 {
-		return 1
-	}
-	return k
-}
-
 // shardUserAggs folds one shard's rows into per-user accumulators (sum
-// over colIx, row count), in row order — all of a hash-routed user's rows
-// live in this shard in arrival order, so each is that user's full
-// accumulator, built in the same order a monolithic scan would use.
-// colIx < 0 accumulates row counts only. Large shards take the chunked
-// parallel path; the bits are identical either way.
+// over colIx, row count) in one sequential pass, row order — all of a
+// hash-routed user's rows live in this shard in arrival order, so each
+// is that user's full accumulator, built in the same order a monolithic
+// scan would use. One dense accumulator per dictionary user, indexed
+// directly: no hash lookup in the loop. colIx < 0 accumulates row
+// counts only.
 func (t *Table) shardUserAggs(sn shardSnap, colIx int) []userAgg {
-	if chunksFor(sn.n) > 1 && t.fanout() != nil {
-		return t.shardUserAggsChunked(sn, colIx)
-	}
-	return t.shardUserAggsSeq(sn, colIx)
-}
-
-// shardUserAggsSeq is the single-pass collapse: one dense accumulator per
-// dictionary user, indexed directly — no hash lookup in the loop.
-func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) []userAgg {
 	aggs := make([]userAgg, sn.nu)
 	switch {
 	case colIx < 0:
@@ -428,102 +383,6 @@ func (t *Table) shardUserAggsSeq(sn shardSnap, colIx int) []userAgg {
 			a.count++
 		}
 	}
-	return aggs
-}
-
-// shardUserAggsChunked is the work-stealing within-shard collapse, exact
-// to the bit despite float addition being non-associative. Naive chunked
-// partial sums would change the fold shape for a user whose rows span a
-// chunk boundary ((a+b)+(c+d) vs ((a+b)+c)+d), so instead:
-//
-//  1. chunks count each user's rows in parallel (integer counts — exact);
-//  2. a prefix pass turns the counts into per-(chunk, user) write
-//     offsets into one gather buffer, giving every user a contiguous run
-//     in global row order;
-//  3. chunks scatter their column values into the runs in parallel, and
-//  4. a final parallel pass left-folds each user's run — the identical
-//     sequence of additions the sequential scan performs.
-//
-// The phases fan on the same pool as the per-shard fan (nested calls are
-// caller-driven, so they cannot deadlock).
-func (t *Table) shardUserAggsChunked(sn shardSnap, colIx int) []userAgg {
-	n, nu := sn.n, sn.nu
-	k := chunksFor(n)
-	lo := func(c int) int { return c * n / k }
-	hi := func(c int) int { return (c + 1) * n / k }
-
-	// Phase 1: per-chunk, per-user row counts.
-	cnt := make([][]int32, k)
-	t.runFan(k, func(c int) {
-		cc := make([]int32, nu)
-		for _, u := range sn.uix[lo(c):hi(c)] {
-			cc[u]++
-		}
-		cnt[c] = cc
-	})
-	aggs := make([]userAgg, nu)
-	if colIx < 0 {
-		for _, cc := range cnt {
-			for u, v := range cc {
-				aggs[u].count += int(v)
-			}
-		}
-		return aggs
-	}
-
-	// Prefix pass: starts[u] is user u's run start; cnt[c][u] becomes
-	// chunk c's write cursor inside that run (chunk order == row order).
-	starts := make([]int32, nu+1)
-	for u := 0; u < nu; u++ {
-		total := int32(0)
-		for c := 0; c < k; c++ {
-			cu := cnt[c][u]
-			cnt[c][u] = starts[u] + total
-			total += cu
-		}
-		starts[u+1] = starts[u] + total
-		aggs[u].count = int(total)
-	}
-
-	// Phase 2: scatter column values into the per-user runs.
-	buf := make([]float64, n)
-	isInt := t.Columns[colIx].Kind == KindInt
-	t.runFan(k, func(c int) {
-		pos := cnt[c]
-		if isInt {
-			is := sn.cols[colIx].is
-			for i := lo(c); i < hi(c); i++ {
-				u := sn.uix[i]
-				buf[pos[u]] = float64(is[i])
-				pos[u]++
-			}
-		} else {
-			fs := sn.cols[colIx].fs
-			for i := lo(c); i < hi(c); i++ {
-				u := sn.uix[i]
-				buf[pos[u]] = fs[i]
-				pos[u]++
-			}
-		}
-	})
-
-	// Phase 3: left-fold each user's run, fanned over user ranges.
-	uk := k
-	if uk > nu {
-		uk = nu
-	}
-	if uk < 1 {
-		uk = 1
-	}
-	t.runFan(uk, func(c int) {
-		for u := c * nu / uk; u < (c+1)*nu/uk; u++ {
-			s := 0.0
-			for _, v := range buf[starts[u]:starts[u+1]] {
-				s += v
-			}
-			aggs[u].sum = s
-		}
-	})
 	return aggs
 }
 
@@ -554,8 +413,7 @@ func mergeUserAggs[T any](ord *userOrder, parts [][]T) []T {
 // ShardObserver receives one sample per shard of a fanned scan: the
 // shard index, the row count the shard walked, and its wall time.
 // Observers run on the fan-out workers, so they must be safe for
-// concurrent use across shards. A chunked shard still reports one sample
-// covering all its chunks.
+// concurrent use across shards.
 type ShardObserver func(shard, rows int, d time.Duration)
 
 // fanUsers folds every shard (in parallel under the installed fan-out)

@@ -490,11 +490,9 @@ func (t *Table) ColumnInts(col string) ([]int64, error) {
 // UserIntSums collapses the named INT column to one integer contribution
 // per user (the sum of that user's rows) in user-id order — the input
 // shape the paper's empirical-setting estimators (Section 3) take. Each
-// shard folds its int column into dense per-user partial sums (exact,
-// unlike float accumulation — chunked shards just add per-chunk
-// partials, integer addition being associative) that land in rank
-// slots. Optional observers receive one sample per shard of the
-// fan (see ShardObserver).
+// shard folds its int column into dense per-user sums in one pass, and
+// the sums land in rank slots. Optional observers receive one sample
+// per shard of the fan (see ShardObserver).
 func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	ix, err := t.ColumnIndex(col)
 	if err != nil {
@@ -507,26 +505,8 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	return fanUsers(t, obs, func(sn shardSnap) []int64 {
 		sums := make([]int64, sn.nu)
 		is := sn.cols[ix].is
-		if k := chunksFor(sn.n); k > 1 && t.fanout() != nil {
-			// Per-chunk dense partials, added in chunk order — exact.
-			chunk := make([][]int64, k)
-			t.runFan(k, func(c int) {
-				cs := make([]int64, sn.nu)
-				lo, hi := c*sn.n/k, (c+1)*sn.n/k
-				for i := lo; i < hi; i++ {
-					cs[sn.uix[i]] += is[i]
-				}
-				chunk[c] = cs
-			})
-			for _, cs := range chunk {
-				for u, s := range cs {
-					sums[u] += s
-				}
-			}
-		} else {
-			for i, u := range sn.uix {
-				sums[u] += is[i]
-			}
+		for i, u := range sn.uix {
+			sums[u] += is[i]
 		}
 		return sums
 	}), nil

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -242,5 +244,98 @@ func TestAuditSurvivesCrash(t *testing.T) {
 	if auditC.Total != auditA.Total+1 || auditC.Records[len(auditC.Records)-1].Seq != auditA.Total+1 {
 		t.Fatalf("post-recovery append broke seq: total=%d last=%+v",
 			auditC.Total, auditC.Records[len(auditC.Records)-1])
+	}
+}
+
+// TestDurableReleaseOneBarrier: on a durable tenant each charged release
+// pays exactly one WAL fsync — its audit record rides the deduction's
+// group-commit entry — and the audit log gains one record per release,
+// stamped with the release id the client saw. Releases run one at a time
+// with no ingest, so no other entry can share or add a barrier.
+func TestDurableReleaseOneBarrier(t *testing.T) {
+	_, c, stop := openDurable(t, t.TempDir(), 13)
+	defer stop()
+	seedTenant(t, c, "acme", 100, 200)
+
+	releases := []struct{ path, body string }{
+		{"estimate", `{"table":"metrics","column":"v","stat":"quantile","p":0.3,"epsilon":0.5}`},
+		{"query", `{"sql":"SELECT AVG(v) FROM metrics","epsilon":0.5}`},
+		{"histogram", `{"table":"metrics","group_by":"grp","epsilon":0.5}`},
+		{"estimate", `{"table":"metrics","column":"v","stat":"median","group_by":"grp","epsilon":0.5}`},
+	}
+	fsyncs := func() float64 {
+		samples, _ := scrape(t, c.base)
+		return samples["updp_wal_fsync_seconds_count"]
+	}
+	before := fsyncs()
+	var ids []string
+	for _, r := range releases {
+		resp, err := http.Post(c.base+"/v1/tenants/acme/"+r.path, "application/json", strings.NewReader(r.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", r.path, r.body, resp.StatusCode)
+		}
+		ids = append(ids, resp.Header.Get("X-Release-Id"))
+	}
+	if got := fsyncs() - before; got != float64(len(releases)) {
+		t.Fatalf("%d charged releases paid %v WAL fsyncs, want one each", len(releases), got)
+	}
+	var audit AuditResponse
+	if code := c.do("GET", "/v1/tenants/acme/audit", nil, &audit); code != http.StatusOK {
+		t.Fatal("audit")
+	}
+	if audit.Total != uint64(len(releases)) || len(audit.Records) != len(releases) {
+		t.Fatalf("audit holds %d records (%d paged), want %d", audit.Total, len(audit.Records), len(releases))
+	}
+	for i, r := range audit.Records {
+		if r.ReleaseID != ids[i] || r.Path != releases[i].path {
+			t.Fatalf("audit record %d: id %q path %q, want %q %q", i, r.ReleaseID, r.Path, ids[i], releases[i].path)
+		}
+	}
+}
+
+// TestDurableAuditFailureWithholdsCharge: when a durable tenant's audit
+// line cannot be written, the release is withheld (500 persist_failed)
+// and its deduction never reaches the WAL with it, so after a crash the
+// recovered spend and audit log hold exactly the answered releases.
+func TestDurableAuditFailureWithholdsCharge(t *testing.T) {
+	dir := t.TempDir()
+	srv, c, stop := openDurable(t, dir, 13)
+	seedTenant(t, c, "acme", 10, 100)
+	release := func(p float64) (int, apiError) {
+		var e apiError
+		code := c.do("POST", "/v1/tenants/acme/estimate", EstimateRequest{
+			Table: "metrics", Column: "v", Stat: "quantile", P: p, Epsilon: 0.5,
+		}, &e)
+		return code, e
+	}
+	if code, _ := release(0.25); code != http.StatusOK {
+		t.Fatalf("release: %d", code)
+	}
+	tn, _ := srv.Tenant("acme")
+	if err := tn.audit.(io.Closer).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code, e := release(0.75); code != http.StatusInternalServerError || e.Code != "persist_failed" {
+		t.Fatalf("release with a closed audit log: %d %+v, want 500 persist_failed", code, e)
+	}
+	stop() // crash: no Close, no Flush
+
+	_, c2, stop2 := openDurable(t, dir, 13)
+	defer stop2()
+	var st TenantStatus
+	if code := c2.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
+		t.Fatal("status")
+	}
+	var audit AuditResponse
+	if code := c2.do("GET", "/v1/tenants/acme/audit", nil, &audit); code != http.StatusOK {
+		t.Fatal("audit")
+	}
+	if st.Spent != 0.5 || audit.Total != 1 {
+		t.Fatalf("recovered spend %v with %d audit records, want 0.5 and 1", st.Spent, audit.Total)
 	}
 }

@@ -69,7 +69,7 @@ func newMetricsSet() *metricsSet {
 		WALBytes:          reg.Counter("updp_wal_bytes_total", "WAL bytes appended across every tenant log."),
 		AuditFsyncSeconds: reg.Histogram("updp_audit_fsync_seconds", "Audit-log hardening (flush+fsync) latency on durable tenants.", lat),
 		AuditRecords:      m.auditRecords,
-		BatchSize:         reg.Histogram("updp_wal_batch_size", "Entries (deductions + audit records) acked per group-commit fsync barrier.", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
+		BatchSize:         reg.Histogram("updp_wal_batch_size", "Entries acked per group-commit fsync barrier; a charged release is one entry (deduction and audit record together).", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 	}
 	return m
 }
@@ -220,30 +220,22 @@ func (s *Server) finishRelease(t *Tenant, rel *release, status int) {
 }
 
 // releaseLedger attributes the single deduction a release charges to
-// its release context: it times the whole durable Spend (in-memory
-// check-and-deduct + WAL fsync) as the trace's "deduct" span and
-// captures the charged cost for the audit line. The fine-grained
-// ledger_deduct / wal_fsync split lands in the stage histograms via
-// tenantLedger underneath. The SQL path installs this per call through
+// its release context: it hands the release to tenantLedger, which
+// commits a durable tenant's audit record on the deduction's barrier,
+// times the whole durable Spend (in-memory check-and-deduct + WAL fsync)
+// as the trace's "deduct" span, and captures the charged cost for an
+// in-memory tenant's audit line. The fine-grained ledger_deduct /
+// wal_fsync split lands in the stage histograms via tenantLedger
+// underneath. The SQL path installs this per call through
 // dpsql.ExecOpts.Ledger; the estimate path calls it directly.
 type releaseLedger struct {
-	inner dp.Ledger
+	inner *tenantLedger
 	rel   *release
 }
 
 func (rl *releaseLedger) Spend(c dp.Cost) error {
 	t0 := time.Now()
-	var err error
-	// tenantLedger exposes SpendTraced so the durable spend's internals
-	// (ledger_deduct, group_commit_wait, wal_fsync) nest under this
-	// release's "deduct" span; plain ledgers just Spend.
-	if ts, ok := rl.inner.(interface {
-		SpendTraced(dp.Cost, *obs.Trace) error
-	}); ok {
-		err = ts.SpendTraced(c, rl.rel.tr)
-	} else {
-		err = rl.inner.Spend(c)
-	}
+	err := rl.inner.spendRelease(c, rl.rel)
 	rl.rel.tr.Observe("deduct", time.Since(t0))
 	if err == nil {
 		rl.rel.spent = true

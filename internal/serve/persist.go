@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dp"
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -20,17 +19,19 @@ var errPersist = errors.New("serve: persistence failure")
 // dpsql.DB.SetLedger). It wraps the composition backend with the
 // tenant's cross-cutting per-deduction concerns:
 //
-//   - durability (durable tenants): the deduction is recorded in the
-//     write-ahead log — flushed and fsynced — after the in-memory
+//   - durability (durable tenants): the deduction and the release's
+//     audit record are committed to the write-ahead log as ONE
+//     group-commit entry — flushed and fsynced — after the in-memory
 //     check-and-deduct succeeds and before Spend returns, so no
 //     mechanism ever runs (and no answer is ever released) on a
-//     deduction a crash could forget. No tenant lock is taken: snapshots
-//     are compacted from the WAL alone, so a deduction reaches a
-//     snapshot only through its own WAL record and can never be counted
-//     twice. If the log write fails, Spend fails with errPersist while
-//     the in-memory charge stands: over-counting is the conservative
-//     direction, and the log is fail-stop anyway (ErrLogBroken) so the
-//     tenant degrades to 500s rather than silently un-durable releases.
+//     deduction a crash could forget, and no durable charge ever lacks
+//     its audit line. No tenant lock is taken: snapshots are compacted
+//     from the WAL alone, so a deduction reaches a snapshot only through
+//     its own WAL record and can never be counted twice. If the log
+//     write fails, Spend fails with errPersist while the in-memory
+//     charge stands: over-counting is the conservative direction, and
+//     the log is fail-stop anyway (ErrLogBroken) so the tenant degrades
+//     to 500s rather than silently un-durable releases.
 //   - telemetry: the in-memory deduct, the time parked on the commit
 //     barrier, and the shared batch fsync are timed into the
 //     ledger_deduct / group_commit_wait / wal_fsync stage histograms,
@@ -42,42 +43,48 @@ type tenantLedger struct {
 }
 
 // Spend charges the real ledger, then (durable tenants) durably records
-// the deduction.
-func (w *tenantLedger) Spend(c dp.Cost) error { return w.SpendTraced(c, nil) }
+// the deduction. It knows no release, so it writes no audit record:
+// every serve release path charges through a releaseLedger, which calls
+// spendRelease.
+func (w *tenantLedger) Spend(c dp.Cost) error { return w.spendRelease(c, nil) }
 
-// SpendTraced is Spend attributing its internals to a release trace:
-// the in-memory deduct, the time parked on the commit barrier, and the
-// shared batch fsync land as child spans under the release's "deduct"
-// stage (tr nil skips the spans; the histograms record either way).
-// releaseLedger discovers this method by interface assertion, so the
-// per-release wrapper threads the trace without store ever importing obs.
-func (w *tenantLedger) SpendTraced(c dp.Cost, tr *obs.Trace) error {
+// spendRelease is Spend on behalf of one release. On a durable tenant
+// the release's audit record rides the deduction's barrier entry, and
+// the in-memory deduct, the time parked on the barrier, and the shared
+// batch fsync land as child spans under the release's "deduct" stage
+// (rel nil skips the record and the spans; the histograms record either
+// way).
+func (w *tenantLedger) spendRelease(c dp.Cost, rel *release) error {
 	t0 := time.Now()
 	if err := w.t.led.Spend(c); err != nil {
 		return err
 	}
 	d := time.Since(t0)
 	w.s.metrics.stageSeconds.With("ledger_deduct").Observe(d.Seconds())
-	if tr != nil {
-		tr.ObserveChild("ledger_deduct", "deduct", d)
+	if rel != nil {
+		rel.tr.ObserveChild("ledger_deduct", "deduct", d)
 	}
 	if w.t.log != nil {
-		// CommitDeduct parks on the tenant's group-commit barrier: one
-		// shared fsync acks every deduction (and audit record) batched
-		// with this one. Waited is the parked time before the batch
-		// started; Fsync is the shared barrier itself.
-		ct, err := w.t.log.CommitDeduct(c)
+		// CommitCharge parks on the tenant's group-commit barrier: one
+		// shared fsync acks every charge batched with this one. Waited is
+		// the parked time before the batch started; Fsync is the shared
+		// barrier itself.
+		var rec *store.AuditRecord
+		if rel != nil {
+			rec = newAuditRecord(w.t, rel, c)
+		}
+		ct, err := w.t.log.CommitCharge(c, rec)
 		if err != nil {
-			return fmt.Errorf("%w: recording deduction (budget charged, release withheld): %v", errPersist, err)
+			return fmt.Errorf("%w: recording deduction and audit line (budget charged, release withheld): %v", errPersist, err)
 		}
 		w.s.metrics.stageSeconds.With("group_commit_wait").Observe(ct.Waited.Seconds())
 		w.s.metrics.stageSeconds.With("wal_fsync").Observe(ct.Fsync.Seconds())
-		if tr != nil {
+		if rel != nil {
 			// The nesting mirrors the barrier's anatomy: the entry parks
 			// (group_commit_wait, under deduct), then the batch's shared
 			// fsync clears it (wal_fsync, under group_commit_wait).
-			tr.ObserveChild("group_commit_wait", "deduct", ct.Waited)
-			tr.ObserveChild("wal_fsync", "group_commit_wait", ct.Fsync)
+			rel.tr.ObserveChild("group_commit_wait", "deduct", ct.Waited)
+			rel.tr.ObserveChild("wal_fsync", "group_commit_wait", ct.Fsync)
 		}
 	}
 	w.t.odo.Observe(w.t.led.Spent())

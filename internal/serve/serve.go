@@ -271,13 +271,14 @@ type Tenant struct {
 	created    time.Time
 
 	// spender is the ledger every release path charges: a tenantLedger
-	// over led, which on durable tenants records each deduction in the
-	// WAL before Spend returns. The durability fields are zero-valued
+	// over led, which on durable tenants records each deduction, with
+	// its release's audit record, in the WAL before Spend returns. The
+	// durability fields are zero-valued
 	// for in-memory tenants. ddlMu keeps a table's DDL record ahead of
 	// its rows records in the WAL — DDL takes the write side, ingest the
 	// read side — so replay never meets rows for a table it does not
 	// know yet.
-	spender    dp.Ledger
+	spender    *tenantLedger
 	log        *store.TenantLog
 	cfg        store.TenantConfig
 	ddlMu      sync.RWMutex

@@ -23,20 +23,22 @@ import (
 // mechanism, when, at what best RDP order) and is never replayed into
 // state, so its format can grow fields freely.
 //
-// Durability: the serve layer appends AFTER the charge lands but BEFORE
-// the answer is acknowledged — so every acknowledged release has its
-// audit record durable (a crash can leave an audit record for a
-// charged-but-unanswered release, never the reverse; over-recording
-// matches the WAL's over-counting direction). Append parks on the
-// tenant WAL's commit barrier: the line is written to this file
-// BUFFERED, and a copy rides inside the batch WAL record — the batch's
-// single fsync makes the audit record durable, zero extra fsyncs. The
-// buffered file is hardened (flushed + fsynced) before Compact deletes
-// the segments holding those copies, and at Close; after a crash,
-// OpenAudit reconciles the file against the WAL's batch copies
-// (reconcile), re-appending lines the buffer lost. Seqs stay contiguous
-// because they are assigned in barrier order and both files truncate
-// tail-only.
+// Durability: the serve layer commits each charged release's record
+// together with its deduction, as one TenantLog.CommitCharge entry on
+// the tenant WAL's commit barrier, before the mechanism runs and so
+// before the answer is acknowledged. Every acknowledged release has its
+// audit record durable, and a durable charge always has its record (a
+// crash can leave a record for a charged-but-unanswered release, never
+// the reverse; over-recording matches the WAL's over-counting
+// direction). The line is written to this file BUFFERED, and a copy
+// rides inside the batch WAL record next to the cost — the batch's
+// single fsync makes both durable, zero extra fsyncs. Append submits a
+// record alone on the same barrier. The buffered file is hardened
+// (flushed + fsynced) before Compact deletes the segments holding those
+// copies, and at Close; after a crash, OpenAudit reconciles the file
+// against the WAL's batch copies (reconcile), re-appending lines the
+// buffer lost. Seqs stay contiguous because they are assigned in
+// barrier order and both files truncate tail-only.
 
 // auditName is the per-tenant audit file, next to wal.log.
 const auditName = "audit.log"
@@ -170,9 +172,11 @@ func (a *AuditLog) reconcile(pend []AuditRecord) error {
 	return nil
 }
 
-// Append records one charged release durably — the caller may
-// acknowledge the release only after this succeeds. The append parks on
-// the WAL's group-commit barrier; the batch's one fsync covers it.
+// Append records one audit record durably, with no deduction beside it
+// — the caller may acknowledge the release only after this succeeds.
+// The append parks on the WAL's group-commit barrier; the batch's one
+// fsync covers it. A charged release uses TenantLog.CommitCharge
+// instead, so its record and its deduction share one entry.
 func (a *AuditLog) Append(rec *AuditRecord) error {
 	_, err := a.gc.submit(nil, rec)
 	return err

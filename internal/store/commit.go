@@ -26,14 +26,16 @@ import (
 // truncation drops all of it or none of it, never a prefix, and nothing
 // in a dropped batch was ever acknowledged.
 //
-// Audit piggyback: entries may carry an audit record instead of (or as
-// well as) a cost. Audit lines are written to the tenant's audit file
-// BUFFERED (no fsync) and a copy rides inside the same batch WAL record,
-// so the single barrier fsync makes both the deduction and its audit
-// line durable — "acknowledged implies audited" costs zero extra fsyncs.
-// Recovery reconciles the buffered audit file against the WAL's batch
-// copies (see OpenAudit), and Compact hardens the audit file before
-// deleting the segments that hold those copies.
+// Audit piggyback: a charged release commits its cost and its audit
+// record as ONE entry (CommitCharge, the serve layer's path). The audit
+// line is written to the tenant's audit file BUFFERED (no fsync) and a
+// copy rides inside the same batch WAL record as the cost, so the single
+// barrier fsync makes both the deduction and its audit line durable —
+// "acknowledged implies audited" costs zero extra fsyncs, and a crash
+// can never keep the charge without its audit line. Recovery reconciles
+// the buffered audit file against the WAL's batch copies (see
+// OpenAudit), and Compact hardens the audit file before deleting the
+// segments that hold those copies.
 
 // GroupCommitOptions is empty: group commit has no settings. It and
 // SetGroupCommit remain only so existing callers keep compiling.
@@ -108,13 +110,19 @@ type CommitTimings struct {
 	Fsync  time.Duration
 }
 
-// CommitDeduct durably records one ledger deduction through the group
-// commit barrier: the call parks until a batch holding the deduction is
-// flushed and fsynced, sharing the fsync with every other entry in the
-// batch.
-func (tl *TenantLog) CommitDeduct(c dp.Cost) (CommitTimings, error) {
-	return tl.gc.submit(&c, nil)
+// CommitCharge durably records one charged release — its ledger
+// deduction and, when rec is non-nil, its audit record — as one entry on
+// the group commit barrier: the call parks until the batch holding both
+// is flushed and fsynced, sharing the fsync with every other entry in
+// the batch. The two are durable together or not at all. A record needs
+// the tenant's audit log open (OpenAudit); rec.Seq is assigned in
+// barrier order.
+func (tl *TenantLog) CommitCharge(c dp.Cost, rec *AuditRecord) (CommitTimings, error) {
+	return tl.gc.submit(&c, rec)
 }
+
+// CommitDeduct is CommitCharge without an audit record.
+func (tl *TenantLog) CommitDeduct(c dp.Cost) (CommitTimings, error) { return tl.CommitCharge(c, nil) }
 
 // submit parks one entry on the barrier and waits for its batch.
 func (g *groupCommitter) submit(c *dp.Cost, a *AuditRecord) (CommitTimings, error) {
@@ -184,7 +192,10 @@ func (g *groupCommitter) commit(batch []*commitEntry) {
 		// appendBuffered assigns the record's seq in barrier order and
 		// writes the line WITHOUT fsync; the copy in the batch record is
 		// what makes it durable. A failed audit write fails only this
-		// entry — its in-memory charge (if any) stands, conservative.
+		// entry, and the entry's cost stays OUT of the batch record: a
+		// charge is never durable without its audit line. The caller
+		// withholds the answer, so nothing a crash could refund was
+		// released; its in-memory charge stands, conservative.
 		if err := audit.appendBuffered(e.audit); err != nil {
 			e.err = err
 			continue

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -216,6 +217,70 @@ func TestGroupCommitAuditReconciledAfterCrash(t *testing.T) {
 		if r.ReleaseID != fmt.Sprintf("r%02d", i) {
 			t.Fatalf("reconciled record reordered: %+v at %d", r, i)
 		}
+	}
+}
+
+func TestCommitChargeAtomic(t *testing.T) {
+	// A charge's cost and its audit record are one barrier entry: after a
+	// crash the WAL's deductions and the audit log pair up one to one, in
+	// order. And when the audit line cannot be written the entry fails
+	// with its cost kept out of the WAL — a charge is never durable
+	// without its audit line.
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	tl, err := s.CreateTenant("acme", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenAudit("acme"); err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	cost := func(i int) dp.Cost { return dp.EpsCost(0.001 * float64(i+1)) }
+	for i := 0; i < n; i++ {
+		rec := &AuditRecord{ReleaseID: fmt.Sprintf("r%02d", i), Path: "estimate", Mechanism: "median", Cost: cost(i), Unit: "eps"}
+		if _, err := tl.CommitCharge(cost(i), rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("charge %d: audit seq %d", i, rec.Seq)
+		}
+	}
+
+	// Crash: abandon the store and its audit file's buffer.
+	s2, rec := recoverOne(t, dir)
+	a2, err := s2.OpenAudit("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Deducts) != n || a2.Len() != n {
+		t.Fatalf("recovered %d deductions and %d audit records, want %d of each", len(rec.Deducts), a2.Len(), n)
+	}
+	page, err := a2.Page(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range page {
+		if !reflect.DeepEqual(r.Cost, rec.Deducts[i]) || r.ReleaseID != fmt.Sprintf("r%02d", i) {
+			t.Fatalf("audit record %d (%+v) does not match deduction %+v", i, r, rec.Deducts[i])
+		}
+	}
+
+	// A broken audit file fails the charge, and its cost stays out of
+	// the WAL; a plain deduction after it still commits.
+	a2.mu.Lock()
+	a2.broken = true
+	a2.mu.Unlock()
+	if _, err := rec.Log.CommitCharge(dp.EpsCost(1), &AuditRecord{ReleaseID: "lost", Cost: dp.EpsCost(1), Unit: "eps"}); err == nil {
+		t.Fatal("CommitCharge succeeded with a broken audit file")
+	}
+	if _, err := rec.Log.CommitDeduct(dp.EpsCost(0.5)); err != nil {
+		t.Fatal(err)
+	}
+	s3, rec3 := recoverOne(t, dir)
+	defer s3.Close()
+	if len(rec3.Deducts) != n+1 || rec3.Deducts[n].Eps != 0.5 {
+		t.Fatalf("recovered deductions %v: want the %d charges and the plain deduction, not the failed charge", rec3.Deducts, n)
 	}
 }
 

@@ -33,11 +33,12 @@
 //   - Tenant creation and table DDL are synced before the call returns —
 //     an acknowledged tenant or table always recovers.
 //   - Ledger deductions and audit records go through the tenant log's
-//     group committer (CommitDeduct, AuditLog.Append; see commit.go):
-//     every entry parked on the barrier is written into ONE batch record,
-//     flushed and fsynced before any of their calls returns. The serve
-//     layer deducts durably *before* the mechanism's answer leaves the
-//     process, so every answered release is on disk. The single-line
+//     group committer (CommitCharge; see commit.go): every entry parked
+//     on the barrier is written into ONE batch record, flushed and
+//     fsynced before any of their calls returns. The serve layer commits
+//     each release's deduction and audit record as one entry *before*
+//     the mechanism's answer leaves the process, so every answered
+//     release is on disk, audited. The single-line
 //     framing makes a crash tear the batch atomically: recovery drops all
 //     of an unacked batch or none of it, never a prefix. Because the WAL
 //     is a single sequential stream, a batch's fsync also hardens every
