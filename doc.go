@@ -39,11 +39,11 @@
 // generalizes both with Rényi accounting (Mironov 2017) over a
 // configurable grid of orders α: every release is priced as its full RDP
 // curve (pure releases via the tight pure-DP→RDP bound, strictly below
-// zCDP's αε²/2 line; Gaussian releases via ρα; curve-native costs via
-// dp.CurveCost), the per-order vectors compose by addition, and the
-// budget is enforced on the optimal (ε, δ) conversion — on a grid that
-// brackets the optimal order (dp.RDPOrdersFor) never looser than zCDP,
-// and strictly tighter on mixed Laplace+Gaussian workloads.
+// zCDP's αε²/2 line; Gaussian releases via ρα), the per-order vectors
+// compose by addition, and the budget is enforced on the optimal (ε, δ)
+// conversion — on a grid that brackets the optimal order
+// α* ≈ 1 + sqrt(ln(1/δ)/ρ) never looser than zCDP, and strictly tighter
+// on mixed Laplace+Gaussian workloads.
 // dp.WindowedLedger wraps any backend with a wall-clock refill window,
 // turning a lifetime budget into a renewable rate. The serve layer also
 // replays byte-identical repeated releases from a per-tenant response

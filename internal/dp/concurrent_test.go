@@ -10,13 +10,13 @@ import (
 // Racing spenders must never jointly overdraw: with a budget of exactly
 // k·eps, exactly k of the k+extra concurrent Spend calls may succeed.
 // Run with -race; the point is atomic check-and-deduct, not throughput.
-func TestAccountantConcurrentSpendExact(t *testing.T) {
+func TestBasicLedgerConcurrentSpendExact(t *testing.T) {
 	const (
 		k     = 64
 		extra = 64
 		eps   = 0.25
 	)
-	acct, err := NewAccountant(k * eps)
+	acct, err := NewBasicLedger(k * eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestAccountantConcurrentSpendExact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := acct.Spend(eps)
+			err := acct.Spend(EpsCost(eps))
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -53,8 +53,8 @@ func TestAccountantConcurrentSpendExact(t *testing.T) {
 }
 
 // Readers racing a writer must see internally consistent totals.
-func TestAccountantConcurrentReaders(t *testing.T) {
-	acct, err := NewAccountant(1000)
+func TestBasicLedgerConcurrentReaders(t *testing.T) {
+	acct, err := NewBasicLedger(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,14 +64,14 @@ func TestAccountantConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				_ = acct.Spend(0.001)
+				_ = acct.Spend(EpsCost(0.001))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				if acct.Spent() < 0 || acct.Remaining() > acct.Total() {
-					t.Error("inconsistent accountant state")
+					t.Error("inconsistent ledger state")
 					return
 				}
 			}

@@ -1,6 +1,6 @@
 // Package dp implements the pure differential privacy building blocks the
-// paper relies on (§2): the Laplace mechanism, basic composition and a
-// budget accountant, privacy amplification by subsampling (Theorem 2.4),
+// paper relies on (§2): the Laplace mechanism, basic composition (the
+// BasicLedger budget), privacy amplification by subsampling (Theorem 2.4),
 // the sparse vector technique (Algorithm 1), the inverse sensitivity
 // mechanism specialized to finite-domain quantiles (Algorithm 2), report
 // noisy max, and the clipped mean estimator (§2.6).
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/xrand"
 )
@@ -59,87 +58,14 @@ func LaplaceTail(scale, beta float64) float64 {
 	return scale * math.Log(1/beta)
 }
 
-// AmplifiedEps returns the privacy parameter of a mechanism with budget
-// epsSub when run on an eta-fraction subsample drawn without replacement
-// (Theorem 2.4): log(1 + eta*(e^epsSub - 1)).
-func AmplifiedEps(epsSub, eta float64) float64 {
-	return math.Log1p(eta * math.Expm1(epsSub))
-}
-
 // SubsampleBudget returns the budget that may be spent on an eta-fraction
-// subsample so that the amplified cost (Theorem 2.4) is at most epsTotal:
-// the inverse of AmplifiedEps, log(1 + (e^epsTotal - 1)/eta).
+// subsample so that the amplified cost (Theorem 2.4) is at most epsTotal.
+// A mechanism with budget epsSub run on an eta-fraction subsample drawn
+// without replacement costs log(1 + eta*(e^epsSub - 1)); inverting that
+// gives log(1 + (e^epsTotal - 1)/eta).
 func SubsampleBudget(epsTotal, eta float64) float64 {
 	if eta >= 1 {
 		return epsTotal
 	}
 	return math.Log1p(math.Expm1(epsTotal) / eta)
-}
-
-// Accountant tracks cumulative privacy spend under basic composition
-// (Lemma 2.2). It is safe for concurrent use: Spend is an atomic
-// check-and-deduct, so racing goroutines can never jointly overdraw the
-// budget — the property the serve layer's per-tenant enforcement rests on.
-type Accountant struct {
-	mu    sync.Mutex
-	total float64
-	spent float64
-}
-
-// NewAccountant returns an accountant with the given total eps budget.
-func NewAccountant(totalEps float64) (*Accountant, error) {
-	if err := CheckEpsilon(totalEps); err != nil {
-		return nil, err
-	}
-	return &Accountant{total: totalEps}, nil
-}
-
-// Spend consumes eps from the budget, failing if it would overdraw.
-func (a *Accountant) Spend(eps float64) error {
-	if err := CheckEpsilon(eps); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	// Tolerate float rounding at the boundary.
-	if a.spent+eps > a.total*(1+1e-12) {
-		return fmt.Errorf("%w: spent %v + requested %v > total %v",
-			ErrBudgetExhausted, a.spent, eps, a.total)
-	}
-	a.spent += eps
-	return nil
-}
-
-// Remaining returns the unspent budget (never negative).
-func (a *Accountant) Remaining() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.total - a.spent
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Spent returns the cumulative spend.
-func (a *Accountant) Spent() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.spent
-}
-
-// Total returns the budget ceiling the accountant was created with.
-func (a *Accountant) Total() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
-
-// Reset refills the budget to Total. It is not free post-processing: only
-// a policy layer that deliberately renews budgets (WindowedLedger) should
-// call it.
-func (a *Accountant) Reset() {
-	a.mu.Lock()
-	a.spent = 0
-	a.mu.Unlock()
 }

@@ -49,11 +49,18 @@ func TestLaplaceTail(t *testing.T) {
 	}
 }
 
+// amplifiedEps is the privacy parameter of a mechanism with budget epsSub
+// run on an eta-fraction subsample drawn without replacement (Theorem
+// 2.4): log(1 + eta*(e^epsSub - 1)). SubsampleBudget must invert it.
+func amplifiedEps(epsSub, eta float64) float64 {
+	return math.Log1p(eta * math.Expm1(epsSub))
+}
+
 func TestAmplificationRoundTrip(t *testing.T) {
 	for _, eta := range []float64{0.01, 0.1, 0.5} {
 		for _, eps := range []float64{0.1, 0.5, 1} {
 			sub := SubsampleBudget(eps, eta)
-			back := AmplifiedEps(sub, eta)
+			back := amplifiedEps(sub, eta)
 			if math.Abs(back-eps) > 1e-12 {
 				t.Errorf("eta=%v eps=%v: round trip %v", eta, eps, back)
 			}
@@ -63,7 +70,7 @@ func TestAmplificationRoundTrip(t *testing.T) {
 		}
 	}
 	// Small-eps approximation: amplified ~ eta*eps.
-	if got := AmplifiedEps(0.001, 0.1); math.Abs(got-0.0001) > 1e-6 {
+	if got := amplifiedEps(0.001, 0.1); math.Abs(got-0.0001) > 1e-6 {
 		t.Errorf("small-eps amplification = %v", got)
 	}
 	if got := SubsampleBudget(1, 1); got != 1 {
@@ -71,18 +78,18 @@ func TestAmplificationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAccountant(t *testing.T) {
-	a, err := NewAccountant(1.0)
+func TestBasicLedger(t *testing.T) {
+	a, err := NewBasicLedger(1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Spend(0.6); err != nil {
+	if err := a.Spend(EpsCost(0.6)); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Spend(0.5); !errors.Is(err, ErrBudgetExhausted) {
+	if err := a.Spend(EpsCost(0.5)); !errors.Is(err, ErrBudgetExhausted) {
 		t.Errorf("overdraw should fail, got %v", err)
 	}
-	if err := a.Spend(0.4); err != nil {
+	if err := a.Spend(EpsCost(0.4)); err != nil {
 		t.Errorf("exact-fit spend should pass: %v", err)
 	}
 	if r := a.Remaining(); r > 1e-9 {
@@ -91,7 +98,7 @@ func TestAccountant(t *testing.T) {
 	if s := a.Spent(); math.Abs(s-1) > 1e-12 {
 		t.Errorf("spent = %v", s)
 	}
-	if _, err := NewAccountant(-1); err == nil {
+	if _, err := NewBasicLedger(-1); err == nil {
 		t.Error("negative budget should fail")
 	}
 }

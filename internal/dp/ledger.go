@@ -10,10 +10,10 @@ import (
 
 // This file is the pluggable composition layer: every release path in the
 // repository (updp.Estimator, dpsql.DB, the serve tenants) charges its
-// privacy cost to a Ledger rather than to the concrete Accountant, so the
-// composition theorem in force — basic composition of pure ε (Lemma 2.2),
-// zCDP composition (Bun & Steinke 2016), or a renewable window over either
-// — is a per-ledger choice instead of a repository-wide constant.
+// privacy cost to a Ledger, so the composition theorem in force — basic
+// composition of pure ε (Lemma 2.2), zCDP composition (Bun & Steinke
+// 2016), Rényi composition, or a renewable window over any of them — is a
+// per-ledger choice instead of a repository-wide constant.
 
 // Ledger errors.
 var (
@@ -61,25 +61,15 @@ const (
 	UnitRDP Unit = "rdp"
 )
 
-// RDPPoint is one sample of a mechanism's Rényi-DP curve: the mechanism
-// satisfies (Alpha, Eps)-RDP.
-type RDPPoint struct {
-	Alpha float64 `json:"alpha"`
-	Eps   float64 `json:"eps"`
-}
-
 // Cost is the privacy price of one release, in the units the mechanism's
 // guarantee is stated in: pure-ε-DP mechanisms (Laplace, exponential, SVT
 // — everything the paper builds on) carry Eps; natively-zCDP mechanisms
-// (Gaussian) carry Rho; a mechanism whose guarantee is stated as a full
-// Rényi curve (e.g. subsampled or otherwise exotically-composed releases)
-// carries Curve. Exactly one representation is set; each ledger converts
-// the cost into its own unit, or refuses it when no sound conversion
-// exists (only the RDP backend can account an arbitrary Curve).
+// (Gaussian) carry Rho. Exactly one is set; each ledger converts the cost
+// into its own unit, or refuses it when no sound conversion exists (a
+// pure-ε ledger cannot account ρ).
 type Cost struct {
-	Eps   float64    `json:"eps,omitempty"`   // pure-DP ε (zero when the release is charged in ρ or a curve)
-	Rho   float64    `json:"rho,omitempty"`   // zCDP ρ (zero when the release is charged in ε or a curve)
-	Curve []RDPPoint `json:"curve,omitempty"` // native RDP curve samples ε(α)
+	Eps float64 `json:"eps,omitempty"` // pure-DP ε (zero when the release is charged in ρ)
+	Rho float64 `json:"rho,omitempty"` // zCDP ρ (zero when the release is charged in ε)
 }
 
 // EpsCost is the cost of a pure ε-DP release.
@@ -88,16 +78,8 @@ func EpsCost(eps float64) Cost { return Cost{Eps: eps} }
 // RhoCost is the cost of a natively ρ-zCDP release.
 func RhoCost(rho float64) Cost { return Cost{Rho: rho} }
 
-// CurveCost is the cost of a release whose guarantee is a sampled RDP
-// curve: the release satisfies (Alpha, Eps)-RDP at every point. Only the
-// RDP backend can account it.
-func CurveCost(points ...RDPPoint) Cost { return Cost{Curve: points} }
-
 // String renders the cost in its native unit.
 func (c Cost) String() string {
-	if len(c.Curve) > 0 {
-		return fmt.Sprintf("rdp-curve[%d points]", len(c.Curve))
-	}
 	if c.Rho != 0 {
 		return fmt.Sprintf("rho=%v", c.Rho)
 	}
@@ -157,50 +139,86 @@ func ZCDPRho(eps, delta float64) float64 {
 // ---------- BasicLedger: pure-ε basic composition ----------
 
 // BasicLedger is the pure-ε composition backend (Lemma 2.2): costs add
-// linearly and only pure-DP releases are accepted. It is a Ledger view of
-// an Accountant and shares its state, so legacy Accountant holders and
-// Ledger callers deduct from the same budget.
-type BasicLedger struct{ acct *Accountant }
+// linearly and only pure-DP releases are accepted. Spend is an atomic
+// check-and-deduct, so racing goroutines can never jointly overdraw the
+// budget — the property the serve layer's per-tenant enforcement rests on.
+type BasicLedger struct {
+	mu    sync.Mutex
+	total float64
+	spent float64
+}
 
 // NewBasicLedger returns a pure-ε ledger with the given total budget.
 func NewBasicLedger(totalEps float64) (*BasicLedger, error) {
-	acct, err := NewAccountant(totalEps)
-	if err != nil {
+	if err := CheckEpsilon(totalEps); err != nil {
 		return nil, err
 	}
-	return &BasicLedger{acct: acct}, nil
+	return &BasicLedger{total: totalEps}, nil
 }
 
-// Ledger returns the accountant's Ledger view; both sides share one budget.
-func (a *Accountant) Ledger() *BasicLedger { return &BasicLedger{acct: a} }
-
-// Accountant returns the underlying shared accountant.
-func (l *BasicLedger) Accountant() *Accountant { return l.acct }
-
-// Spend charges a pure-ε release under basic composition. A native ρ or
-// RDP-curve cost is refused: neither mechanism class has a finite pure-ε
-// guarantee.
-func (l *BasicLedger) Spend(c Cost) error {
-	if c.Rho != 0 || len(c.Curve) > 0 {
-		return fmt.Errorf("%w: pure-eps ledger cannot account a %v cost", ErrUnsupportedCost, c)
+// pureEps validates a cost for the pure-ε backend. A native ρ cost is
+// refused: the Gaussian mechanism has no finite pure-ε guarantee.
+func pureEps(c Cost) (float64, error) {
+	if c.Rho != 0 {
+		return 0, fmt.Errorf("%w: pure-eps ledger cannot account a %v cost", ErrUnsupportedCost, c)
 	}
-	return l.acct.Spend(c.Eps)
+	if err := CheckEpsilon(c.Eps); err != nil {
+		return 0, err
+	}
+	return c.Eps, nil
 }
 
-// Remaining reports the unspent ε.
-func (l *BasicLedger) Remaining() float64 { return l.acct.Remaining() }
+// Spend charges a pure-ε release under basic composition.
+func (l *BasicLedger) Spend(c Cost) error {
+	eps, err := pureEps(c)
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Tolerate float rounding at the boundary.
+	if l.spent+eps > l.total*(1+1e-12) {
+		return fmt.Errorf("%w: spent %v + requested %v > total %v",
+			ErrBudgetExhausted, l.spent, eps, l.total)
+	}
+	l.spent += eps
+	return nil
+}
+
+// Remaining reports the unspent ε (never negative).
+func (l *BasicLedger) Remaining() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.total - l.spent
+	if r < 0 {
+		return 0
+	}
+	return r
+}
 
 // Spent reports the cumulative ε spend.
-func (l *BasicLedger) Spent() float64 { return l.acct.Spent() }
+func (l *BasicLedger) Spent() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.spent
+}
 
 // Total reports the ε ceiling.
-func (l *BasicLedger) Total() float64 { return l.acct.Total() }
+func (l *BasicLedger) Total() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.total
+}
 
 // Unit reports pure-DP ε.
 func (l *BasicLedger) Unit() Unit { return UnitEps }
 
 // Reset refills the budget to Total.
-func (l *BasicLedger) Reset() { l.acct.Reset() }
+func (l *BasicLedger) Reset() {
+	l.mu.Lock()
+	l.spent = 0
+	l.mu.Unlock()
+}
 
 // ---------- ZCDPLedger: zero-concentrated DP composition ----------
 
@@ -243,13 +261,8 @@ func NewZCDPLedgerFromRho(totalRho, delta float64) (*ZCDPLedger, error) {
 	return &ZCDPLedger{totalRho: totalRho, eps: ZCDPEpsilon(totalRho, delta), delta: delta}, nil
 }
 
-// rho prices a cost in ρ. An arbitrary RDP curve is refused: zCDP
-// requires ε(α) ≤ ρα at EVERY order, which sampled curve points cannot
-// promise — the RDP ledger is the backend for those.
+// rho prices a cost in ρ.
 func (l *ZCDPLedger) rho(c Cost) (float64, error) {
-	if len(c.Curve) > 0 {
-		return 0, fmt.Errorf("%w: zCDP ledger cannot account an RDP-curve cost %v", ErrUnsupportedCost, c)
-	}
 	if c.Rho != 0 {
 		if err := CheckRho(c.Rho); err != nil {
 			return 0, err
@@ -270,7 +283,7 @@ func (l *ZCDPLedger) Spend(c Cost) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Tolerate float rounding at the boundary, as the Accountant does.
+	// Tolerate float rounding at the boundary, as BasicLedger does.
 	if l.spentRho+rho > l.totalRho*(1+1e-12) {
 		return fmt.Errorf("%w: spent rho=%v + requested rho=%v > total rho=%v (zCDP, delta=%v)",
 			ErrBudgetExhausted, l.spentRho, rho, l.totalRho, l.delta)
@@ -423,6 +436,3 @@ func (l *WindowedLedger) Reset() {
 
 // Inner returns the decorated ledger (for status reporting).
 func (l *WindowedLedger) Inner() Ledger { return l.inner }
-
-// Window returns the refill period.
-func (l *WindowedLedger) Window() time.Duration { return l.window }

@@ -64,20 +64,19 @@ func TestZCDPAffordsQuadraticallyMoreSmallReleases(t *testing.T) {
 
 // ---------- BasicLedger ----------
 
-func TestBasicLedgerSharesAccountantState(t *testing.T) {
-	acct, err := NewAccountant(2)
+func TestBasicLedgerRefusesRhoAndResets(t *testing.T) {
+	led, err := NewBasicLedger(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	led := acct.Ledger()
 	if err := led.Spend(EpsCost(0.5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := acct.Spend(1); err != nil {
+	if err := led.Spend(EpsCost(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := led.Spent(); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("Spent() = %v, want 1.5 (shared state)", got)
+		t.Errorf("Spent() = %v, want 1.5", got)
 	}
 	if led.Unit() != UnitEps {
 		t.Errorf("Unit() = %v, want %v", led.Unit(), UnitEps)

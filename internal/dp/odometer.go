@@ -49,9 +49,6 @@ func (o *Odometer) SetNow(now func() time.Time) {
 	o.mu.Unlock()
 }
 
-// Window reports the sliding window length.
-func (o *Odometer) Window() time.Duration { return o.window }
-
 // Observe records the ledger's cumulative spend after a deduction.
 func (o *Odometer) Observe(spent float64) {
 	o.mu.Lock()

@@ -19,25 +19,16 @@ package dp
 //
 // bound > 1 is the honest fallback to sequential (group) composition: a
 // user seen by up to `bound` groups faces at most bound-fold composition
-// of the per-group guarantee, so every representation scales by bound —
-// Eps and Rho linearly (basic and zCDP composition are additive), and
-// each RDP curve point's ε(α) linearly (RDP composition is per-order
-// additive, so bound-fold self-composition multiplies the curve).
+// of the per-group guarantee, so Eps and Rho scale linearly by bound
+// (basic and zCDP composition are additive).
 //
-// The result keeps the input's representation — exactly one of Eps, Rho,
-// Curve is set whenever that held for per — so every ledger backend that
-// accepts the per-group cost accepts the parallel-composed one.
+// The result keeps the input's representation — Eps stays Eps and Rho
+// stays Rho — so every ledger backend that accepts the per-group cost
+// accepts the parallel-composed one.
 func ParallelCost(per Cost, bound int) Cost {
 	if bound <= 1 {
 		return per
 	}
 	k := float64(bound)
-	out := Cost{Eps: per.Eps * k, Rho: per.Rho * k}
-	if len(per.Curve) > 0 {
-		out.Curve = make([]RDPPoint, len(per.Curve))
-		for i, p := range per.Curve {
-			out.Curve[i] = RDPPoint{Alpha: p.Alpha, Eps: p.Eps * k}
-		}
-	}
-	return out
+	return Cost{Eps: per.Eps * k, Rho: per.Rho * k}
 }

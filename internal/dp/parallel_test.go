@@ -11,18 +11,12 @@ func TestParallelCostIdentity(t *testing.T) {
 	costs := []Cost{
 		EpsCost(0.7),
 		RhoCost(0.02),
-		CurveCost(RDPPoint{Alpha: 2, Eps: 0.1}, RDPPoint{Alpha: 8, Eps: 0.4}),
 	}
 	for _, c := range costs {
 		for _, b := range []int{0, 1} {
 			got := ParallelCost(c, b)
-			if got.Eps != c.Eps || got.Rho != c.Rho || len(got.Curve) != len(c.Curve) {
+			if got != c {
 				t.Fatalf("ParallelCost(%v, %d) = %v, want identity", c, b, got)
-			}
-			for i := range c.Curve {
-				if got.Curve[i] != c.Curve[i] {
-					t.Fatalf("ParallelCost(%v, %d) curve point %d changed", c, b, i)
-				}
 			}
 		}
 	}
@@ -32,31 +26,18 @@ func TestParallelCostIdentity(t *testing.T) {
 // representation by the bound, and zero fields stay zero (exactly one
 // representation remains set).
 func TestParallelCostSequentialFallback(t *testing.T) {
-	if got := ParallelCost(EpsCost(0.25), 3); got.Eps != 0.75 || got.Rho != 0 || got.Curve != nil {
+	if got := ParallelCost(EpsCost(0.25), 3); got.Eps != 0.75 || got.Rho != 0 {
 		t.Fatalf("eps fallback: got %+v", got)
 	}
-	if got := ParallelCost(RhoCost(0.01), 4); got.Rho != 0.04 || got.Eps != 0 || got.Curve != nil {
+	if got := ParallelCost(RhoCost(0.01), 4); got.Rho != 0.04 || got.Eps != 0 {
 		t.Fatalf("rho fallback: got %+v", got)
-	}
-	in := CurveCost(RDPPoint{Alpha: 2, Eps: 0.1}, RDPPoint{Alpha: 16, Eps: 0.9})
-	got := ParallelCost(in, 2)
-	if got.Eps != 0 || got.Rho != 0 || len(got.Curve) != 2 {
-		t.Fatalf("curve fallback: got %+v", got)
-	}
-	for i, p := range in.Curve {
-		if got.Curve[i].Alpha != p.Alpha || got.Curve[i].Eps != 2*p.Eps {
-			t.Fatalf("curve point %d: got %+v, want alpha=%v eps=%v", i, got.Curve[i], p.Alpha, 2*p.Eps)
-		}
-	}
-	if in.Curve[0].Eps != 0.1 {
-		t.Fatal("ParallelCost mutated its input curve")
 	}
 }
 
 // TestParallelCostAllLedgers: the scaled cost stays representable in
 // every backend that accepted the per-group cost — a pure-ε per-group
-// cost lands on pure, zcdp, and rdp ledgers; a ρ cost on zcdp and rdp;
-// a curve cost on rdp — and the spend equals the scaled amount.
+// cost lands on pure, zcdp, and rdp ledgers — and the spend equals the
+// scaled amount.
 func TestParallelCostAllLedgers(t *testing.T) {
 	per := EpsCost(0.1)
 	cost := ParallelCost(per, 2) // 0.2 eps total
@@ -97,19 +78,4 @@ func TestParallelCostAllLedgers(t *testing.T) {
 		}
 	}
 
-	// A scaled curve cost is still only representable on rdp.
-	curve := ParallelCost(CurveCost(RDPPoint{Alpha: 2, Eps: 0.001}), 3)
-	if err := bl.Spend(curve); err == nil {
-		t.Fatal("pure ledger accepted a curve cost")
-	}
-	rl2, err := NewRDPLedger(20, 1e-6, []float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rl2.Spend(curve); err != nil {
-		t.Fatalf("rdp refused scaled curve: %v", err)
-	}
-	if got := rl2.SpentByOrder()[0]; math.Abs(got-0.003) > 1e-15 {
-		t.Fatalf("rdp curve spend = %v, want 0.003", got)
-	}
 }

@@ -148,31 +148,17 @@ func RestoreLedger(st LedgerState) (StatefulLedger, error) {
 	}
 }
 
-// ---------- Accountant internals shared by BasicLedger ----------
-
-// restore overwrites the accountant's state.
-func (a *Accountant) restore(total, spent float64) {
-	a.mu.Lock()
-	a.total, a.spent = total, spent
-	a.mu.Unlock()
-}
-
-// forceSpend adds eps without the overdraw check (WAL replay).
-func (a *Accountant) forceSpend(eps float64) {
-	a.mu.Lock()
-	a.spent += eps
-	a.mu.Unlock()
-}
-
 // ---------- BasicLedger ----------
 
 // Snapshot captures the pure-ε state.
 func (l *BasicLedger) Snapshot() (LedgerState, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return LedgerState{
 		Kind:  LedgerBasic,
 		Unit:  UnitEps,
-		Total: l.acct.Total(),
-		Spent: l.acct.Spent(),
+		Total: l.total,
+		Spent: l.spent,
 	}, nil
 }
 
@@ -187,20 +173,22 @@ func (l *BasicLedger) Restore(st LedgerState) error {
 	if err := checkSpent(st.Spent); err != nil {
 		return err
 	}
-	l.acct.restore(st.Total, st.Spent)
+	l.mu.Lock()
+	l.total, l.spent = st.Total, st.Spent
+	l.mu.Unlock()
 	return nil
 }
 
 // ForceSpend charges a replayed pure-ε deduction without the overdraw
-// check. Native-ρ and RDP-curve costs remain unrepresentable.
+// check. Native-ρ costs remain unrepresentable.
 func (l *BasicLedger) ForceSpend(c Cost) error {
-	if c.Rho != 0 || len(c.Curve) > 0 {
-		return fmt.Errorf("%w: pure-eps ledger cannot account a %v cost", ErrUnsupportedCost, c)
-	}
-	if err := CheckEpsilon(c.Eps); err != nil {
+	eps, err := pureEps(c)
+	if err != nil {
 		return err
 	}
-	l.acct.forceSpend(c.Eps)
+	l.mu.Lock()
+	l.spent += eps
+	l.mu.Unlock()
 	return nil
 }
 
@@ -259,28 +247,13 @@ func (l *ZCDPLedger) ForceSpend(c Cost) error {
 
 // ---------- RDPLedger ----------
 
-// rdpSpentExhausted encodes an order whose live spend is +Inf (a curve
-// cost left it uncovered, killing it for the ledger's lifetime) inside
-// a LedgerState: JSON cannot carry +Inf, so the state uses -1 — a value
-// no real spend can take — and Restore maps it back.
-const rdpSpentExhausted = -1
-
 // Snapshot captures the per-order spend vector plus the (ε, δ) target
 // and the order grid. Total and Spent carry the converted (ε, δ) view
 // for human inspection; the vector is what a restart rebuilds from.
-// Orders at +Inf spend are encoded as rdpSpentExhausted so the state
-// stays JSON-serializable.
 func (l *RDPLedger) Snapshot() (LedgerState, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	spentEps, _ := RDPEpsilon(l.orders, l.spent, l.delta)
-	spent := make([]float64, len(l.spent))
-	for i, s := range l.spent {
-		if math.IsInf(s, 1) {
-			s = rdpSpentExhausted
-		}
-		spent[i] = s
-	}
 	return LedgerState{
 		Kind:     LedgerRDP,
 		Unit:     UnitRDP,
@@ -289,7 +262,7 @@ func (l *RDPLedger) Snapshot() (LedgerState, error) {
 		Eps:      l.eps,
 		Delta:    l.delta,
 		Orders:   append([]float64(nil), l.orders...),
-		SpentRDP: spent,
+		SpentRDP: append([]float64(nil), l.spent...),
 	}, nil
 }
 
@@ -300,8 +273,7 @@ func (l *RDPLedger) Snapshot() (LedgerState, error) {
 // re-pair spends with the wrong orders, so a shuffled grid is refused as
 // corrupt instead. An absent SpentRDP restores as zero spend. Per-order
 // spends may exceed their ceilings — a crash-replayed ledger
-// over-counts, never refills — and the rdpSpentExhausted sentinel
-// restores to the +Inf it encodes.
+// over-counts, never refills.
 func (l *RDPLedger) Restore(st LedgerState) error {
 	if st.Kind != LedgerRDP {
 		return fmt.Errorf("%w: kind %q into an rdp ledger", ErrBadLedgerState, st.Kind)
@@ -335,13 +307,8 @@ func (l *RDPLedger) Restore(st LedgerState) error {
 	if len(spent) != len(grid) {
 		return fmt.Errorf("%w: %d spends for %d orders", ErrBadLedgerState, len(spent), len(grid))
 	}
-	for i, s := range spent {
-		switch {
-		case s == rdpSpentExhausted || math.IsInf(s, 1):
-			// A curve cost left the order uncovered pre-crash; it stays
-			// dead (+Inf drops out of every conversion).
-			spent[i] = math.Inf(1)
-		case s < 0 || math.IsNaN(s):
+	for _, s := range spent {
+		if s < 0 || math.IsNaN(s) || math.IsInf(s, 1) {
 			return fmt.Errorf("%w: rdp spend %v", ErrBadLedgerState, s)
 		}
 	}

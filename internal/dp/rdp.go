@@ -25,7 +25,7 @@ var (
 	// ErrNoUsableOrder reports an order grid on which no α can certify
 	// the requested (ε, δ) target: every order's conversion overhead
 	// ln(1/δ)/(α−1) already exceeds ε. The fix is a grid with larger
-	// orders (RDPOrdersFor) or a larger ε.
+	// orders or a larger ε.
 	ErrNoUsableOrder = errors.New("dp: no Rényi order can certify the (eps, delta) target; extend the order grid to larger alpha")
 )
 
@@ -37,36 +37,14 @@ const maxRDPOrders = 1024
 // 64: dense near 1 (where small-δ conversions of large budgets land) and
 // geometric above. The optimal conversion order for a target (ε, δ) is
 // α* ≈ 1 + sqrt(ln(1/δ)/ρ) with ρ = ZCDPRho(ε, δ); when that exceeds 64
-// — small ε at small δ — use RDPOrdersFor, which extends the grid to
-// bracket it.
+// — small ε at small δ — pass a grid that extends past α*: a grid that
+// stops short of it pays a discretization penalty that can leave RDP
+// looser than zCDP.
 func DefaultRDPOrders() []float64 {
 	return []float64{
 		1.25, 1.5, 1.75, 2, 2.25, 2.5, 2.75, 3, 3.5, 4, 4.5, 5,
 		6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64,
 	}
-}
-
-// RDPOrdersFor returns an order grid tuned to a nominal (eps, delta)
-// target: the default grid, extended geometrically until it brackets
-// twice the optimal conversion order α* = 1 + sqrt(ln(1/δ)/ρ(ε, δ)). A
-// grid that stops short of α* pays a discretization penalty that can
-// leave RDP looser than zCDP; bracketing α* guarantees the conversion is
-// at least as tight.
-func RDPOrdersFor(eps, delta float64) []float64 {
-	orders := DefaultRDPOrders()
-	if CheckEpsilon(eps) != nil || CheckDelta(delta) != nil {
-		return orders
-	}
-	rho := ZCDPRho(eps, delta)
-	if rho <= 0 {
-		return orders
-	}
-	target := 2 * (1 + math.Sqrt(math.Log(1/delta)/rho))
-	for a := orders[len(orders)-1]; a < target && len(orders) < maxRDPOrders; {
-		a *= 1.15
-		orders = append(orders, a)
-	}
-	return orders
 }
 
 // lnCosh computes ln(cosh(x)) without overflow: x + ln(1+e^(−2x)) − ln 2.
@@ -113,8 +91,7 @@ func RDPToDP(epsAlpha, alpha, delta float64) float64 {
 // spend vector: min over the grid of RDPToDP, with an all-zero spend
 // reading exactly 0 (no release has happened). It also reports the
 // arg-min order — the α currently doing the certifying (0 when spend is
-// zero). Orders whose spend is +Inf (a curve cost that did not cover
-// them) are skipped.
+// zero).
 func RDPEpsilon(orders, spent []float64, delta float64) (eps, bestOrder float64) {
 	zero := true
 	for _, s := range spent {
@@ -128,9 +105,6 @@ func RDPEpsilon(orders, spent []float64, delta float64) (eps, bestOrder float64)
 	}
 	eps = math.Inf(1)
 	for i, a := range orders {
-		if math.IsInf(spent[i], 1) {
-			continue
-		}
 		if e := RDPToDP(spent[i], a, delta); e < eps {
 			eps, bestOrder = e, a
 		}
@@ -172,12 +146,8 @@ func checkOrders(orders []float64) ([]float64, error) {
 // conversion — the number an operator compares against the nominal
 // target; SpentByOrder exposes the native per-order vector.
 //
-// Pricing: a pure ε cost contributes PureRDP(α, ε) at each order, a
-// native ρ cost (Gaussian) contributes ρα, and an explicit Cost.Curve
-// contributes, at each grid order, the smallest curve sample at an order
-// ≥ the grid's (RDP is non-decreasing in α, so rounding the order up is
-// sound); grid orders above every sample get +Inf and drop out of the
-// conversion.
+// Pricing: a pure ε cost contributes PureRDP(α, ε) at each order and a
+// native ρ cost (Gaussian) contributes ρα.
 type RDPLedger struct {
 	mu     sync.Mutex
 	orders []float64 // ascending, > 1
@@ -190,7 +160,7 @@ type RDPLedger struct {
 // NewRDPLedger returns an RDP ledger targeting (eps, delta)-DP over the
 // given order grid (nil or empty means DefaultRDPOrders). It fails with
 // ErrNoUsableOrder when no order on the grid can certify the target even
-// at zero spend — the grid needs larger α (see RDPOrdersFor).
+// at zero spend — the grid needs larger α (see DefaultRDPOrders).
 func NewRDPLedger(eps, delta float64, orders []float64) (*RDPLedger, error) {
 	if err := CheckEpsilon(eps); err != nil {
 		return nil, err
@@ -227,27 +197,6 @@ func NewRDPLedger(eps, delta float64, orders []float64) (*RDPLedger, error) {
 func (l *RDPLedger) curve(c Cost) ([]float64, error) {
 	v := make([]float64, len(l.orders))
 	switch {
-	case len(c.Curve) > 0:
-		for _, p := range c.Curve {
-			if !(p.Alpha > 1) || math.IsNaN(p.Alpha) {
-				return nil, fmt.Errorf("%w: curve point at alpha %v", ErrInvalidOrder, p.Alpha)
-			}
-			if p.Eps < 0 || math.IsNaN(p.Eps) {
-				return nil, fmt.Errorf("%w: curve eps %v at alpha %v", ErrInvalidEpsilon, p.Eps, p.Alpha)
-			}
-		}
-		for i, a := range l.orders {
-			// Round the order UP onto the curve: an (α', ε')-RDP guarantee
-			// with α' ≥ α implies (α, ε')-RDP, because a valid RDP curve is
-			// non-decreasing in α. Orders past every sample are uncovered.
-			best := math.Inf(1)
-			for _, p := range c.Curve {
-				if p.Alpha >= a && p.Eps < best {
-					best = p.Eps
-				}
-			}
-			v[i] = best
-		}
 	case c.Rho != 0:
 		if err := CheckRho(c.Rho); err != nil {
 			return nil, err

@@ -131,41 +131,6 @@ func TestRDPEpsilonFixture(t *testing.T) {
 	if e, a := RDPEpsilon(orders, []float64{0, 0}, 1e-6); e != 0 || a != 0 {
 		t.Errorf("zero spend = (%v, %v), want (0, 0)", e, a)
 	}
-	// +Inf orders (uncovered by a curve cost) drop out.
-	if e, a := RDPEpsilon(orders, []float64{0.1, math.Inf(1)}, 1e-6); e != 0.1+l || a != 2 {
-		t.Errorf("inf-order conversion = (%v, %v), want (%v, 2)", e, a, 0.1+l)
-	}
-}
-
-// An explicit curve cost rounds each grid order UP onto the nearest
-// covering sample; grid orders above every sample become unusable.
-func TestRDPCurveCostRoundsOrderUp(t *testing.T) {
-	led, err := NewRDPLedger(50, 1e-6, []float64{2, 3, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := led.Spend(CurveCost(RDPPoint{Alpha: 4, Eps: 0.5}, RDPPoint{Alpha: 2, Eps: 0.1})); err != nil {
-		t.Fatal(err)
-	}
-	spent := led.SpentByOrder()
-	if spent[0] != 0.1 { // alpha=2 covered exactly
-		t.Errorf("alpha=2 spent %v, want 0.1", spent[0])
-	}
-	if spent[1] != 0.5 { // alpha=3 rounds up to the alpha=4 sample
-		t.Errorf("alpha=3 spent %v, want 0.5 (rounded up to alpha=4)", spent[1])
-	}
-	if !math.IsInf(spent[2], 1) { // alpha=8 uncovered
-		t.Errorf("alpha=8 spent %v, want +Inf (uncovered)", spent[2])
-	}
-	// The other backends refuse curve costs outright.
-	basic, _ := NewBasicLedger(1)
-	if err := basic.Spend(CurveCost(RDPPoint{Alpha: 2, Eps: 0.1})); !errors.Is(err, ErrUnsupportedCost) {
-		t.Errorf("curve on basic ledger: want ErrUnsupportedCost, got %v", err)
-	}
-	zcdp, _ := NewZCDPLedger(1, 1e-6)
-	if err := zcdp.Spend(CurveCost(RDPPoint{Alpha: 2, Eps: 0.1})); !errors.Is(err, ErrUnsupportedCost) {
-		t.Errorf("curve on zcdp ledger: want ErrUnsupportedCost, got %v", err)
-	}
 }
 
 // ---------- budget enforcement ----------
@@ -239,13 +204,27 @@ func TestRDPLedgerRejectsBadParams(t *testing.T) {
 	if _, err := NewRDPLedger(0.01, 1e-6, []float64{2, 4}); !errors.Is(err, ErrNoUsableOrder) {
 		t.Errorf("uncertifiable grid: got %v", err)
 	}
-	// RDPOrdersFor extends the grid far enough for the same target.
-	if _, err := NewRDPLedger(0.01, 1e-6, RDPOrdersFor(0.01, 1e-6)); err != nil {
-		t.Errorf("RDPOrdersFor grid still uncertifiable: %v", err)
+	// A grid extended past the optimal order certifies the same target.
+	if _, err := NewRDPLedger(0.01, 1e-6, ordersPastOptimum(0.01, 1e-6)); err != nil {
+		t.Errorf("extended grid still uncertifiable: %v", err)
 	}
 }
 
 // ---------- the headline ordering: rdp >= zcdp >= pure ----------
+
+// ordersPastOptimum extends DefaultRDPOrders geometrically until it
+// brackets twice the optimal conversion order α* = 1 + sqrt(ln(1/δ)/ρ)
+// with ρ = ZCDPRho(ε, δ): a grid that stops short of α* pays a
+// discretization penalty that can leave RDP looser than zCDP.
+func ordersPastOptimum(eps, delta float64) []float64 {
+	orders := DefaultRDPOrders()
+	target := 2 * (1 + math.Sqrt(math.Log(1/delta)/ZCDPRho(eps, delta)))
+	for a := orders[len(orders)-1]; a < target; {
+		a *= 1.15
+		orders = append(orders, a)
+	}
+	return orders
+}
 
 // On a mixed Laplace+Gaussian stream with the same nominal (ε, δ)
 // budget, the RDP ledger sustains at least as many releases as the zCDP
@@ -268,7 +247,7 @@ func TestRDPOutlastsZCDPOnMixedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rdp, err := NewRDPLedger(nominal, delta, RDPOrdersFor(nominal, delta))
+	rdp, err := NewRDPLedger(nominal, delta, ordersPastOptimum(nominal, delta))
 	if err != nil {
 		t.Fatal(err)
 	}

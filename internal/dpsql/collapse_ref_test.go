@@ -47,7 +47,7 @@ func refCollapseSelectionSeq(t *Table, snaps []shardSnap, parts []selPart, colIx
 // refGroupedExec is the row-at-a-time reference for a GROUP BY release on
 // a hash-routed table: rows in insertion order, the WHERE predicate by
 // Eval, keys by Value.String, each user clamped to its first bound
-// groups (bound -1: unclamped), per-user folds by map, groups and users
+// groups, per-user folds by map, groups and users
 // sorted by key and id, then the same mechanism calls Exec makes.
 func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps float64, bound int) ([]ResultRow, error) {
 	gix, err := t.ColumnIndex(q.GroupBy)
@@ -67,17 +67,15 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 			}
 		}
 		key, uid := r[gix].String(), r[t.userIx].String()
-		if bound >= 1 {
-			in := false
-			for _, k := range admitted[uid] {
-				in = in || k == key
+		in := false
+		for _, k := range admitted[uid] {
+			in = in || k == key
+		}
+		if !in {
+			if len(admitted[uid]) >= bound {
+				continue
 			}
-			if !in {
-				if len(admitted[uid]) >= bound {
-					continue
-				}
-				admitted[uid] = append(admitted[uid], key)
-			}
+			admitted[uid] = append(admitted[uid], key)
 		}
 		g := groups[key]
 		if g == nil {
@@ -92,9 +90,6 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 	}
 	sort.Strings(keys)
 	epsG := eps / float64(bound) / float64(len(q.Aggs))
-	if bound < 1 {
-		epsG = eps / float64(len(keys)) / float64(len(q.Aggs))
-	}
 	var out []ResultRow
 	for _, k := range keys {
 		g := groups[k]
@@ -394,7 +389,7 @@ func TestStringDictionaryEvalTwin(t *testing.T) {
 			"SELECT AVG(v) FROM d WHERE s != '' GROUP BY s",
 			"SELECT COUNT(*) FROM d WHERE uid < 'u5' GROUP BY uid",
 		} {
-			for _, bound := range []int{0, 2, -1} {
+			for _, bound := range []int{0, 2} {
 				q, err := Parse(sql)
 				if err != nil {
 					t.Fatal(err)

@@ -21,9 +21,24 @@ var (
 	// ErrNotNumeric reports aggregation over a non-numeric column.
 	ErrNotNumeric = errors.New("dpsql: aggregate column must be numeric")
 	// ErrBadGroupBound reports an invalid per-user group contribution
-	// bound (valid: -1 for unbounded, or any cap >= 1).
-	ErrBadGroupBound = errors.New("dpsql: group contribution bound must be -1 (unbounded) or >= 1")
+	// bound (valid: 0, meaning the default of 1, or any cap >= 1).
+	ErrBadGroupBound = errors.New("dpsql: group contribution bound must be >= 1 (0 means 1)")
 )
+
+// CheckGroupBound validates a per-user group contribution bound and
+// returns it in canonical form: 0, the default, becomes 1. Every caller
+// that takes a bound from outside validates it here, so equal releases
+// spell their bound alike (the serve layer keys its response cache on
+// the canonical value).
+func CheckGroupBound(bound int) (int, error) {
+	switch {
+	case bound == 0:
+		return 1, nil
+	case bound < 0:
+		return 0, fmt.Errorf("%w: got %d", ErrBadGroupBound, bound)
+	}
+	return bound, nil
+}
 
 // ResultRow is one released result row (per group when GROUP BY is
 // present). Values holds one release per aggregate in the SELECT list;
@@ -107,9 +122,9 @@ type ExecOpts struct {
 	// to in a GROUP BY query. 0 means the default bound of 1 (groups
 	// partition the users and the grouped release is priced by parallel
 	// composition); c >= 1 clamps each user to its first c groups and
-	// prices by c-fold sequential composition; -1 disables clamping and
-	// falls back to the legacy even ε-split across groups. Ignored for
-	// queries without GROUP BY. See dp.ParallelCost.
+	// prices by c-fold sequential composition. A negative bound fails
+	// with ErrBadGroupBound (see CheckGroupBound). Ignored for queries
+	// without GROUP BY. See dp.ParallelCost.
 	GroupBound int
 }
 
@@ -127,9 +142,8 @@ type ExecOpts struct {
 // ExecOpts.GroupBound), so groups are disjoint in users and the whole
 // grouped answer costs ONE release at the full ε — not ε/k per group. A
 // bound c > 1 keeps per-group accuracy at ε/c and charges the honest
-// c-fold sequential composition. ExecOpts.GroupBound -1 restores the
-// legacy unbounded mode: no rows are dropped and the budget is split
-// evenly across groups, because one user may then appear in all of them.
+// c-fold sequential composition. Every grouped release is clamped: the
+// per-group budget never depends on how many groups the data holds.
 func (db *DB) Exec(rng *xrand.RNG, sql string, eps float64) (*Result, error) {
 	return db.ExecTraced(rng, sql, eps, ExecOpts{})
 }
@@ -152,12 +166,9 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return nil, err
 	}
-	bound := opts.GroupBound
-	if bound == 0 {
-		bound = 1
-	}
-	if bound < -1 {
-		return nil, fmt.Errorf("%w: got %d", ErrBadGroupBound, opts.GroupBound)
+	bound, err := CheckGroupBound(opts.GroupBound)
+	if err != nil {
+		return nil, err
 	}
 	t, err := db.TableByName(q.Table)
 	if err != nil {
@@ -183,6 +194,8 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		if err != nil {
 			return nil, err
 		}
+	} else {
+		bound = 1 // an ungrouped query is one group: the bound means nothing
 	}
 	if q.Where != nil {
 		// Static WHERE check (columns exist, kinds comparable) before the
@@ -198,16 +211,12 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	}
 	if led != nil {
 		// One deduction per release, charged before the scan (the price is
-		// data-independent). A bounded grouped query is priced by parallel
+		// data-independent). A grouped query is priced by parallel
 		// composition over its per-group budget eps/bound — at bound 1
 		// that is exactly one release of the full eps, and at bound c the
 		// honest c-fold sequential fallback; either way the total charged
-		// equals the requested eps, the same as a scalar query or the
-		// legacy unbounded split.
-		cost := dp.EpsCost(eps)
-		if groupIx >= 0 && bound >= 1 {
-			cost = dp.ParallelCost(dp.EpsCost(eps/float64(bound)), bound)
-		}
+		// equals the requested eps, the same as a scalar query.
+		cost := dp.ParallelCost(dp.EpsCost(eps/float64(bound)), bound)
 		if err := led.Spend(cost); err != nil {
 			return nil, err
 		}
@@ -239,7 +248,6 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	if groupIx >= 0 {
 		groupKind = t.Columns[groupIx].Kind
 	}
-	clamped := groupIx >= 0 && bound >= 1
 	snaps := t.shardSnapshots()
 	scans := make([][]shardGroup, len(snaps)) // per shard, first-seen order
 	t.runFan(len(snaps), func(si int) {
@@ -271,10 +279,7 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			// group's user set — is identical at every shard count.
 			keys, nkeys := sn.groupKeys(groupKind, groupIx, sel)
 			gix := make([]int32, nkeys)
-			var slots []int32
-			if clamped {
-				slots = make([]int32, sn.nu*bound)
-			}
+			slots := make([]int32, sn.nu*bound)
 			var groups []shardGroup
 			newGroup := func(i int) int32 {
 				key := sn.value(groupKind, groupIx, i)
@@ -287,29 +292,25 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 					continue
 				}
 				g := gix[keys[i]]
-				if clamped {
-					us := slots[int(sn.uix[i])*bound : (int(sn.uix[i])+1)*bound]
-					admitted, free := false, -1
-					for s, v := range us {
-						if g > 0 && v == g {
-							admitted = true
-							break
-						}
-						if v == 0 && free < 0 {
-							free = s
-						}
+				us := slots[int(sn.uix[i])*bound : (int(sn.uix[i])+1)*bound]
+				admitted, free := false, -1
+				for s, v := range us {
+					if g > 0 && v == g {
+						admitted = true
+						break
 					}
-					if !admitted {
-						if free < 0 {
-							continue // cap reached: drop the row
-						}
-						if g == 0 {
-							g = newGroup(i)
-						}
-						us[free] = g
+					if v == 0 && free < 0 {
+						free = s
 					}
-				} else if g == 0 {
-					g = newGroup(i)
+				}
+				if !admitted {
+					if free < 0 {
+						continue // cap reached: drop the row
+					}
+					if g == 0 {
+						g = newGroup(i)
+					}
+					us[free] = g
 				}
 				groups[g-1].idx = append(groups[g-1].idx, int32(i))
 			}
@@ -355,18 +356,11 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		return &Result{Query: q, EpsSpent: eps}, nil
 	}
 
-	// Per-group budget. With a contribution bound every group receives the
-	// full per-partition budget eps/bound (then split across the SELECT
-	// list's aggregates by basic composition) no matter how many groups
-	// exist — the parallel-composition payoff. The legacy unbounded mode
-	// (GroupBound -1) splits eps evenly across the k released groups,
-	// because an unclamped user may appear in all of them.
-	var epsG float64
-	if clamped {
-		epsG = eps / float64(bound) / float64(len(q.Aggs))
-	} else {
-		epsG = eps / float64(len(groups)) / float64(len(q.Aggs))
-	}
+	// Per-group budget: every group receives the full per-partition budget
+	// eps/bound (then split across the SELECT list's aggregates by basic
+	// composition) no matter how many groups exist — the
+	// parallel-composition payoff.
+	epsG := eps / float64(bound) / float64(len(q.Aggs))
 	noiseStart := time.Now()
 	defer func() { observe("noise", time.Since(noiseStart)) }()
 	res := &Result{Query: q, EpsSpent: eps}

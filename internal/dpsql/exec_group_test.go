@@ -58,7 +58,7 @@ func groupCounts(t *testing.T, db *DB, bound int) map[string]int {
 
 // TestGroupedContributionClamp: the per-user group-membership cap admits
 // each user to its first `bound` distinct groups in its own row order
-// and drops the rest; -1 disables clamping. Counts are checked exactly
+// and drops the rest. Counts are checked exactly
 // (huge ε), on single-shard and sharded twins.
 func TestGroupedContributionClamp(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -76,9 +76,9 @@ func TestGroupedContributionClamp(t *testing.T) {
 		if got, want := groupCounts(t, db, 2), map[string]int{"a": 8, "b": 8, "c": 8}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d bound=2: counts %v, want %v", shards, got, want)
 		}
-		// Unbounded legacy mode: nothing dropped -> all 12 users everywhere.
-		if got, want := groupCounts(t, db, -1), map[string]int{"a": 12, "b": 12, "c": 12}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d bound=-1: counts %v, want %v", shards, got, want)
+		// Bound 3 admits every group a user has -> all 12 users everywhere.
+		if got, want := groupCounts(t, db, 3), map[string]int{"a": 12, "b": 12, "c": 12}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d bound=3: counts %v, want %v", shards, got, want)
 		}
 	}
 }
@@ -86,7 +86,7 @@ func TestGroupedContributionClamp(t *testing.T) {
 // TestGroupedParallelPricing: one grouped release over k groups charges
 // exactly ONE release's cost — on the pure, zCDP, and RDP backends (the
 // RDP per-order vector checked componentwise) — regardless of k, and
-// the bound>1 / unbounded modes still charge the requested total.
+// a bound > 1 still charges the requested total.
 func TestGroupedParallelPricing(t *testing.T) {
 	const eps = 0.5
 	const q = "SELECT AVG(v) FROM events GROUP BY grp" // k=3 groups
@@ -138,18 +138,15 @@ func TestGroupedParallelPricing(t *testing.T) {
 		}
 	}
 
-	// Bound 2 (sequential fallback) and -1 (legacy even split) both still
-	// charge the requested total — the bound moves per-group accuracy,
-	// never the bill.
-	for _, b := range []int{2, -1} {
-		bl2, err := dp.NewBasicLedger(10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run(bl2, b)
-		if got := bl2.Spent(); got != eps {
-			t.Fatalf("bound=%d: pure spend = %v, want %v", b, got, eps)
-		}
+	// Bound 2 (sequential fallback) still charges the requested total —
+	// the bound moves per-group accuracy, never the bill.
+	bl2, err := dp.NewBasicLedger(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(bl2, 2)
+	if got := bl2.Spent(); got != eps {
+		t.Fatalf("bound=2: pure spend = %v, want %v", got, eps)
 	}
 }
 
@@ -205,7 +202,8 @@ func TestGroupedOverdraw(t *testing.T) {
 	}
 }
 
-// TestGroupedBadBound: bounds below -1 are rejected before any spend.
+// TestGroupedBadBound: negative bounds, -1 included, are rejected before
+// any spend.
 func TestGroupedBadBound(t *testing.T) {
 	db, _ := buildTwin(t, 1)
 	led, err := dp.NewBasicLedger(1)
@@ -213,12 +211,14 @@ func TestGroupedBadBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetLedger(led)
-	_, err = db.ExecTraced(xrand.New(1), "SELECT COUNT(*) FROM events GROUP BY grp", 0.5, ExecOpts{GroupBound: -2})
-	if !errors.Is(err, ErrBadGroupBound) {
-		t.Fatalf("got %v, want ErrBadGroupBound", err)
-	}
-	if led.Spent() != 0 {
-		t.Fatalf("invalid bound burned budget: spent %v", led.Spent())
+	for _, b := range []int{-1, -2} {
+		_, err = db.ExecTraced(xrand.New(1), "SELECT COUNT(*) FROM events GROUP BY grp", 0.5, ExecOpts{GroupBound: b})
+		if !errors.Is(err, ErrBadGroupBound) {
+			t.Fatalf("bound=%d: got %v, want ErrBadGroupBound", b, err)
+		}
+		if led.Spent() != 0 {
+			t.Fatalf("bound=%d burned budget: spent %v", b, led.Spent())
+		}
 	}
 }
 

@@ -7,10 +7,13 @@
 //
 // The engine supports a restricted SQL subset:
 //
-//	SELECT <agg>(<col>) FROM <table> [WHERE <predicate>] [GROUP BY <col>]
+//	SELECT <agg>(<col>|*) [, <agg>(<col>|*)]* FROM <table>
+//	    [WHERE <predicate>] [GROUP BY <col>]
 //
-// with agg ∈ {COUNT, SUM, AVG, MEDIAN, P25, P75, VAR, STDDEV} and
-// predicates built from comparisons, AND, OR, NOT, and parentheses.
+// with agg ∈ {COUNT, SUM, AVG, MEDIAN, P25, P75, VAR, STDDEV, IQR, MIN,
+// MAX} plus QUANTILE(<col>, p) for p in (0, 1), and predicates built from
+// comparisons, AND, OR, NOT, and parentheses. A multi-aggregate SELECT
+// list is one release whose budget is split evenly across its aggregates.
 //
 // Privacy model: every table designates a user column; one *user* (all of
 // their rows) is the unit of privacy. Aggregations first collapse rows to
@@ -21,7 +24,7 @@
 // Grouped releases are priced by parallel composition: the scan clamps each
 // user to its first-seen group (contribution bound 1 by default), so groups
 // are disjoint in users and a grouped query costs one release, not one per
-// group. DB.Exec documents larger bounds and the legacy even split.
+// group. DB.Exec documents larger bounds.
 package dpsql
 
 import (

@@ -19,12 +19,3 @@ func Sum(rng *xrand.RNG, data []int64, eps, beta float64) (float64, error) {
 	}
 	return m * float64(len(data)), nil
 }
-
-// RealSum is the real-domain version of Sum with bucket size b (§3.5).
-func RealSum(rng *xrand.RNG, data []float64, b, eps, beta float64) (float64, error) {
-	m, err := RealMean(rng, data, b, eps, beta)
-	if err != nil {
-		return 0, err
-	}
-	return m * float64(len(data)), nil
-}

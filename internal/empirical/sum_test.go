@@ -65,31 +65,6 @@ func TestSumErrorScalesWithGammaNotRadius(t *testing.T) {
 	}
 }
 
-func TestRealSum(t *testing.T) {
-	rng := xrand.New(3)
-	const n = 20000
-	data := make([]float64, n)
-	var trueSum float64
-	for i := range data {
-		data[i] = 50 + rng.Gaussian()
-		trueSum += data[i]
-	}
-	s, err := RealSum(rng, data, 0.01, 1.0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-trueSum)/trueSum > 0.01 {
-		t.Errorf("RealSum = %v, want ~%v", s, trueSum)
-	}
-}
-
-func TestRealSumBadBucket(t *testing.T) {
-	rng := xrand.New(4)
-	if _, err := RealSum(rng, []float64{1, 2}, 0, 1, 0.1); err == nil {
-		t.Error("bad bucket should fail")
-	}
-}
-
 func medianF(xs []float64) float64 {
 	cp := append([]float64(nil), xs...)
 	for i := 1; i < len(cp); i++ {

@@ -349,17 +349,6 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 
 // ---------- exposition ----------
 
-// Names returns the registered metric family names, sorted — the CI
-// naming-guard test walks these.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.names))
-	copy(out, r.names)
-	sort.Strings(out)
-	return out
-}
-
 // Render writes every family in the Prometheus text exposition format
 // (version 0.0.4), families sorted by name, children by label values.
 // Families with no children and no collector render nothing.

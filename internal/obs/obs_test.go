@@ -172,9 +172,9 @@ func TestConcurrentUpdatesAndRender(t *testing.T) {
 
 func TestTrace(t *testing.T) {
 	tr := NewTrace(NewID())
-	stop := tr.StartSpan("scan")
+	t0 := time.Now()
 	time.Sleep(time.Millisecond)
-	stop()
+	tr.Observe("scan", time.Since(t0))
 	tr.Observe("noise", 5*time.Millisecond)
 	spans := tr.Spans()
 	if len(spans) != 2 || spans[0].Stage != "scan" || spans[1].Stage != "noise" {

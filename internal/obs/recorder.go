@@ -77,9 +77,6 @@ func NewRecorder(n int) *Recorder {
 	}
 }
 
-// Cap reports the per-ring capacity (total retention is at most 2·Cap).
-func (r *Recorder) Cap() int { return len(r.recent.slots) }
-
 // Record retains one completed trace. tail marks it noteworthy (slow,
 // errored, or shed): noteworthy traces go to the tail ring, where only
 // other noteworthy traces can evict them. Wait-free.

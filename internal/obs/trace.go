@@ -59,19 +59,6 @@ func NewTrace(id string) *Trace {
 // Start reports when the trace began.
 func (t *Trace) Start() time.Time { return t.start }
 
-// StartSpan begins timing a root stage; the returned func records the
-// span when called. Safe for concurrent use.
-func (t *Trace) StartSpan(stage string) func() {
-	return t.StartChild(stage, "")
-}
-
-// StartChild begins timing a span under the named parent stage ("" for a
-// root); the returned func records it, with any attributes attached.
-func (t *Trace) StartChild(stage, parent string, attrs ...Attr) func() {
-	t0 := time.Now()
-	return func() { t.ObserveChild(stage, parent, time.Since(t0), attrs...) }
-}
-
 // Observe records an already-measured root stage duration.
 func (t *Trace) Observe(stage string, d time.Duration) {
 	t.ObserveChild(stage, "", d)

@@ -128,12 +128,12 @@ type InsertRowsResponse struct {
 // GroupBy, when set, appends a GROUP BY over the named (public-category)
 // column to the SQL — a convenience equal to writing it in the statement.
 // ContributionBound caps how many groups one user may contribute to in a
-// grouped query: 0 means the default cap of 1 (each user counts in its
-// first-seen group only, and the whole grouped answer is priced by
-// parallel composition as ONE release of the full ε); c >= 1 caps at c
-// (priced as c-fold sequential composition — same total ε, per-group
-// accuracy ε/c); -1 disables clamping and restores the legacy even
-// ε-split across groups. Ignored for ungrouped queries.
+// grouped query: omitted or 0 means the default cap of 1 (each user
+// counts in its first-seen group only, and the whole grouped answer is
+// priced by parallel composition as ONE release of the full ε); c >= 1
+// caps at c (priced as c-fold sequential composition — same total ε,
+// per-group accuracy ε/c). A negative bound is refused with 400
+// bad_contribution_bound. Ignored for ungrouped queries.
 type QueryRequest struct {
 	SQL               string  `json:"sql"`
 	GroupBy           string  `json:"group_by,omitempty"`
@@ -460,8 +460,19 @@ func validateEstimate(req EstimateRequest) error {
 			return fmt.Errorf("%w: grouped releases charge epsilon, not rho", errBadGroupBy)
 		}
 	}
-	if req.ContributionBound < -1 {
-		return fmt.Errorf("%w: got %d", dpsql.ErrBadGroupBound, req.ContributionBound)
-	}
 	return nil
+}
+
+// canonicalBound validates a release's contribution bound in place and
+// rewrites it canonically (an omitted bound becomes its default of 1), so
+// an omitted bound and an explicit 1 share one cache entry. On an invalid
+// bound it writes the 400 and reports false; nothing has been charged.
+func canonicalBound(w http.ResponseWriter, bound *int) bool {
+	b, err := dpsql.CheckGroupBound(*bound)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_contribution_bound", err)
+		return false
+	}
+	*bound = b
+	return true
 }

@@ -108,18 +108,22 @@ func TestHistogramEndpoint(t *testing.T) {
 		t.Fatalf("cached replay charged: spent=%v audit=%d", st.Spent, st.AuditRecords)
 	}
 
-	// Unbounded legacy mode is reachable over the wire: every user counts
-	// in all three groups.
+	// An omitted bound IS the bound 1: the explicit spelling is the same
+	// release and replays the cached answer for free.
 	var h3 HistogramResponse
 	if code := c.do("POST", "/v1/tenants/acme/histogram", HistogramRequest{
-		Table: "events", GroupBy: "grp", Epsilon: eps, ContributionBound: -1,
+		Table: "events", GroupBy: "grp", Epsilon: eps, ContributionBound: 1,
 	}, &h3); code != http.StatusOK {
-		t.Fatal("unbounded histogram")
+		t.Fatal("explicit-bound histogram")
 	}
-	for i := range h3.Buckets {
-		if math.Round(h3.Buckets[i].Count) != 12 {
-			t.Fatalf("unbounded bucket %d = %+v, want count 12", i, h3.Buckets[i])
-		}
+	if !h3.Cached || math.Float64bits(h3.Buckets[0].Count) != math.Float64bits(h.Buckets[0].Count) {
+		t.Fatalf("contribution_bound 1 not replayed from the omitted-bound entry: %+v vs %+v", h3, h)
+	}
+	if code := c.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
+		t.Fatal("status")
+	}
+	if st.Spent != eps || st.AuditRecords != 1 {
+		t.Fatalf("explicit-bound replay charged: spent=%v audit=%d", st.Spent, st.AuditRecords)
 	}
 }
 
@@ -153,6 +157,20 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 	if len(est.Groups) != 3 || est.Groups[2].Group != "c" || est.EpsSpent != 0.5 {
 		t.Fatalf("grouped estimate result: %+v", est)
 	}
+	// The same two releases with the default bound spelled out are cache
+	// replays, not new charges.
+	var q2 QueryResponse
+	if code := c.do("POST", "/v1/tenants/acme/query", QueryRequest{
+		SQL: "SELECT AVG(v) FROM events", GroupBy: "grp", Epsilon: 0.5, ContributionBound: 1,
+	}, &q2); code != http.StatusOK || !q2.Cached {
+		t.Fatalf("explicit-bound query: code %d, cached %v", code, q2.Cached)
+	}
+	var est2 EstimateResponse
+	if code := c.do("POST", "/v1/tenants/acme/estimate", EstimateRequest{
+		Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Epsilon: 0.5, ContributionBound: 1,
+	}, &est2); code != http.StatusOK || !est2.Cached {
+		t.Fatalf("explicit-bound estimate: code %d, cached %v", code, est2.Cached)
+	}
 	var st TenantStatus
 	if code := c.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
 		t.Fatal("status")
@@ -169,20 +187,27 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 		path string
 		body any
 		code int
+		ec   string // the error code, when the row pins one
 	}{
-		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "empirical_mean", GroupBy: "grp", Epsilon: 1}, http.StatusBadRequest},
-		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Stat: "count", GroupBy: "grp", Rho: 0.01}, http.StatusBadRequest},
-		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Unit: "record", Epsilon: 1}, http.StatusBadRequest},
-		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Epsilon: 1, ContributionBound: -2}, http.StatusBadRequest},
-		{"/v1/tenants/acme/query", QueryRequest{SQL: "SELECT AVG(v) FROM events", GroupBy: "grp", Epsilon: 1, ContributionBound: -2}, http.StatusBadRequest},
-		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", Epsilon: 1}, http.StatusBadRequest},
-		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", GroupBy: "grp", Epsilon: 1, ContributionBound: -5}, http.StatusBadRequest},
-		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "nope", GroupBy: "grp", Epsilon: 1}, http.StatusNotFound},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "empirical_mean", GroupBy: "grp", Epsilon: 1}, http.StatusBadRequest, ""},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Stat: "count", GroupBy: "grp", Rho: 0.01}, http.StatusBadRequest, ""},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Unit: "record", Epsilon: 1}, http.StatusBadRequest, ""},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Epsilon: 1, ContributionBound: -2}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/query", QueryRequest{SQL: "SELECT AVG(v) FROM events", GroupBy: "grp", Epsilon: 1, ContributionBound: -2}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", Epsilon: 1}, http.StatusBadRequest, ""},
+		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", GroupBy: "grp", Epsilon: 1, ContributionBound: -5}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/query", QueryRequest{SQL: "SELECT AVG(v) FROM events", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "nope", GroupBy: "grp", Epsilon: 1}, http.StatusNotFound, ""},
 	}
 	for i, b := range bad {
 		var e apiError
 		if code := c.do("POST", b.path, b.body, &e); code != b.code {
 			t.Fatalf("bad request %d: code %d (%+v), want %d", i, code, e, b.code)
+		}
+		if b.ec != "" && e.Code != b.ec {
+			t.Fatalf("bad request %d: error code %q, want %q", i, e.Code, b.ec)
 		}
 	}
 	if code := c.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
@@ -194,15 +219,14 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 }
 
 // TestGroupedParallelSustainsKTimesEvenSplit is the grouped accounting
-// duel: two pure tenants with the same budget release k = 3 bucket
-// histograms at equal per-bucket accuracy until each is refused. The
-// parallel twin asks for ε₀ at the default contribution bound: groups
-// partition users, so each bucket gets the full ε₀ and the histogram costs
-// ε₀. The even-split twin reaches the same per-bucket noise through the
-// legacy unbounded mode (contribution_bound -1), which splits the request
-// ε/k per bucket, so it must ask for, and is charged, k·ε₀. Same
-// accuracy, k times the price: the parallel twin sustains ~k× the
-// releases.
+// duel: two pure tenants with the same budget release the same k = 3
+// bucket counts at equal per-bucket accuracy until each is refused. The
+// parallel twin asks for one histogram at ε₀ at the default contribution
+// bound: groups partition users, so each bucket gets the full ε₀ and the
+// histogram costs ε₀. The scalar twin releases each bucket on its own, k
+// WHERE-filtered COUNT(*) queries at ε₀ each — what splitting k·ε₀ evenly
+// across the groups amounts to — so a round costs k·ε₀. Same accuracy, k
+// times the price: the parallel twin sustains ~k× the rounds.
 func TestGroupedParallelSustainsKTimesEvenSplit(t *testing.T) {
 	srv := mustOpen(t, Options{Seed: 21, Workers: 2})
 	ts := httptest.NewServer(srv)
@@ -215,53 +239,83 @@ func TestGroupedParallelSustainsKTimesEvenSplit(t *testing.T) {
 		budget = 100.0
 		eps0   = 0.5
 	)
-	twins := []struct {
-		id        string
-		eps       float64
-		bound     int
-		trueCount float64 // per bucket: 4 first-seen users, or all 12 unclamped
-	}{
-		{"parallel", eps0, 0, 4},
-		{"even-split", k * eps0, -1, 12},
-	}
-	var sustained [2]int
-	var mse [2]float64
-	for i, tw := range twins {
-		provisionGrouped(t, c, tw.id, budget)
-		var sq float64
-		for n := 0; ; n++ {
-			// A relative 1e-9 jitter keeps every request byte-distinct, so
-			// none is a free cache replay.
+	groups := [k]string{"a", "b", "c"}
+	// round releases the k bucket counts once and reports them, or false
+	// once the tenant refuses. A relative 1e-9 jitter keeps every request
+	// byte-distinct, so none is a free cache replay.
+	rounds := []func(n int) ([]float64, bool){
+		func(n int) ([]float64, bool) { // parallel: one grouped histogram
 			var h HistogramResponse
-			code := c.do("POST", "/v1/tenants/"+tw.id+"/histogram", HistogramRequest{
-				Table: "events", GroupBy: "grp", Epsilon: tw.eps * (1 + float64(n)*1e-9), ContributionBound: tw.bound,
+			code := c.do("POST", "/v1/tenants/parallel/histogram", HistogramRequest{
+				Table: "events", GroupBy: "grp", Epsilon: eps0 * (1 + float64(n)*1e-9),
 			}, &h)
 			if code == http.StatusTooManyRequests {
+				return nil, false
+			}
+			if code != http.StatusOK || h.Cached || len(h.Buckets) != k {
+				t.Fatalf("parallel release %d: code %d, %+v", n, code, h)
+			}
+			var counts []float64
+			for i, b := range h.Buckets {
+				if b.Group != groups[i] {
+					t.Fatalf("parallel release %d: bucket %d is %q", n, i, b.Group)
+				}
+				counts = append(counts, b.Count)
+			}
+			return counts, true
+		},
+		func(n int) ([]float64, bool) { // scalar: one filtered count per bucket
+			var counts []float64
+			for _, g := range groups {
+				var q QueryResponse
+				code := c.do("POST", "/v1/tenants/scalar/query", QueryRequest{
+					SQL:     "SELECT COUNT(*) FROM events WHERE grp = '" + g + "'",
+					Epsilon: eps0 * (1 + float64(n)*1e-9),
+				}, &q)
+				if code == http.StatusTooManyRequests {
+					return nil, false
+				}
+				if code != http.StatusOK || q.Cached || len(q.Rows) != 1 {
+					t.Fatalf("scalar release %d bucket %s: code %d, %+v", n, g, code, q)
+				}
+				counts = append(counts, q.Rows[0].Values[0])
+			}
+			return counts, true
+		},
+	}
+	// Per bucket the parallel twin counts the 4 users first seen there;
+	// an unclamped filtered count sees all 12.
+	trueCount := [2]float64{4, 12}
+	var sustained [2]int
+	var mse [2]float64
+	for i, id := range []string{"parallel", "scalar"} {
+		provisionGrouped(t, c, id, budget)
+		var sq float64
+		for n := 0; ; n++ {
+			counts, ok := rounds[i](n)
+			if !ok {
 				sustained[i] = n
 				break
 			}
-			if code != http.StatusOK || h.Cached || len(h.Buckets) != k {
-				t.Fatalf("%s release %d: code %d, %+v", tw.id, n, code, h)
-			}
-			for _, b := range h.Buckets {
-				d := b.Count - tw.trueCount
+			for _, v := range counts {
+				d := v - trueCount[i]
 				sq += d * d
 			}
 		}
 		if sustained[i] == 0 {
-			t.Fatalf("%s: first release refused", tw.id)
+			t.Fatalf("%s: first round refused", id)
 		}
 		mse[i] = sq / float64(k*sustained[i])
 	}
-	t.Logf("sustained: parallel %d, even-split %d; per-bucket MSE %.2f vs %.2f (Laplace(1/ε₀) variance %.0f)",
+	t.Logf("sustained rounds: parallel %d, scalar %d; per-bucket MSE %.2f vs %.2f (Laplace(1/ε₀) variance %.0f)",
 		sustained[0], sustained[1], mse[0], mse[1], 2/(eps0*eps0))
 
 	if ratio := float64(sustained[0]) / float64(sustained[1]); ratio < 2.9 {
-		t.Fatalf("parallel twin sustained %d releases, even-split %d: ratio %.2f, want >= 2.9", sustained[0], sustained[1], ratio)
+		t.Fatalf("parallel twin sustained %d rounds, scalar %d: ratio %.2f, want >= 2.9", sustained[0], sustained[1], ratio)
 	}
 	// The duel is only fair if both twins buy the same accuracy.
 	if r := mse[0] / mse[1]; r > 2 || r < 0.5 {
-		t.Fatalf("per-bucket MSE parallel %.2f vs even-split %.2f: not equal accuracy (ratio %.2f)", mse[0], mse[1], r)
+		t.Fatalf("per-bucket MSE parallel %.2f vs scalar %.2f: not equal accuracy (ratio %.2f)", mse[0], mse[1], r)
 	}
 }
 
@@ -281,7 +335,7 @@ func TestGroupedCrashDrill(t *testing.T) {
 	}
 	var q QueryResponse
 	if code := cA.do("POST", "/v1/tenants/acme/query", QueryRequest{
-		SQL: "SELECT MEDIAN(v) FROM events", GroupBy: "grp", Epsilon: 3, ContributionBound: -1,
+		SQL: "SELECT MEDIAN(v) FROM events", GroupBy: "grp", Epsilon: 3,
 	}, &q); code != http.StatusOK {
 		t.Fatalf("grouped query: %d", code)
 	}

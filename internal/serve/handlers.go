@@ -359,9 +359,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.ContributionBound < -1 {
-		writeErr(w, http.StatusBadRequest, "bad_contribution_bound",
-			fmt.Errorf("%w: got %d", dpsql.ErrBadGroupBound, req.ContributionBound))
+	if !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
 	// The group_by wire field is sugar for writing GROUP BY in the
@@ -469,6 +467,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// Canonicalize before anything else so spelled-differently-but-equal
 	// requests share one cache entry and one validation path.
 	canonicalizeEstimate(&req)
+	if !canonicalBound(w, &req.ContributionBound) {
+		return
+	}
 	rel := newRelease("estimate")
 	rel.mech = req.Stat
 	w.Header().Set("X-Release-Id", rel.id)
@@ -548,9 +549,7 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w: histogram needs a group_by column", errBadGroupBy))
 		return
 	}
-	if req.ContributionBound < -1 {
-		writeErr(w, http.StatusBadRequest, "bad_contribution_bound",
-			fmt.Errorf("%w: got %d", dpsql.ErrBadGroupBound, req.ContributionBound))
+	if !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
 	rel := newRelease("histogram")

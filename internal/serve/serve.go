@@ -25,9 +25,9 @@
 //     the tight pure-DP→RDP bound (strictly below zcdp's ε²/2 line),
 //     Gaussian releases via ρα — the per-order vectors compose by
 //     addition, and the budget is enforced on the optimal (ε, δ)
-//     conversion: on a grid bracketing the optimal order (the default
-//     suffices for ε ≳ 0.5 at δ = 1e-6; dp.RDPOrdersFor computes one
-//     for any target) rdp is never looser than zcdp, and strictly
+//     conversion: on a grid bracketing the optimal order
+//     α* ≈ 1 + sqrt(ln(1/δ)/ρ) (the default suffices for ε ≳ 0.5 at
+//     δ = 1e-6) rdp is never looser than zcdp, and strictly
 //     tighter on mixed Laplace+Gaussian traffic. Tenant status reports
 //     the native per-order spend alongside the converted view.
 //   - any backend may be wrapped with a renewable window

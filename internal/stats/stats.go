@@ -120,23 +120,6 @@ func IQR(xs []float64) float64 {
 	return hi - lo
 }
 
-// Width returns gamma(D) = max - min. It returns NaN for empty input.
-func Width(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return hi - lo
-}
-
 // Radius returns rad(D) = max_i |X_i|. It returns NaN for empty input.
 func Radius(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -145,24 +128,6 @@ func Radius(xs []float64) float64 {
 	var r float64
 	for _, x := range xs {
 		if a := math.Abs(x); a > r {
-			r = a
-		}
-	}
-	return r
-}
-
-// RadiusInt64 returns rad(D) over an integer dataset. Empty input yields 0.
-func RadiusInt64(xs []int64) int64 {
-	var r int64
-	for _, x := range xs {
-		a := x
-		if a < 0 {
-			if a == math.MinInt64 {
-				return math.MaxInt64
-			}
-			a = -a
-		}
-		if a > r {
 			r = a
 		}
 	}
@@ -202,15 +167,6 @@ func Clip(x, lo, hi float64) float64 {
 	return x
 }
 
-// ClipSlice returns a new slice with every element clamped into [lo, hi].
-func ClipSlice(xs []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = Clip(x, lo, hi)
-	}
-	return out
-}
-
 // ClippedMean returns mean(Clip(D, [lo, hi])), the paper's clipped mean
 // estimator (§2.6). Its global sensitivity is (hi-lo)/n.
 func ClippedMean(xs []float64, lo, hi float64) float64 {
@@ -229,17 +185,6 @@ func ClippedMean(xs []float64, lo, hi float64) float64 {
 		sum = t
 	}
 	return (sum + comp) / float64(len(xs))
-}
-
-// CountIn returns |D ∩ [lo, hi]|.
-func CountIn(xs []float64, lo, hi float64) int {
-	c := 0
-	for _, x := range xs {
-		if x >= lo && x <= hi {
-			c++
-		}
-	}
-	return c
 }
 
 // CountInInt64 returns |D ∩ [lo, hi]| over integers.
@@ -287,13 +232,4 @@ func Subsample(rng *xrand.RNG, xs []float64, m int) []float64 {
 		out[i] = xs[j]
 	}
 	return out
-}
-
-// AbsErr returns |a - b|, treating NaN as +Inf so that failed estimates rank
-// worst in experiment tables.
-func AbsErr(a, b float64) float64 {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.Inf(1)
-	}
-	return math.Abs(a - b)
 }
