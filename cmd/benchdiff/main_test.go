@@ -62,23 +62,37 @@ func TestWriteDiffThreshold(t *testing.T) {
 		"BenchmarkBoundary": one(1000), // exactly +25%: not past the threshold
 		"BenchmarkFaster":   one(1000), // -50% in newB
 		"BenchmarkRemoved":  one(1000),
+		// Five runs each: every fresh run is past every baseline run by
+		// more than +25%, so the slowdown is flagged.
+		"BenchmarkSlowerRuns": {ns: []float64{900, 1000, 1100, 950, 1050}},
+		// Median +50%, but one baseline run is as slow as the fresh
+		// ones: the runs overlap and nothing is flagged either way.
+		"BenchmarkNoisy": {ns: []float64{1000, 1000, 2000, 900, 1100}},
 	}
 	newB := map[string]*runs{
-		"BenchmarkStable":   one(1010),
-		"BenchmarkSlower":   one(1500),
-		"BenchmarkBoundary": one(1250),
-		"BenchmarkFaster":   one(500),
-		"BenchmarkAdded":    one(42),
+		"BenchmarkStable":     one(1010),
+		"BenchmarkSlower":     one(1500),
+		"BenchmarkBoundary":   one(1250),
+		"BenchmarkFaster":     one(500),
+		"BenchmarkAdded":      one(42),
+		"BenchmarkSlowerRuns": {ns: []float64{1400, 1500, 1600, 1450, 1550}},
+		"BenchmarkNoisy":      {ns: []float64{1500, 1400, 1600, 1500, 1550}},
 	}
 	var buf strings.Builder
-	if got := writeDiff(&buf, oldB, newB, 0.25); got != (diffCounts{slower: 1}) {
-		t.Fatalf("counts = %+v, want one slowdown\n%s", got, buf.String())
+	if got := writeDiff(&buf, oldB, newB, 0.25); got != (diffCounts{slower: 2}) {
+		t.Fatalf("counts = %+v, want two slowdowns\n%s", got, buf.String())
 	}
 	out := buf.String()
 	if !strings.Contains(out, "| BenchmarkSlower | 1.00µs | 1.50µs | +50.0% | — | — | ⚠ slower |") {
 		t.Fatalf("slowdown row missing:\n%s", out)
 	}
-	if strings.Count(out, "⚠ slower |") != 1 {
+	if !strings.Contains(out, "| BenchmarkSlowerRuns | 1.00µs | 1.50µs | +50.0% | — | — | ⚠ slower |") {
+		t.Fatalf("every-run slowdown row missing:\n%s", out)
+	}
+	if !strings.Contains(out, "| BenchmarkNoisy | 1.00µs | 1.50µs | +50.0% | — | — |  |") {
+		t.Fatalf("overlapping runs must not be flagged:\n%s", out)
+	}
+	if strings.Count(out, "⚠ slower |") != 2 {
 		t.Fatalf("boundary delta must not be flagged:\n%s", out)
 	}
 	if !strings.Contains(out, "✓ faster") {
@@ -90,8 +104,8 @@ func TestWriteDiffThreshold(t *testing.T) {
 
 	// A tighter threshold flags the boundary case too.
 	buf.Reset()
-	if got := writeDiff(&buf, oldB, newB, 0.10); got.slower != 2 {
-		t.Fatalf("threshold 0.10: slowdowns = %d, want 2\n%s", got.slower, buf.String())
+	if got := writeDiff(&buf, oldB, newB, 0.10); got.slower != 3 {
+		t.Fatalf("threshold 0.10: slowdowns = %d, want 3\n%s", got.slower, buf.String())
 	}
 }
 

@@ -110,16 +110,19 @@
 // mapped to rows by code, GROUP BY on a string column finds each row's
 // group by its code with no per-row hash, and the per-user collapse
 // indexes accumulators directly. Each shard folds its rows in one
-// sequential pass; the shard is the one unit of scan parallelism.
+// sequential pass — filter, group clamp and per-user fold together —
+// into dense shard-local accumulators; the shard is the one unit of scan
+// parallelism.
 //
 // The estimators consume the seeded RNG in input order, so per-user
 // contributions must reach them in user-id order. Each table caches that
-// order: every dictionary user of every shard has a rank, published
-// through an atomic pointer and extended only when a shard's dictionary
-// has grown (the newcomers alone are sorted and merged in). A release
-// folds its rows — or the full-table readers' per-shard (sum, count)
-// accumulators — in shard order into one rank-indexed accumulator and
-// reads the occupied slots out in rank order, so no release sorts. Every
+// order: every dictionary user of every shard has a rank, and each rank
+// names its shard and dictionary entry. The order is published through
+// an atomic pointer and extended only when a shard's dictionary has
+// grown (the newcomers alone are sorted and merged in). A release, and
+// each full-table reader, places the shards' per-user accumulators by
+// one walk over the ranks, so no release sorts; a COUNT reads the scan's
+// per-group user counts and places nothing. Every
 // user lives in one shard, so the merged per-user collapse is exactly
 // the one a monolithic scan produces: a release still makes exactly one
 // ledger deduction and the noise semantics are unchanged — for a fixed

@@ -3,43 +3,84 @@ package dpsql
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-// refCollapseSelectionSeq is the sequential reference fold for
-// collapseSelection: one map pass in shard order, rows in selection
-// order — the exact fold the row store ran — then the users sorted by id.
-func refCollapseSelectionSeq(t *Table, snaps []shardSnap, parts []selPart, colIx int) []userAgg {
-	var kind Kind
-	if colIx >= 0 {
-		kind = t.Columns[colIx].Kind
-	}
-	users := map[string]*userAgg{}
-	ids := make([]string, 0, 64)
-	for _, p := range parts {
-		sn := snaps[p.shard]
-		for _, i := range p.idx {
-			uid := sn.uids[sn.uix[i]]
-			u, ok := users[uid]
-			if !ok {
-				u = &userAgg{}
-				users[uid] = u
-				ids = append(ids, uid)
+// refGroup is one group of the reference fold: its key, its user count,
+// and per folded column the users' accumulators in id order.
+type refGroup struct {
+	keyS  string
+	users int
+	aggs  [][]userAgg
+}
+
+// refFoldSeq is the sequential reference for scanShards + mergeGroups:
+// rows one at a time in shard and row order, the WHERE predicate by Eval,
+// keys by Value.String, each user clamped to its first bound groups,
+// per-(group, user) folds by map — the exact fold the row store ran —
+// then groups and users sorted by key and id.
+func refFoldSeq(t testing.TB, tab *Table, snaps []shardSnap, where Expr, groupIx, bound int, cols []int) []refGroup {
+	t.Helper()
+	folds := map[string]map[string][]userAgg{} // key -> user id -> per-column fold
+	admitted := map[string][]string{}
+	for _, sn := range snaps {
+		for i := 0; i < sn.n; i++ {
+			row := sn.row(tab, i)
+			if where != nil {
+				ok, err := where.Eval(tab, row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue
+				}
 			}
-			if colIx >= 0 {
-				u.sum += sn.float(kind, colIx, int(i))
+			uid, key := row[tab.userIx].String(), ""
+			if groupIx >= 0 {
+				key = row[groupIx].String()
 			}
-			u.count++
+			if !slices.Contains(admitted[uid], key) {
+				if len(admitted[uid]) >= bound {
+					continue
+				}
+				admitted[uid] = append(admitted[uid], key)
+			}
+			g := folds[key]
+			if g == nil {
+				g = map[string][]userAgg{}
+				folds[key] = g
+			}
+			u := g[uid]
+			if u == nil {
+				u = make([]userAgg, len(cols))
+				g[uid] = u
+			}
+			for c, ix := range cols {
+				if x := row[ix].F; math.IsNaN(x) { // a NaN row replaces the sum
+					u[c].sum = x
+				} else {
+					u[c].sum += x
+				}
+				u[c].count++
+			}
 		}
 	}
-	sort.Strings(ids)
-	out := make([]userAgg, len(ids))
-	for i, uid := range ids {
-		out[i] = *users[uid]
+	var out []refGroup
+	for _, key := range slices.Sorted(maps.Keys(folds)) {
+		g := folds[key]
+		rg := refGroup{keyS: key, users: len(g), aggs: make([][]userAgg, len(cols))}
+		for _, uid := range slices.Sorted(maps.Keys(g)) {
+			for c := range cols {
+				rg.aggs[c] = append(rg.aggs[c], g[uid][c])
+			}
+		}
+		out = append(out, rg)
 	}
 	return out
 }
@@ -116,7 +157,7 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 			for j, id := range ids {
 				collapsed[j] = *users[id]
 			}
-			v, err := aggregate(rng, spec, collapsed, epsG)
+			v, err := aggregate(rng, spec, len(collapsed), collapsed, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", k, err)
 			}
@@ -134,44 +175,83 @@ func sameAggs(a, b []userAgg) error {
 	}
 	for i := range a {
 		if math.Float64bits(a[i].sum) != math.Float64bits(b[i].sum) || a[i].count != b[i].count {
-			return fmt.Errorf("user %d: %+v vs %+v", i, a[i], b[i])
+			return fmt.Errorf("user %d: %+v (%#x) vs %+v (%#x)", i, a[i], math.Float64bits(a[i].sum), b[i], math.Float64bits(b[i].sum))
 		}
 	}
 	return nil
 }
 
-// checkCollapseTwin draws random selections from tab's snapshots and
-// asserts the rank-fold collapse equals the sequential twin on every
-// column, and that it leaves its shared accumulator zeroed.
+// checkFoldTwin asserts that the shard scan and group merge over snaps
+// give the sequential reference's groups, user counts and per-user folds
+// bit for bit — once with only the user counts (a COUNT release) and once
+// folding the float column v and the int column n.
+func checkFoldTwin(t *testing.T, tab *Table, snaps []shardSnap, where Expr, groupIx, bound int) {
+	t.Helper()
+	for _, cols := range [][]int{nil, {1, 2}} {
+		got := tab.mergeGroups(snaps, tab.scanShards(snaps, where, groupIx, bound, cols, nil), bound, len(cols))
+		want := refFoldSeq(t, tab, snaps, where, groupIx, bound, cols)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d group col %d bound %d cols %v: %d groups, want %d", tab.NumShards(), groupIx, bound, cols, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.keyS != w.keyS || g.users != w.users {
+				t.Fatalf("shards=%d group col %d bound %d: group %d is %q with %d users, want %q with %d", tab.NumShards(), groupIx, bound, i, g.keyS, g.users, w.keyS, w.users)
+			}
+			for c := range cols {
+				if err := sameAggs(g.aggs[c], w.aggs[c]); err != nil {
+					t.Fatalf("shards=%d group col %d bound %d group %q col %d: %v", tab.NumShards(), groupIx, bound, g.keyS, cols[c], err)
+				}
+			}
+		}
+	}
+}
+
+// checkCollapseTwin runs checkFoldTwin on tab's current snapshots over
+// random WHERE selections, ungrouped and grouped by the string column g
+// (3), the int column n (2) and the float column v (1, whose keys
+// include NaN and ±0), at bounds 1–3. Columns 1–3 of tab must be v
+// (float), n (int) and g (string).
 func checkCollapseTwin(t *testing.T, tab *Table, rng *xrand.RNG) {
 	t.Helper()
 	snaps := tab.shardSnapshots()
-	ord := tab.userOrder(snaps)
-	acc := make([]userAgg, len(ord.ids))
-	for trial := 0; trial < 20; trial++ {
-		var parts []selPart
-		for s, sn := range snaps {
-			var idx []int32
-			for i := 0; i < sn.n; i++ {
-				if trial == 0 || rng.Uint64()%3 != 0 {
-					idx = append(idx, int32(i))
-				}
-			}
-			if len(idx) > 0 {
-				parts = append(parts, selPart{shard: s, idx: idx})
+	for trial := 0; trial < 12; trial++ {
+		var where Expr
+		if trial > 0 {
+			where = randomWhere(rng, 2)
+			if err := where.validate(tab); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for _, colIx := range []int{-1, 1, 2} {
-			got := tab.collapseSelection(ord, snaps, parts, colIx, acc)
-			if err := sameAggs(got, refCollapseSelectionSeq(tab, snaps, parts, colIx)); err != nil {
-				t.Fatalf("shards=%d trial %d col %d: %v", tab.NumShards(), trial, colIx, err)
-			}
-			for r, a := range acc {
-				if a != (userAgg{}) {
-					t.Fatalf("shards=%d: accumulator slot %d left dirty: %+v", tab.NumShards(), r, a)
-				}
-			}
+		groupIx, bound := []int{-1, 3, 2, 1}[trial%4], 1+trial%3
+		if groupIx < 0 {
+			bound = 1 // Exec runs every ungrouped query at bound 1
 		}
+		checkFoldTwin(t, tab, snaps, where, groupIx, bound)
+	}
+}
+
+// randomWhere draws a WHERE predicate over v, n and g, nested up to
+// depth levels of AND, OR and NOT.
+func randomWhere(rng *xrand.RNG, depth int) Expr {
+	if depth > 0 && rng.Uint64()%2 == 0 {
+		switch rng.Uint64() % 3 {
+		case 0:
+			return &NotExpr{Inner: randomWhere(rng, depth-1)}
+		case 1:
+			return &BinExpr{Op: "and", Left: randomWhere(rng, depth-1), Right: randomWhere(rng, depth-1)}
+		default:
+			return &BinExpr{Op: "or", Left: randomWhere(rng, depth-1), Right: randomWhere(rng, depth-1)}
+		}
+	}
+	op := []string{"=", "!=", "<", "<=", ">", ">="}[rng.Uint64()%6]
+	switch rng.Uint64() % 3 {
+	case 0:
+		return &CmpExpr{Col: "v", Op: op, Lit: Float(rng.Gaussian() * 1e3)}
+	case 1:
+		return &CmpExpr{Col: "n", Op: op, Lit: Int(int64(rng.Uint64()%9) - 4)}
+	default:
+		return &CmpExpr{Col: "g", Op: op, Lit: Str(fmt.Sprintf("g%d", rng.Uint64()%4))}
 	}
 }
 
@@ -192,21 +272,29 @@ func signedValue(rng *xrand.RNG) float64 {
 	}
 }
 
-// TestCollapseRankFoldMatchesSeqTwin: the rank-indexed collapse must
-// equal the sequential map fold bit for bit on random tables at 1, 4 and
-// 16 shards, with ±0, NaN and ±Inf values in the folded columns.
+// foldCols is the schema the fold twins run on: checkCollapseTwin reads
+// v, n and g at columns 1–3.
+var foldCols = []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}, {Name: "g", Kind: KindString}}
+
+// foldRow draws a row of foldCols for user uid.
+func foldRow(rng *xrand.RNG, uid string) []Value {
+	return []Value{Str(uid), Float(signedValue(rng)), Int(int64(rng.Uint64()%9) - 4), Str(fmt.Sprintf("g%d", rng.Uint64()%4))}
+}
+
+// TestCollapseRankFoldMatchesSeqTwin: the scan's per-user fold, placed
+// in user-id order, must equal the sequential map fold bit for bit on
+// random tables at 1, 4 and 16 shards, under random WHERE selections at
+// bounds 1–3, with ±0, NaN and ±Inf values in the folded columns.
 func TestCollapseRankFoldMatchesSeqTwin(t *testing.T) {
-	cols := []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}}
 	for _, shards := range []int{1, 4, 16} {
 		rng := xrand.New(uint64(shards))
 		db := NewDB()
-		tab, err := db.CreateSharded("r", cols, "uid", shards)
+		tab, err := db.CreateSharded("r", foldCols, "uid", shards)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 600; i++ {
-			uid := fmt.Sprintf("u%d", rng.Uint64()%90)
-			if err := tab.Insert(Str(uid), Float(signedValue(rng)), Int(int64(rng.Uint64()%9)-4)); err != nil {
+			if err := tab.Insert(foldRow(rng, fmt.Sprintf("u%d", rng.Uint64()%90))...); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,19 +305,21 @@ func TestCollapseRankFoldMatchesSeqTwin(t *testing.T) {
 // TestUserCollapseLargeShardTwin: one shard holding 20k rows of 5,000
 // users — the size of a durable tenant's table under load — folded under
 // a real goroutine fan-out must give the row-order reference's collapse
-// bit for bit, with ±0, NaN and ±Inf among the float values.
+// bit for bit, with ±0, NaN and ±Inf among the float values: the
+// estimate readers, and the release scan's fold under random WHERE
+// selections at bounds 1–3.
 func TestUserCollapseLargeShardTwin(t *testing.T) {
 	rng := xrand.New(20480)
 	db := NewDB()
 	db.SetFanout(goFanout)
-	tab, err := db.CreateSharded("big",
-		[]Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}}, "uid", 1)
+	tab, err := db.CreateSharded("big", foldCols, "uid", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := make([][]Value, 20480)
 	for i := range rows {
-		rows[i] = []Value{Str(fmt.Sprintf("u%04d", rng.Uint64()%5000)), Float(signedValue(rng)), Int(int64(rng.Uint64()%1000) - 500)}
+		rows[i] = foldRow(rng, fmt.Sprintf("u%04d", rng.Uint64()%5000))
+		rows[i][2] = Int(int64(rng.Uint64()%1000) - 500)
 	}
 	if err := tab.AppendRows(rows); err != nil {
 		t.Fatal(err)
@@ -254,14 +344,15 @@ func TestUserCollapseLargeShardTwin(t *testing.T) {
 	if want := refUserIntSums(rows, 2); fmt.Sprint(sums) != fmt.Sprint(want) {
 		t.Fatal("UserIntSums diverged from the row-order reference")
 	}
+	checkCollapseTwin(t, tab, rng)
 }
 
 // TestCollapseRankFoldStraddlingState: a state written by an earlier
 // version may record a placement that puts one user's rows on several
 // shards. Import ignores it, and so does a later AppendRows, whose
 // newcomers extend the cached order: every row sits in its hash shard,
-// the rank-fold collapse equals the sequential twin, and NumUsers counts
-// each user once.
+// the scan's fold equals the sequential twin, and NumUsers counts each
+// user once.
 func TestCollapseRankFoldStraddlingState(t *testing.T) {
 	rng := xrand.New(5)
 	type legacyState struct {
@@ -270,13 +361,13 @@ func TestCollapseRankFoldStraddlingState(t *testing.T) {
 	}
 	legacy := legacyState{TableState: TableState{
 		Name:    "s",
-		Columns: []Column{{Name: "uid", Kind: KindString}, {Name: "v", Kind: KindFloat}, {Name: "n", Kind: KindInt}},
+		Columns: foldCols,
 		UserCol: "uid",
 		Shards:  4,
 	}}
 	var rows [][]Value
 	for i := 0; i < 400; i++ {
-		rows = append(rows, []Value{Str(fmt.Sprintf("u%02d", rng.Uint64()%40)), Float(signedValue(rng)), Int(int64(i % 5))})
+		rows = append(rows, foldRow(rng, fmt.Sprintf("u%02d", rng.Uint64()%40)))
 		legacy.ShardOf = append(legacy.ShardOf, int(rng.Uint64()%4))
 	}
 	legacy.ShardOf = legacy.ShardOf[:200]
@@ -310,6 +401,74 @@ func TestCollapseRankFoldStraddlingState(t *testing.T) {
 	}
 	if want := refUserIntSums(rows, 2); fmt.Sprint(sums) != fmt.Sprint(want) {
 		t.Fatalf("UserIntSums = %v, want %v", sums, want)
+	}
+}
+
+// checkWho asserts that ord.who inverts the rank order over snaps: ids
+// ascend, and every dictionary user (s, u) of every snapshot sits at the
+// rank of its id, whose who entry names (s, u) back — each exactly once.
+func checkWho(t *testing.T, ord *userOrder, snaps []shardSnap) {
+	t.Helper()
+	if !slices.IsSorted(ord.ids) || len(ord.who) != len(ord.ids) {
+		t.Fatalf("order: %d ids (sorted %v), %d who entries", len(ord.ids), slices.IsSorted(ord.ids), len(ord.who))
+	}
+	users := 0
+	for s, sn := range snaps {
+		users += sn.nu
+		for u := 0; u < sn.nu; u++ {
+			r, ok := slices.BinarySearch(ord.ids, sn.uids[u])
+			if !ok || ord.who[r] != (userRef{int32(s), int32(u)}) {
+				t.Fatalf("user %q (shard %d entry %d): rank %d (found %v) maps back to %+v", sn.uids[u], s, u, r, ok, ord.who[r])
+			}
+		}
+	}
+	if users != len(ord.ids) {
+		t.Fatalf("order ranks %d users, the snapshots hold %d", len(ord.ids), users)
+	}
+}
+
+// TestUserOrderWhoInvertsRank: after every extension of the cached order
+// — newcomers landing between, before and after old ids, on 1, 4 and 16
+// shards — who inverts the rank order, and the placement walks read an
+// older snapshot under the newer order correctly: users past that
+// snapshot's dictionary (u >= nu) are skipped, by the release fold and
+// by the estimate readers' merge alike.
+func TestUserOrderWhoInvertsRank(t *testing.T) {
+	for _, shards := range []int{1, 4, 16} {
+		rng := xrand.New(uint64(100 + shards))
+		db := NewDB()
+		tab, err := db.CreateSharded("w", foldCols, "uid", shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var old []shardSnap
+		for batch := 0; batch < 5; batch++ {
+			for i := 0; i < 120; i++ {
+				uid := fmt.Sprintf("u%03d", rng.Uint64()%uint64(40+30*batch))
+				if err := tab.Insert(foldRow(rng, uid)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snaps := tab.shardSnapshots()
+			ord := tab.userOrder(snaps)
+			checkWho(t, ord, snaps)
+			if old == nil {
+				old = snaps
+				continue
+			}
+			// The order now outruns old: it ranks users old never saw.
+			for _, bound := range []int{1, 2} {
+				checkFoldTwin(t, tab, old, nil, 3, bound)
+			}
+			parts := make([][]userAgg, len(old))
+			for s, sn := range old {
+				parts[s] = tab.shardUserAggs(sn, 1)
+			}
+			want := refFoldSeq(t, tab, old, nil, -1, 1, []int{1})[0].aggs[0]
+			if err := sameAggs(mergeUserAggs(ord, parts), want); err != nil {
+				t.Fatalf("shards=%d batch %d: mergeUserAggs over an older snapshot: %v", shards, batch, err)
+			}
+		}
 	}
 }
 

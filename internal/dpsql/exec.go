@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -108,9 +109,12 @@ type ExecOpts struct {
 	// installed ledger.
 	Ledger dp.Ledger
 	// Observe, when set, receives per-stage wall times: "scan" (the
-	// fanned shard scan, filter, group, and merge) and "noise" (the
-	// per-user collapse plus every mechanism release). The deduction
-	// between them is timed by the caller's ledger wrapper, not here.
+	// fanned shard scan: filter, clamp, and the fold of each user's rows;
+	// for an ungrouped query also the placement of the folds in user-id
+	// order), "group_merge" (grouped queries only: the merge of the
+	// shards' groups and that placement) and "noise" (every mechanism
+	// release). The deduction before them is timed by the caller's
+	// ledger wrapper, not here.
 	Observe func(stage string, d time.Duration)
 	// ObserveShard, when set, receives one sample per shard of the
 	// fanned scan: the shard index, the row count it walked, and its
@@ -158,10 +162,12 @@ func (db *DB) ExecTraced(rng *xrand.RNG, sql string, eps float64, opts ExecOpts)
 	return db.ExecQueryTraced(rng, q, eps, opts)
 }
 
-// ExecQueryTraced answers an already-parsed query — the serve layer's
-// histogram endpoint and grouped estimates build Query values directly
-// instead of round-tripping through SQL text. Parsing aside, it is
-// ExecTraced exactly: same validation, privacy semantics, and spend.
+// ExecQueryTraced answers an already-parsed query — the serve layer
+// parses a /query statement once (its cache key depends on whether the
+// query groups), and its histogram endpoint and grouped estimates build
+// Query values directly instead of round-tripping through SQL text.
+// Parsing aside, it is ExecTraced exactly: same validation, privacy
+// semantics, and spend.
 func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOpts) (*Result, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return nil, err
@@ -174,18 +180,29 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	if err != nil {
 		return nil, err
 	}
-	aggIx := make([]int, len(q.Aggs))
+	// cols lists the distinct columns the non-COUNT aggregates fold, and
+	// aggCol maps each aggregate to its entry (-1: COUNT, which reads the
+	// scan's per-group user count alone).
+	var cols []int
+	aggCol := make([]int, len(q.Aggs))
 	for i, spec := range q.Aggs {
-		aggIx[i] = -1
-		if spec.Kind != AggCount || spec.Col != "" {
-			ix, err := t.ColumnIndex(spec.Col)
-			if err != nil {
-				return nil, err
-			}
-			if t.Columns[ix].Kind == KindString {
-				return nil, fmt.Errorf("%w: %q is %s", ErrNotNumeric, spec.Col, KindString)
-			}
-			aggIx[i] = ix
+		aggCol[i] = -1
+		if spec.Kind == AggCount && spec.Col == "" {
+			continue
+		}
+		ix, err := t.ColumnIndex(spec.Col)
+		if err != nil {
+			return nil, err
+		}
+		if t.Columns[ix].Kind == KindString {
+			return nil, fmt.Errorf("%w: %q is %s", ErrNotNumeric, spec.Col, KindString)
+		}
+		if spec.Kind == AggCount {
+			continue
+		}
+		if aggCol[i] = slices.Index(cols, ix); aggCol[i] < 0 {
+			aggCol[i] = len(cols)
+			cols = append(cols, ix)
 		}
 	}
 	groupIx := -1
@@ -226,129 +243,17 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		observe = func(string, time.Duration) {}
 	}
 	scanStart := time.Now()
-
-	// Filter and group point-in-time per-shard snapshots. The scan fans
-	// out over the table's columnar shards (parallel under an installed
-	// Fanout — the serve layer backs it with its worker pool): each shard
-	// evaluates the WHERE predicate as one vectorized pass over its typed
-	// column slices into a selection bitmap, then partitions the selected
-	// row indices by group key id — a string column's dictionary code, so
-	// no row hashes its key and no per-row []Value is ever built. The
-	// per-shard index fragments are then concatenated in shard order.
-	// Users are hash-routed to shards, so a user's rows stay contiguous
-	// and in arrival order within one fragment and the per-user collapse
-	// below accumulates exactly as a monolithic scan would — fan-out
-	// changes wall-clock, not answers.
-	type shardGroup struct {
-		key  Value
-		keyS string // key.String(); "" for the implicit group
-		idx  []int32
-	}
-	var groupKind Kind
-	if groupIx >= 0 {
-		groupKind = t.Columns[groupIx].Kind
-	}
 	snaps := t.shardSnapshots()
-	scans := make([][]shardGroup, len(snaps)) // per shard, first-seen order
-	t.runFan(len(snaps), func(si int) {
-		shardStart := time.Now()
-		sn := snaps[si]
-		var sel []bool
-		if q.Where != nil {
-			sel = make([]bool, sn.n)
-			q.Where.evalShard(t, sn, sel)
-		}
-		switch {
-		case groupIx < 0:
-			// Single implicit group: the selection is one index run.
-			var idx []int32
-			for i := 0; i < sn.n; i++ {
-				if sel == nil || sel[i] {
-					idx = append(idx, int32(i))
-				}
-			}
-			if len(idx) > 0 {
-				scans[si] = []shardGroup{{idx: idx}}
-			}
-		default:
-			// gix[key] and the clamp slots hold group ordinal+1 (0: none).
-			// Clamp slots: a user contributes to its first `bound` distinct
-			// groups in its own row order; rows for any later group are
-			// dropped. Hash routing keeps all of a user's rows in one shard
-			// in arrival order, so the admitted set — and therefore every
-			// group's user set — is identical at every shard count.
-			keys, nkeys := sn.groupKeys(groupKind, groupIx, sel)
-			gix := make([]int32, nkeys)
-			slots := make([]int32, sn.nu*bound)
-			var groups []shardGroup
-			newGroup := func(i int) int32 {
-				key := sn.value(groupKind, groupIx, i)
-				groups = append(groups, shardGroup{key: key, keyS: key.String()})
-				gix[keys[i]] = int32(len(groups))
-				return int32(len(groups))
-			}
-			for i := 0; i < sn.n; i++ {
-				if sel != nil && !sel[i] {
-					continue
-				}
-				g := gix[keys[i]]
-				us := slots[int(sn.uix[i])*bound : (int(sn.uix[i])+1)*bound]
-				admitted, free := false, -1
-				for s, v := range us {
-					if g > 0 && v == g {
-						admitted = true
-						break
-					}
-					if v == 0 && free < 0 {
-						free = s
-					}
-				}
-				if !admitted {
-					if free < 0 {
-						continue // cap reached: drop the row
-					}
-					if g == 0 {
-						g = newGroup(i)
-					}
-					us[free] = g
-				}
-				groups[g-1].idx = append(groups[g-1].idx, int32(i))
-			}
-			scans[si] = groups
-		}
-		if opts.ObserveShard != nil {
-			opts.ObserveShard(si, sn.n, time.Since(shardStart))
-		}
-	})
-	observe("scan", time.Since(scanStart))
-
-	// Merge the per-shard partial group lists map-free: concatenate them in
-	// shard order, stable-sort by key (stability keeps each group's shard
-	// fragments in shard order), and fold equal-key runs into one group.
-	// The output lands directly in the released sorted-key order.
-	type groupSel struct {
-		key   Value
-		keyS  string
-		parts []selPart // one per contributing shard, in shard order
+	scans := t.scanShards(snaps, q.Where, groupIx, bound, cols, opts.ObserveShard)
+	if groupIx >= 0 {
+		observe("scan", time.Since(scanStart))
 	}
 	mergeStart := time.Now()
-	var flat []groupSel
-	for si, sgs := range scans {
-		for _, sg := range sgs {
-			flat = append(flat, groupSel{key: sg.key, keyS: sg.keyS, parts: []selPart{{shard: si, idx: sg.idx}}})
-		}
-	}
-	sort.SliceStable(flat, func(a, b int) bool { return flat[a].keyS < flat[b].keyS })
-	groups := make([]groupSel, 0, len(flat))
-	for _, g := range flat {
-		if n := len(groups); n > 0 && groups[n-1].keyS == g.keyS {
-			groups[n-1].parts = append(groups[n-1].parts, g.parts...)
-			continue
-		}
-		groups = append(groups, g)
-	}
+	groups := t.mergeGroups(snaps, scans, bound, len(cols))
 	if groupIx >= 0 {
 		observe("group_merge", time.Since(mergeStart))
+	} else {
+		observe("scan", time.Since(scanStart))
 	}
 	if len(groups) == 0 {
 		// No matching rows: release an empty result (the absence of public
@@ -363,14 +268,15 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	epsG := eps / float64(bound) / float64(len(q.Aggs))
 	noiseStart := time.Now()
 	defer func() { observe("noise", time.Since(noiseStart)) }()
-	res := &Result{Query: q, EpsSpent: eps}
-	ord := t.userOrder(snaps)
-	acc := make([]userAgg, len(ord.ids)) // every collapse's scratch, zeroed between uses
+	res := &Result{Query: q, EpsSpent: eps, Rows: make([]ResultRow, 0, len(groups))}
 	for _, g := range groups {
 		values := make([]float64, len(q.Aggs))
 		for i, spec := range q.Aggs {
-			users := t.collapseSelection(ord, snaps, g.parts, aggIx[i], acc)
-			v, err := aggregate(rng, spec, users, epsG)
+			var users []userAgg
+			if c := aggCol[i]; c >= 0 {
+				users = g.aggs[c]
+			}
+			v, err := aggregate(rng, spec, g.users, users, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.keyS, err)
 			}
@@ -386,12 +292,206 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	return res, nil
 }
 
-// aggregate releases the requested aggregate with budget eps over a
-// group's per-user contributions (the shared replace-one-user reduction,
-// Table.collapseSelection).
-func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (float64, error) {
-	nUsers := len(users)
+// shardScan is one shard's share of a release scan: its groups in
+// first-seen order, and for each of its users the groups admitted under
+// the clamp with one accumulator per (user, admitted group) and folded
+// column.
+type shardScan struct {
+	groups []scanGroup
+	// slots[u*bound+j] is the ordinal+1 of user u's j-th admitted group
+	// (0: free). A user's slots fill in order and are never freed, so its
+	// admitted groups are the slots before the first 0.
+	slots []int32
+	accs  [][]userAgg // accs[c][u*bound+j]: the fold of cols[c] over those rows
+}
 
+// scanGroup is one group of a release: its key, and the users admitted
+// to it (in one shard's scan, or, once merged, in all of them).
+type scanGroup struct {
+	key   Value
+	keyS  string // key.String(); "" for the implicit group
+	users int
+}
+
+// scanShards filters, clamps and folds point-in-time shard snapshots, one
+// job per shard under the table's fan-out (parallel under an installed
+// Fanout — the serve layer backs it with its worker pool). Each shard
+// evaluates the WHERE predicate as one vectorized pass over its typed
+// column slices into a selection bitmap, then walks the selected rows
+// once in row (= arrival) order. The clamp admits a user to its first
+// bound distinct groups in its own row order and drops its rows for any
+// later group. An admitted row is folded straight into the dense
+// shard-local accumulator of its (user, slot) pair for each column in
+// cols. groupIx < 0 is the ungrouped release: one implicit group, and
+// the bound is 1. Group keys are numbered without hashing a row (a
+// string column's dictionary codes), and no per-row []Value is built.
+//
+// Users are hash-routed to shards, so all of a user's rows sit in one
+// shard in arrival order: the admitted set — and therefore every group's
+// user set — and each accumulator are what a monolithic scan yields, bit
+// for bit, at every shard count.
+func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, cols []int, observe func(shard, rows int, d time.Duration)) []shardScan {
+	var groupKind Kind
+	if groupIx >= 0 {
+		groupKind = t.Columns[groupIx].Kind
+	}
+	kinds := make([]Kind, len(cols))
+	for c, ix := range cols {
+		kinds[c] = t.Columns[ix].Kind
+	}
+	scans := make([]shardScan, len(snaps))
+	t.runFan(len(snaps), func(si int) {
+		shardStart := time.Now()
+		sn, sc := snaps[si], &scans[si]
+		var sel []bool
+		if where != nil {
+			sel = make([]bool, sn.n)
+			where.evalShard(t, sn, sel)
+		}
+		var keys []int32 // nil: every row has key id 0
+		nkeys := 1
+		if groupIx >= 0 {
+			keys, nkeys = sn.groupKeys(groupKind, groupIx, sel)
+		}
+		gix := make([]int32, nkeys) // key id -> group ordinal+1 (0: unseen)
+		sc.slots = make([]int32, sn.nu*bound)
+		sc.accs = make([][]userAgg, len(cols))
+		for c := range cols {
+			sc.accs[c] = make([]userAgg, sn.nu*bound)
+		}
+		for i := 0; i < sn.n; i++ {
+			if sel != nil && !sel[i] {
+				continue
+			}
+			var k int32
+			if keys != nil {
+				k = keys[i]
+			}
+			g := gix[k]
+			base := int(sn.uix[i]) * bound
+			j := 0
+			for j < bound && sc.slots[base+j] != 0 && sc.slots[base+j] != g {
+				j++
+			}
+			if j == bound {
+				continue // cap reached: drop the row
+			}
+			if sc.slots[base+j] == 0 { // admit the user to the row's group
+				if g == 0 {
+					var sg scanGroup
+					if groupIx >= 0 {
+						sg.key = sn.value(groupKind, groupIx, i)
+						sg.keyS = sg.key.String()
+					}
+					sc.groups = append(sc.groups, sg)
+					g = int32(len(sc.groups))
+					gix[k] = g
+				}
+				sc.slots[base+j] = g
+				sc.groups[g-1].users++
+			}
+			for c, ix := range cols {
+				a := &sc.accs[c][base+j]
+				// A NaN row replaces the sum: which NaN sum + x yields
+				// when both are NaN depends on the operand order the
+				// compiler picks, and a NaN release shows those bits,
+				// so the fold pins x's.
+				if x := sn.float(kinds[c], ix, i); x == x {
+					a.sum += x
+				} else {
+					a.sum = x
+				}
+				a.count++
+			}
+		}
+		if observe != nil {
+			observe(si, sn.n, time.Since(shardStart))
+		}
+	})
+	return scans
+}
+
+// groupFold is one released group's input: its key, its user count, and
+// per folded column the group's per-user accumulators in user-id order.
+type groupFold struct {
+	scanGroup
+	aggs [][]userAgg
+}
+
+// mergeGroups merges the shard scans into the released groups, in
+// sorted-key order, and places every (user, slot) accumulator of ncols
+// folded columns in its group's output. The group lists merge map-free:
+// listed in shard order, stable-sorted by key, equal-key runs folded into
+// one group, each shard-local ordinal mapped to its group. One walk over
+// the users in rank order then places the accumulators, so each group's
+// contributions come out in user-id order with no sort and no per-group
+// pass. This is the replace-one-user privacy reduction every release
+// path shares: each group's input changes in one position between
+// neighboring databases, so feeding it to a record-level eps-DP
+// mechanism yields a user-level eps-DP release. The order matters beyond
+// reproducibility: the estimators' pairing/subsampling consume the
+// seeded RNG in input order.
+func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols int) []groupFold {
+	type localGroup struct{ shard, g int }
+	var flat []localGroup
+	gmap := make([][]int32, len(scans)) // gmap[s][g]: shard s's group g's merged index
+	for s, sc := range scans {
+		gmap[s] = make([]int32, len(sc.groups))
+		for g := range sc.groups {
+			flat = append(flat, localGroup{s, g})
+		}
+	}
+	keyOf := func(l localGroup) string { return scans[l.shard].groups[l.g].keyS }
+	sort.SliceStable(flat, func(a, b int) bool { return keyOf(flat[a]) < keyOf(flat[b]) })
+	var groups []groupFold
+	for _, l := range flat {
+		sg := scans[l.shard].groups[l.g]
+		if n := len(groups); n == 0 || groups[n-1].keyS != sg.keyS {
+			groups = append(groups, groupFold{scanGroup: scanGroup{key: sg.key, keyS: sg.keyS}})
+		}
+		groups[len(groups)-1].users += sg.users
+		gmap[l.shard][l.g] = int32(len(groups) - 1)
+	}
+	if ncols == 0 || len(groups) == 0 {
+		return groups
+	}
+
+	// Each group's runs are carved from one backing array per column and
+	// filled front to back through next[G].
+	total := 0
+	for _, g := range groups {
+		total += g.users
+	}
+	next := make([]int, len(groups))
+	for c := 0; c < ncols; c++ {
+		backing := make([]userAgg, total)
+		off := 0
+		for G := range groups {
+			groups[G].aggs = append(groups[G].aggs, backing[off:off+groups[G].users])
+			off += groups[G].users
+		}
+	}
+	for _, w := range t.userOrder(snaps).who {
+		if int(w.u) >= snaps[w.shard].nu {
+			continue // joined after this snapshot
+		}
+		sc := &scans[w.shard]
+		base := int(w.u) * bound
+		for j := base; j < base+bound && sc.slots[j] != 0; j++ {
+			G := gmap[w.shard][sc.slots[j]-1]
+			for c := range groups[G].aggs {
+				groups[G].aggs[c][next[G]] = sc.accs[c][j]
+			}
+			next[G]++
+		}
+	}
+	return groups
+}
+
+// aggregate releases the requested aggregate with budget eps over a
+// group of nUsers users, whose per-user contributions are users
+// (mergeGroups; nil for COUNT, which privatizes the user count alone).
+func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, users []userAgg, eps float64) (float64, error) {
 	if spec.Kind == AggCount {
 		// Count of matching users; sensitivity 1 under a one-user change.
 		return dp.NoisyCount(rng, nUsers, eps), nil
@@ -400,11 +500,15 @@ func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (floa
 		return 0, ErrTooFewUsers
 	}
 
-	sums := make([]float64, 0, nUsers)
-	means := make([]float64, 0, nUsers)
-	for _, u := range users {
-		sums = append(sums, u.sum)
-		means = append(means, u.sum/float64(u.count))
+	// SUM reads the per-user sums, every other aggregate the per-user
+	// means: only the one slice it reads is built.
+	xs := make([]float64, nUsers)
+	for i, u := range users {
+		if spec.Kind == AggSum {
+			xs[i] = u.sum
+		} else {
+			xs[i] = u.sum / float64(u.count)
+		}
 	}
 
 	const beta = 0.1
@@ -412,23 +516,23 @@ func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (floa
 	case AggSum:
 		// SUM = n_users · mean(per-user sums); n_users is fixed across
 		// replace-one-user neighbors, so only the mean needs privatizing.
-		m, err := privateMeanAuto(rng, sums, eps, beta)
+		m, err := privateMeanAuto(rng, xs, eps, beta)
 		if err != nil {
 			return 0, err
 		}
 		return m * float64(nUsers), nil
 	case AggAvg:
-		return privateMeanAuto(rng, means, eps, beta)
+		return privateMeanAuto(rng, xs, eps, beta)
 	case AggMedian:
-		return privateQuantileAuto(rng, means, (nUsers+1)/2, eps, beta)
+		return privateQuantileAuto(rng, xs, (nUsers+1)/2, eps, beta)
 	case AggP25:
-		return privateQuantileAuto(rng, means, (nUsers+3)/4, eps, beta)
+		return privateQuantileAuto(rng, xs, (nUsers+3)/4, eps, beta)
 	case AggP75:
-		return privateQuantileAuto(rng, means, (3*nUsers+3)/4, eps, beta)
+		return privateQuantileAuto(rng, xs, (3*nUsers+3)/4, eps, beta)
 	case AggVar:
-		return core.EstimateVariance(rng, means, eps, beta)
+		return core.EstimateVariance(rng, xs, eps, beta)
 	case AggStdDev:
-		v, err := core.EstimateVariance(rng, means, eps, beta)
+		v, err := core.EstimateVariance(rng, xs, eps, beta)
 		if err != nil {
 			return 0, err
 		}
@@ -437,7 +541,7 @@ func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (floa
 		}
 		return math.Sqrt(v), nil
 	case AggIQR:
-		v, err := core.EstimateIQR(rng, means, eps, beta)
+		v, err := core.EstimateIQR(rng, xs, eps, beta)
 		if err != nil {
 			return 0, err
 		}
@@ -456,15 +560,15 @@ func aggregate(rng *xrand.RNG, spec AggSpec, users []userAgg, eps float64) (floa
 		if tau > nUsers {
 			tau = nUsers
 		}
-		return privateQuantileAuto(rng, means, tau, eps, beta)
+		return privateQuantileAuto(rng, xs, tau, eps, beta)
 	case AggMin:
 		// Extreme quantiles: Algorithm 2 clamps the target rank away from
 		// the boundary by its slack, so MIN/MAX are conservative — they
 		// release roughly the slack-th smallest/largest per-user value.
 		// (An exact private min/max is impossible with bounded error.)
-		return privateQuantileAuto(rng, means, 1, eps, beta)
+		return privateQuantileAuto(rng, xs, 1, eps, beta)
 	case AggMax:
-		return privateQuantileAuto(rng, means, nUsers, eps, beta)
+		return privateQuantileAuto(rng, xs, nUsers, eps, beta)
 	default:
 		return 0, fmt.Errorf("%w: unsupported aggregate %v", ErrSyntax, spec.Kind)
 	}

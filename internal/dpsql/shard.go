@@ -27,12 +27,11 @@ import (
 // semantics or privacy cost.
 //
 // Determinism: the estimators consume the seeded RNG in input order, so
-// contributions go out in user-id order, read from a rank-indexed
-// accumulator under the table's cached user order (order.go) — no
-// release sorts users. Users are routed by hash, so all of one user's
-// rows colocate in one shard in arrival order: each user's fold is the
-// one a single-shard table runs, bit-for-bit identical across shard
-// counts.
+// contributions go out in user-id order, placed by one walk over the
+// table's cached user order (order.go) — no release sorts users. Users
+// are routed by hash, so all of one user's rows colocate in one shard in
+// arrival order: each user's fold is the one a single-shard table runs,
+// bit-for-bit identical across shard counts.
 // Record-order readers (ColumnFloats/ColumnInts) recover global
 // insertion order from per-row sequence numbers assigned at insert.
 
@@ -387,24 +386,20 @@ func (t *Table) shardUserAggs(sn shardSnap, colIx int) []userAgg {
 }
 
 // mergeUserAggs places per-shard aggregates (parts[s] dense over shard
-// s's user dictionary) in user-id order: each lands in its user's rank
-// slot, and no user id is compared. A user lives in one shard, so every
-// slot is filled at most once. This is the replace-one-user reduction's
-// sharded form: the merged collapse still changes in exactly one
-// position between neighboring databases.
+// s's user dictionary) in user-id order by one walk over the order's
+// ranks: no user id is compared, and a rank whose entry lies past its
+// shard's part (a user newer than the snapshot) is skipped. This is the
+// replace-one-user reduction's sharded form: the merged collapse still
+// changes in exactly one position between neighboring databases.
 func mergeUserAggs[T any](ord *userOrder, parts [][]T) []T {
-	acc := make([]T, len(ord.ids))
-	seen := make([]bool, len(ord.ids))
-	for s, p := range parts {
-		rank := ord.rank[s]
-		for u, v := range p {
-			acc[rank[u]], seen[rank[u]] = v, true
-		}
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	out := acc[:0] // compact in place
-	for r, v := range acc {
-		if seen[r] {
-			out = append(out, v)
+	out := make([]T, 0, n)
+	for _, w := range ord.who {
+		if p := parts[w.shard]; int(w.u) < len(p) {
+			out = append(out, p[w.u])
 		}
 	}
 	return out

@@ -104,13 +104,16 @@ func BenchmarkShardColumnFloats(b *testing.B) {
 }
 
 // BenchmarkGroupedScan measures the bounded-contribution grouped release
-// end to end: per-shard first-seen clamping (slot windows over the group
-// ordinals), the shard-order merge of group selections, the rank-indexed
-// per-user collapse, and one noisy release per group — the scan a
-// histogram or GROUP BY query pays. The workload/ cases have the shape of
-// the grouped-sharded benchmark workload (20k users × 3 rows in 3 string
-// groups); newusers inserts one new user before every release, so each
-// release also pays the rebuild of the cached user order.
+// end to end: the per-shard scan (first-seen clamping over slot windows
+// of group ordinals, each admitted row folded into its user's
+// shard-local accumulator), the merge of the shards' groups, the walk
+// placing the accumulators in user-id order, and one noisy release per
+// group — the scan a histogram or GROUP BY query pays. The workload/
+// cases have the shape of the grouped-sharded benchmark workload (20k
+// users × 3 rows in 3 string groups); newusers inserts one new user
+// before every AVG release, so each release also pays the extension of
+// the cached user order (a COUNT release reads the scan's user counts
+// and needs no order).
 func BenchmarkGroupedScan(b *testing.B) {
 	schema := []Column{
 		{Name: "uid", Kind: KindString},
@@ -167,7 +170,7 @@ func BenchmarkGroupedScan(b *testing.B) {
 			b.Run(fmt.Sprintf("workload/shards=%d/%s", n, agg), func(b *testing.B) { run(b, db, sql, nil) })
 		}
 		b.Run(fmt.Sprintf("workload/shards=%d/newusers", n), func(b *testing.B) {
-			run(b, db, "SELECT COUNT(*) FROM m GROUP BY grp", func(i int) {
+			run(b, db, "SELECT AVG(v) FROM m GROUP BY grp", func(i int) {
 				if err := tab.Insert(Str(fmt.Sprintf("new%07d", i)), Float(1), Str("g0")); err != nil {
 					b.Fatal(err)
 				}
@@ -177,9 +180,10 @@ func BenchmarkGroupedScan(b *testing.B) {
 }
 
 // BenchmarkColumnarScan measures the Exec release scan — vectorized
-// predicate over the typed float column, per-shard selection, and the
-// rank-indexed user collapse — end to end through a released answer
-// (the mechanism itself is O(users) and cheap at this scale).
+// predicate over the typed float column, the per-shard fold of each
+// selected row into its user's accumulator, and the walk placing them in
+// user-id order — end to end through a released answer (the mechanism
+// itself is O(users) and cheap at this scale).
 func BenchmarkColumnarScan(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {

@@ -162,7 +162,7 @@ func (db *DB) CreateSharded(name string, cols []Column, userCol string, shards i
 	for i := range t.shards {
 		t.shards[i] = newTableShard(cols)
 	}
-	t.order.Store(&userOrder{rank: make([][]int32, shards)})
+	t.order.Store(&userOrder{nu: make([]int, shards)})
 	t.setFanout(db.fan)
 	for i, c := range cols {
 		lc := strings.ToLower(c.Name)
@@ -329,55 +329,6 @@ type userAgg struct {
 	count int
 }
 
-// selPart is one shard's share of a filtered selection: row indices into
-// that shard's snapshot, in row (= arrival) order. Exec's scan produces
-// a []selPart per group, in shard order, instead of materializing rows.
-type selPart struct {
-	shard int
-	idx   []int32
-}
-
-// collapseSelection folds a filtered selection into one accumulator per
-// user, returned in user-id order. This is the replace-one-user privacy
-// reduction every release path shares: the result changes in one
-// position between neighboring databases, so feeding it to a
-// record-level eps-DP mechanism yields a user-level eps-DP release.
-// colIx < 0 accumulates row counts only (COUNT). The order matters beyond
-// reproducibility: the estimators' pairing/subsampling consume the seeded
-// RNG in input order. Parts are walked in shard order, rows in selection
-// order, each row added into its user's slot of acc — a zeroed
-// rank-indexed accumulator (len(ord.ids)), left zeroed for the next
-// collapse — so every user's fold is the sequential fold the row store
-// ran.
-func (t *Table) collapseSelection(ord *userOrder, snaps []shardSnap, parts []selPart, colIx int, acc []userAgg) []userAgg {
-	var kind Kind
-	if colIx >= 0 {
-		kind = t.Columns[colIx].Kind
-	}
-	n := 0
-	for _, p := range parts {
-		sn, rank := snaps[p.shard], ord.rank[p.shard]
-		for _, i := range p.idx {
-			a := &acc[rank[sn.uix[i]]]
-			if a.count == 0 {
-				n++
-			}
-			if colIx >= 0 {
-				a.sum += sn.float(kind, colIx, int(i))
-			}
-			a.count++
-		}
-	}
-	out := make([]userAgg, 0, n)
-	for r := range acc {
-		if acc[r].count > 0 {
-			out = append(out, acc[r])
-			acc[r] = userAgg{}
-		}
-	}
-	return out
-}
-
 // numericIndex resolves col and refuses string columns.
 func (t *Table) numericIndex(col string) (int, error) {
 	ix, err := t.ColumnIndex(col)
@@ -491,8 +442,8 @@ func (t *Table) ColumnInts(col string) ([]int64, error) {
 // per user (the sum of that user's rows) in user-id order — the input
 // shape the paper's empirical-setting estimators (Section 3) take. Each
 // shard folds its int column into dense per-user sums in one pass, and
-// the sums land in rank slots. Optional observers receive one sample
-// per shard of the fan (see ShardObserver).
+// one walk over the user order places them. Optional observers receive
+// one sample per shard of the fan (see ShardObserver).
 func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 	ix, err := t.ColumnIndex(col)
 	if err != nil {

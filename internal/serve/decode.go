@@ -395,8 +395,9 @@ func canonicalizeEstimate(req *EstimateRequest) {
 		// a client-supplied Beta must not split the cache.
 		req.Beta = 0
 	} else {
-		// The bound only means something for grouped releases.
-		req.ContributionBound = 0
+		// The bound only means something for grouped releases: an
+		// ungrouped one runs at bound 1 (already validated).
+		req.ContributionBound = 1
 	}
 }
 

@@ -199,6 +199,7 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
 		{"/v1/tenants/acme/query", QueryRequest{SQL: "SELECT AVG(v) FROM events", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
 		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "events", GroupBy: "grp", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
+		{"/v1/tenants/acme/estimate", EstimateRequest{Table: "events", Column: "v", Stat: "mean", Epsilon: 1, ContributionBound: -1}, http.StatusBadRequest, "bad_contribution_bound"},
 		{"/v1/tenants/acme/histogram", HistogramRequest{Table: "nope", GroupBy: "grp", Epsilon: 1}, http.StatusNotFound, ""},
 	}
 	for i, b := range bad {
@@ -215,6 +216,38 @@ func TestGroupedQueryAndEstimate(t *testing.T) {
 	}
 	if st.Spent != 1.0 || st.AuditRecords != 2 {
 		t.Fatalf("refused requests charged: spent=%v audit=%d", st.Spent, st.AuditRecords)
+	}
+}
+
+// TestUngroupedQueryBoundSharesCache: an ungrouped query runs at bound 1
+// whatever contribution_bound says, so the same query sent without a
+// bound and then with bound 2 is one release: the second is a cache
+// replay, and the tenant is charged and audited once.
+func TestUngroupedQueryBoundSharesCache(t *testing.T) {
+	srv := mustOpen(t, Options{Seed: 7, Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer srv.Close()
+	c := newClient(t, ts.URL)
+	provisionGrouped(t, c, "acme", 100)
+
+	var q1, q2 QueryResponse
+	if code := c.do("POST", "/v1/tenants/acme/query", QueryRequest{
+		SQL: "SELECT COUNT(*) FROM events", Epsilon: 1,
+	}, &q1); code != http.StatusOK || q1.Cached {
+		t.Fatalf("first query: code %d, cached %v", code, q1.Cached)
+	}
+	if code := c.do("POST", "/v1/tenants/acme/query", QueryRequest{
+		SQL: "SELECT COUNT(*) FROM events", Epsilon: 1, ContributionBound: 2,
+	}, &q2); code != http.StatusOK || !q2.Cached {
+		t.Fatalf("bound-2 query: code %d, cached %v", code, q2.Cached)
+	}
+	var st TenantStatus
+	if code := c.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
+		t.Fatal("status")
+	}
+	if st.Spent != 1 || st.AuditRecords != 1 {
+		t.Fatalf("one ungrouped query spelled two ways: spent=%v audit=%d, want 1 and 1", st.Spent, st.AuditRecords)
 	}
 }
 

@@ -374,6 +374,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Release-Id", rel.id)
 	s.metrics.releases.With("query").Inc()
 	t.queries.Add(1)
+	q, err := dpsql.Parse(sql)
+	if err != nil {
+		s.finishRelease(t, rel, writeReleaseErr(w, err))
+		return
+	}
+	if q.GroupBy == "" {
+		// An ungrouped query runs at bound 1 however the request spells
+		// it, so every spelling shares one cache entry.
+		req.ContributionBound = 1
+	}
 
 	// Byte-identical repeated query: replay the stored answer for free.
 	key := fmt.Sprintf("sql|%q|gb=%q|eps=%g|cb=%d", req.SQL, req.GroupBy, req.Epsilon, req.ContributionBound)
@@ -395,10 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Read the data version before Exec takes its snapshot: if an
 	// ingestion lands in between, the stale answer must not be cached.
 	ver := t.cache.version()
-	var (
-		res *dpsql.Result
-		err error
-	)
+	var res *dpsql.Result
 	// Exec's table scan fans out over the tenant's shards through the
 	// same pool (the fan-out installed at tenant creation), merging the
 	// per-shard fragments before the estimators run — one deduction, one
@@ -407,7 +414,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// scan/noise spans and the single deduction land on this release.
 	rl := &releaseLedger{inner: t.spender, rel: rel}
 	ran, wait := s.pool.doTimed(func() {
-		res, err = t.db.ExecTraced(s.splitRNG(), sql, req.Epsilon, dpsql.ExecOpts{
+		res, err = t.db.ExecQueryTraced(s.splitRNG(), q, req.Epsilon, dpsql.ExecOpts{
 			Ledger:       rl,
 			GroupBound:   req.ContributionBound,
 			Observe:      func(stage string, d time.Duration) { s.observeStage(rel, stage, d) },
@@ -464,12 +471,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	// Canonicalize before anything else so spelled-differently-but-equal
-	// requests share one cache entry and one validation path.
-	canonicalizeEstimate(&req)
+	// Validate the bound, then canonicalize, before anything else, so
+	// every endpoint refuses a bad bound alike and
+	// spelled-differently-but-equal requests share one cache entry and
+	// one validation path.
 	if !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
+	canonicalizeEstimate(&req)
 	rel := newRelease("estimate")
 	rel.mech = req.Stat
 	w.Header().Set("X-Release-Id", rel.id)
