@@ -13,7 +13,10 @@
 // of five runs moves past +25% on unchanged code: between two artifacts
 // of one tree on a 2-vCPU Xeon, a median rule flagged 15 and 18 of 104
 // benchmarks (each way round), the every-run rule 1 and 0. It mirrors
-// the allocation gate's rule below.
+// the allocation gate's rule below. One summary line gives the median,
+// over the benchmarks both artifacts timed, of current ÷ baseline median
+// ns/op: on a different host every benchmark moves alike, so a ratio far
+// from 1 next to many ⚠ rows points at the host rather than the code.
 // Allocation counts are
 // different: a benchmark whose allocs/op was identical across every
 // baseline run (at least two) allocates deterministically, so when its
@@ -261,7 +264,32 @@ func writeDiff(w io.Writer, oldB, newB map[string]*runs, threshold float64) diff
 	fmt.Fprintf(w, "\n%d benchmarks; %d ⚠ slower (> +%.0f%% in every run), %d faster, %d ✗ more allocs, %d new, %d removed. ",
 		len(names), dc.slower, threshold*100, improved, dc.allocs, added, removed)
 	fmt.Fprintln(w, "Smoke timings are noisy pointers; an allocs/op rise on a benchmark whose baseline count never varied is a verdict.")
+	if shift, n := hostShift(oldB, newB); n > 0 {
+		fmt.Fprintf(w, "\nMedian ns/op ratio (current ÷ baseline) over %d shared benchmarks: %.2f×. A ratio far from 1 with most benchmarks moving alike points at a different host, not the code.\n", n, shift)
+	}
 	return dc
+}
+
+// hostShift is the median, over the benchmarks both artifacts timed, of
+// current median ns/op ÷ baseline median ns/op, and how many benchmarks
+// that median spans. A uniform shift moves every ratio alike, so it
+// tells a slower or faster host apart from a change to a few
+// benchmarks.
+func hostShift(oldB, newB map[string]*runs) (shift float64, n int) {
+	var ratios []float64
+	for name, cur := range newB {
+		base, ok := oldB[name]
+		if !ok {
+			continue
+		}
+		b, okB := median(base.ns)
+		c, okC := median(cur.ns)
+		if okB && okC && b > 0 {
+			ratios = append(ratios, c/b)
+		}
+	}
+	shift, _ = median(ratios)
+	return shift, len(ratios)
 }
 
 func main() {

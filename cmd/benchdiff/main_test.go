@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -176,6 +177,36 @@ func TestWriteDiffAllocGate(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "| BenchmarkStableRise | 100ns | 100ns | +0.0% | — | 10 → 11 | ✗ more allocs |") {
 		t.Fatalf("gated row missing:\n%s", buf.String())
+	}
+}
+
+func TestWriteDiffHostShift(t *testing.T) {
+	// A host 1.5× slower across the board: every benchmark is flagged
+	// slower, and the summary line shows the uniform 1.50× ratio beside
+	// them. Benchmarks only one artifact holds stay out of the ratio.
+	oldB := map[string]*runs{"BenchmarkGone": {ns: []float64{10, 10}}}
+	newB := map[string]*runs{"BenchmarkNew": {ns: []float64{999, 999}}}
+	for i, ns := range []float64{100, 2000, 35000, 4e6, 5e8} {
+		name := fmt.Sprintf("BenchmarkShared%d", i)
+		oldB[name] = &runs{ns: []float64{ns, ns * 1.01, ns * 0.99}, allocs: []float64{7, 7, 7}}
+		newB[name] = &runs{ns: []float64{1.5 * ns, 1.5 * ns * 1.01, 1.5 * ns * 0.99}, allocs: []float64{7, 7, 7}}
+	}
+	if shift, n := hostShift(oldB, newB); n != 5 || math.Abs(shift-1.5) > 1e-12 {
+		t.Fatalf("hostShift = %v over %d, want 1.5 over 5", shift, n)
+	}
+	var buf strings.Builder
+	if got := writeDiff(&buf, oldB, newB, 0.25); got != (diffCounts{slower: 5}) {
+		t.Fatalf("counts = %+v, want 5 slower and no alloc regression\n%s", got, buf.String())
+	}
+	if !strings.Contains(buf.String(), "Median ns/op ratio (current ÷ baseline) over 5 shared benchmarks: 1.50×.") {
+		t.Fatalf("host-shift line missing:\n%s", buf.String())
+	}
+
+	// The same artifact against itself: no shift.
+	buf.Reset()
+	writeDiff(&buf, oldB, oldB, 0.25)
+	if !strings.Contains(buf.String(), "over 6 shared benchmarks: 1.00×.") {
+		t.Fatalf("self-diff host-shift line missing:\n%s", buf.String())
 	}
 }
 

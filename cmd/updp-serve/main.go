@@ -219,7 +219,7 @@ func bootDemo(srv *serve.Server, req serve.CreateTenantRequest) (string, error) 
 			return "", fmt.Errorf("demo tenant: %w", err)
 		}
 	}
-	tab, tabErr := tn.DB().TableByName("salaries")
+	tab, tabErr := tn.Table("salaries")
 	if recovered && tabErr == nil && tab.NumRows() > 0 {
 		// Fully recovered — reloading would double the data and a fresh
 		// ledger would void the recovered spend.

@@ -28,7 +28,7 @@ func salaries(t *testing.T, srv *serve.Server) [][]dpsql.Value {
 	if !ok {
 		t.Fatal("demo tenant missing")
 	}
-	tab, err := tn.DB().TableByName("salaries")
+	tab, err := tn.Table("salaries")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,12 @@ func (db *DB) Remaining() float64 {
 // ExecOpts carries the per-call knobs of ExecTraced. The zero value
 // reproduces Exec exactly.
 type ExecOpts struct {
-	// Ledger overrides the DB's installed ledger for this call — the
-	// serve layer passes a per-release wrapper here so the one deduction
-	// a query charges can be attributed to its release ID. Nil uses the
-	// installed ledger.
-	Ledger dp.Ledger
+	// Ledger overrides the DB's installed ledger for this call: the one
+	// deduction a query charges is its Spend, the only method Exec
+	// calls. The serve layer passes its per-release ledger here, so the
+	// charge belongs to the release and is audited with it; any
+	// dp.Ledger also fits. Nil uses the installed ledger.
+	Ledger interface{ Spend(dp.Cost) error }
 	// Observe, when set, receives per-stage wall times: "scan" (the
 	// fanned shard scan: filter, clamp, and the fold of each user's rows;
 	// for an ungrouped query also the placement of the folds in user-id

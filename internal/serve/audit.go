@@ -15,11 +15,12 @@ import (
 // charged gets exactly one audit record, written before the answer is
 // acknowledged, so the log replays the tenant's real spend history
 // (budget-refused attempts and cache replays charge nothing and are
-// absent by construction). Durable tenants write store.AuditLog: the
-// record commits with the deduction as one WAL barrier entry
-// (tenantLedger.spendRelease), so one fsync covers both. In-memory
-// tenants append to memAudit after the mechanism (auditRelease), so the
-// endpoint behaves identically either way.
+// absent by construction). Serve charges a tenant only through a
+// release's releaseLedger, so no charge lacks a release to audit.
+// Durable tenants write store.AuditLog: the record commits with the
+// deduction as one WAL barrier entry (releaseLedger.Spend), so one fsync
+// covers both. In-memory tenants append to memAudit after the mechanism
+// (auditRelease), so the endpoint behaves identically either way.
 
 // auditSink is what the audit endpoint reads. store.AuditLog is the
 // durable implementation; memAudit the in-memory one.
@@ -126,10 +127,10 @@ func newAuditRecord(t *Tenant, rel *release, c dp.Cost) *store.AuditRecord {
 }
 
 // auditRelease appends an in-memory tenant's audit line for a CHARGED
-// release. The caller invokes it on every path where rel.spent is true —
-// success or mechanism failure after the deduction — and must withhold
-// the answer if it errors. On a durable tenant it does nothing: the
-// record already rode the deduction's WAL barrier.
+// release. serveRelease calls it once for every release whose rel.spent
+// is set — success or mechanism failure after the deduction — and
+// withholds the answer if it errors. On a durable tenant it does
+// nothing: the record already rode the deduction's WAL barrier.
 //
 // The in-memory append runs after the mechanism, outside the worker-pool
 // job, rather than at charge time: once the retention window is full,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -337,5 +338,69 @@ func TestDurableAuditFailureWithholdsCharge(t *testing.T) {
 	}
 	if st.Spent != 0.5 || audit.Total != 1 {
 		t.Fatalf("recovered spend %v with %d audit records, want 0.5 and 1", st.Spent, audit.Total)
+	}
+}
+
+// TestChargedFailureIsAudited: a release whose mechanism fails after its
+// charge — here, too few users for the estimator — stays charged and is
+// audited exactly once, with the release id the client saw, on every
+// release shape and on in-memory and durable tenants alike. Errors are
+// never cached, so a byte-identical repeat is charged and audited again.
+func TestChargedFailureIsAudited(t *testing.T) {
+	shapes := []struct{ name, path, mech, body string }{
+		{"query", "query", "sql", `{"sql":"SELECT AVG(v) FROM metrics","epsilon":0.5}`},
+		{"grouped-query", "query", "sql", `{"sql":"SELECT AVG(v) FROM metrics","group_by":"grp","epsilon":0.5}`},
+		{"estimate", "estimate", "mean", `{"table":"metrics","column":"v","stat":"mean","epsilon":0.5}`},
+		{"grouped-estimate", "estimate", "mean", `{"table":"metrics","column":"v","stat":"mean","group_by":"grp","epsilon":0.5}`},
+	}
+	for _, durable := range []bool{false, true} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/durable=%v", sh.name, durable), func(t *testing.T) {
+				opts := Options{Seed: 17, Workers: 2}
+				if durable {
+					opts.DataDir = t.TempDir()
+				}
+				srv := mustOpen(t, opts)
+				defer srv.Close()
+				ts := httptest.NewServer(srv)
+				defer ts.Close()
+				c := newClient(t, ts.URL)
+				seedTenant(t, c, "acme", 10, 3)
+
+				for i := 1; i <= 2; i++ {
+					resp, err := http.Post(ts.URL+"/v1/tenants/acme/"+sh.path, "application/json", strings.NewReader(sh.body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var e apiError
+					if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != "too_few_users" {
+						t.Fatalf("attempt %d: %d %+v, want 422 too_few_users", i, resp.StatusCode, e)
+					}
+					var st TenantStatus
+					if code := c.do("GET", "/v1/tenants/acme", nil, &st); code != http.StatusOK {
+						t.Fatal("status")
+					}
+					if want := 0.5 * float64(i); st.Spent != want {
+						t.Fatalf("attempt %d: spent %v, want %v (the failed release stays charged)", i, st.Spent, want)
+					}
+					var audit AuditResponse
+					if code := c.do("GET", "/v1/tenants/acme/audit", nil, &audit); code != http.StatusOK {
+						t.Fatal("audit")
+					}
+					if audit.Total != uint64(i) || len(audit.Records) != i {
+						t.Fatalf("attempt %d: %d audit records (%d paged), want %d", i, audit.Total, len(audit.Records), i)
+					}
+					rec := audit.Records[i-1]
+					if id := resp.Header.Get("X-Release-Id"); rec.ReleaseID != id || rec.Path != sh.path || rec.Mechanism != sh.mech {
+						t.Fatalf("attempt %d: audit record id %q path %q mech %q, want %q %q %q",
+							i, rec.ReleaseID, rec.Path, rec.Mechanism, id, sh.path, sh.mech)
+					}
+				}
+			})
+		}
 	}
 }

@@ -15,10 +15,10 @@ import (
 
 // This file is the HTTP wire surface: request/response types, JSON
 // encoding helpers, the error-to-status mapping, and request decoding,
-// canonicalization, and validation. Handlers (handlers.go) orchestrate;
-// the estimator dispatch lives in estimate.go. Nothing here touches a
-// ledger or a mechanism — everything in this file is budget-free by
-// construction.
+// canonicalization, and validation. The handlers and the one release
+// lifecycle they share live in handlers.go; the estimator release lives
+// in estimate.go. Nothing here touches a ledger or a mechanism —
+// everything in this file is budget-free by construction.
 
 // ---------- wire types ----------
 
@@ -413,8 +413,8 @@ func estimateCacheKey(req EstimateRequest) string {
 
 // validateEstimate checks the data-independent parts of a canonicalized
 // estimate request — stat name, unit, quantile parameters, the ρ-charging
-// rules. It runs on the handler goroutine before any budget is touched,
-// so a malformed request costs nothing.
+// rules. It runs on the handler goroutine before the cache lookup and
+// before any budget is touched, so a malformed request costs nothing.
 func validateEstimate(req EstimateRequest) error {
 	switch req.Unit {
 	case "user", "record":

@@ -10,101 +10,23 @@ import (
 	"repro/updp"
 )
 
-// This file is the estimator release path: validation, the single budget
-// deduction, the shard-fanned contribution scan, and the stat dispatch
-// onto the universal estimators. The handler half (HTTP decode, cache,
-// counters) lives in handlers.go.
+// This file is the estimator release: what one /estimate release runs
+// on its worker — the grouped form through the grouped SQL executor, the
+// scalar form as the shard-fanned contribution scan, the single budget
+// deduction, and the stat dispatch onto the universal estimators. The
+// handler and the lifecycle around it (cache, worker, audit) live in
+// handlers.go; validation lives in decode.go.
 
-// estimate validates the request, then hands the whole release — unit
-// collapse, budget deduction, and mechanism — to a worker. Validation
-// happens on the handler goroutine so data-independent mistakes (bad stat
-// name, unknown table) cost nothing; the table scan and the Spend both
-// run inside the pool, so the Workers bound really caps the CPU cost per
-// release and a shed request (full queue) is never charged. Once the
-// budget is deducted the charge sticks even if the mechanism fails.
-// The request is already canonicalized (stat/unit lower-cased, defaults
-// applied) by the handler.
-func (s *Server) estimate(t *Tenant, req EstimateRequest, rel *release) (float64, []GroupValue, error) {
-	tab, err := t.db.TableByName(req.Table)
-	if err != nil {
-		return 0, nil, err
-	}
-	if err := validateEstimate(req); err != nil {
-		return 0, nil, err
-	}
-	var (
-		value  float64
-		groups []GroupValue
-		runErr error
-	)
-	ran, wait := s.pool.doTimed(func() {
-		if req.GroupBy != "" {
-			groups, runErr = s.runGroupedEstimate(t, req, rel)
-		} else {
-			value, runErr = s.runEstimate(t, tab, req, rel)
-		}
-	})
-	if !ran {
-		s.metrics.shed.Inc()
-		return 0, nil, ErrOverloaded
-	}
-	s.observeStage(rel, "queue_wait", wait)
-	return value, groups, runErr
-}
-
-// groupedAggSpec maps a grouped estimate's stat onto the SQL layer's
-// aggregate (validateEstimate has already rejected stats with no grouped
-// form).
-func groupedAggSpec(req EstimateRequest) dpsql.AggSpec {
-	switch req.Stat {
-	case "count":
-		return dpsql.AggSpec{Kind: dpsql.AggCount}
-	case "variance":
-		return dpsql.AggSpec{Kind: dpsql.AggVar, Col: req.Column}
-	case "stddev":
-		return dpsql.AggSpec{Kind: dpsql.AggStdDev, Col: req.Column}
-	case "iqr":
-		return dpsql.AggSpec{Kind: dpsql.AggIQR, Col: req.Column}
-	case "median":
-		return dpsql.AggSpec{Kind: dpsql.AggMedian, Col: req.Column}
-	case "quantile":
-		return dpsql.AggSpec{Kind: dpsql.AggQuantile, Col: req.Column, P: req.P}
-	default: // "mean"
-		return dpsql.AggSpec{Kind: dpsql.AggAvg, Col: req.Column}
-	}
-}
-
-// runGroupedEstimate executes one grouped estimator release on a worker
-// goroutine: the statistic is released once per group of the group_by
-// column through the grouped SQL executor — bounded per-user group
-// contributions, one parallel-composed deduction, one audit record, the
-// same scan fan-out and stage spans a grouped query gets.
-func (s *Server) runGroupedEstimate(t *Tenant, req EstimateRequest, rel *release) ([]GroupValue, error) {
-	q := &dpsql.Query{
-		Table:   req.Table,
-		GroupBy: req.GroupBy,
-		Aggs:    []dpsql.AggSpec{groupedAggSpec(req)},
-	}
-	rl := &releaseLedger{inner: t.spender, rel: rel}
-	res, err := t.db.ExecQueryTraced(s.splitRNG(), q, req.Epsilon, dpsql.ExecOpts{
-		Ledger:       rl,
-		GroupBound:   req.ContributionBound,
-		Observe:      func(stage string, d time.Duration) { s.observeStage(rel, stage, d) },
-		ObserveShard: shardSpanObserver(rel),
-	})
-	if err != nil {
-		return nil, err
-	}
-	groups := make([]GroupValue, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		groups = append(groups, GroupValue{Group: row.Group.String(), Value: row.Value})
-	}
-	return groups, nil
-}
-
-// runEstimate executes one estimator release on a worker goroutine.
+// estimate runs one validated, canonicalized /estimate release on a
+// worker and returns its answer. A grouped estimate releases the
+// statistic once per group of the group_by column through the grouped
+// SQL executor — bounded per-user group contributions, one
+// parallel-composed deduction, the same scan fan-out and stage spans a
+// grouped query gets. A scalar estimate pulls its contributions from
+// tab, charges led, and runs the stat's estimator. Either way the
+// charge sticks once made, even if the mechanism then fails.
 //
-// Sharded scan: the contribution pull below fans out over the table's
+// Sharded scan: the scalar contribution pull fans out over the table's
 // shards (dpsql readers run per-shard partial scans through the server's
 // worker pool — see DB.SetFanout) and merges the partial per-user
 // aggregates before anything else happens. The merge is pure
@@ -112,7 +34,20 @@ func (s *Server) runGroupedEstimate(t *Tenant, req EstimateRequest, rel *release
 // deduction is charged per release and the mechanism sees bit-for-bit the
 // input a monolithic table would have produced — shard count changes
 // wall-clock, never noise semantics or spend.
-func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, rel *release) (float64, error) {
+func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (EstimateResponse, error) {
+	if req.GroupBy != "" {
+		q := &dpsql.Query{Table: req.Table, GroupBy: req.GroupBy, Aggs: []dpsql.AggSpec{groupedAggSpec(req)}}
+		res, err := execSQL(led, q, req.Epsilon, req.ContributionBound)
+		if err != nil {
+			return EstimateResponse{}, err
+		}
+		out := EstimateResponse{EpsSpent: req.Epsilon, Groups: make([]GroupValue, 0, len(res.Rows))}
+		for _, row := range res.Rows {
+			out.Groups = append(out.Groups, GroupValue{Group: row.Group.String(), Value: row.Value})
+		}
+		return out, nil
+	}
+	s, rel := led.s, led.rel
 	stat := req.Stat
 	empiricalStat := stat == "empirical_mean" || stat == "empirical_quantile"
 
@@ -150,23 +85,21 @@ func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, r
 		xs, err = tab.UserMeans(req.Column, shardObs)
 	}
 	if err != nil {
-		return 0, err
+		return EstimateResponse{}, err
 	}
 	s.observeStage(rel, "scan", time.Since(scanStart))
 
 	// Atomically reserve the budget in the cost's native unit, then
 	// release. The tenant's ledger decides whether the cost is affordable
-	// — or even representable (a pure-ε ledger refuses native-ρ costs).
+	// — or even representable (a pure-ε ledger refuses native-ρ costs) —
+	// and on a durable tenant the deduction is on disk before the
+	// mechanism may run.
 	cost := dp.EpsCost(req.Epsilon)
 	if req.Rho > 0 {
 		cost = dp.RhoCost(req.Rho)
 	}
-	// t.spender is the tenant ledger (WAL-interposed on a durable server:
-	// the deduction is on disk before the mechanism may run); the
-	// per-release wrap stamps the charge onto this release for auditing.
-	rl := &releaseLedger{inner: t.spender, rel: rel}
-	if err := rl.Spend(cost); err != nil {
-		return 0, err
+	if err := led.Spend(cost); err != nil {
+		return EstimateResponse{}, err
 	}
 	noiseStart := time.Now()
 	defer func() { s.observeStage(rel, "noise", time.Since(noiseStart)) }()
@@ -204,12 +137,14 @@ func (s *Server) runEstimate(t *Tenant, tab *dpsql.Table, req EstimateRequest, r
 		value = float64(v)
 	}
 	if err != nil {
-		return 0, err
+		return EstimateResponse{}, err
 	}
 	if math.IsNaN(value) || math.IsInf(value, 0) {
-		return 0, fmt.Errorf("serve: mechanism produced non-finite value")
+		return EstimateResponse{}, fmt.Errorf("serve: mechanism produced non-finite value")
 	}
-	return value, nil
+	// validateEstimate refuses epsilon and rho together, so the response
+	// carries only the one the release was charged in.
+	return EstimateResponse{Value: value, EpsSpent: req.Epsilon, RhoSpent: req.Rho}, nil
 }
 
 // clampNonNeg projects a scale release onto [0, ∞), passing errors through.
@@ -218,4 +153,26 @@ func clampNonNeg(v float64, err error) (float64, error) {
 		v = 0
 	}
 	return v, err
+}
+
+// groupedAggSpec maps a grouped estimate's stat onto the SQL layer's
+// aggregate (validateEstimate has already rejected stats with no grouped
+// form).
+func groupedAggSpec(req EstimateRequest) dpsql.AggSpec {
+	switch req.Stat {
+	case "count":
+		return dpsql.AggSpec{Kind: dpsql.AggCount}
+	case "variance":
+		return dpsql.AggSpec{Kind: dpsql.AggVar, Col: req.Column}
+	case "stddev":
+		return dpsql.AggSpec{Kind: dpsql.AggStdDev, Col: req.Column}
+	case "iqr":
+		return dpsql.AggSpec{Kind: dpsql.AggIQR, Col: req.Column}
+	case "median":
+		return dpsql.AggSpec{Kind: dpsql.AggMedian, Col: req.Column}
+	case "quantile":
+		return dpsql.AggSpec{Kind: dpsql.AggQuantile, Col: req.Column, P: req.P}
+	default: // "mean"
+		return dpsql.AggSpec{Kind: dpsql.AggAvg, Col: req.Column}
+	}
 }

@@ -13,8 +13,12 @@ import (
 	"repro/internal/store"
 )
 
-// Handler-level errors. (Wire types, decoding, and validation live in
-// decode.go; the estimator dispatch lives in estimate.go.)
+// The HTTP handlers: routing, tenant and table lifecycle, ingestion,
+// and the one release lifecycle (serveRelease) that /query, /estimate
+// and /histogram share. Wire types, decoding and validation live in
+// decode.go; the estimator release itself lives in estimate.go.
+
+// Handler-level errors.
 var (
 	errTenantExists = errors.New("serve: tenant already exists")
 	// ErrOverloaded reports a full worker queue (the request was shed).
@@ -213,7 +217,7 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tab, err := t.db.TableByName(r.PathValue("table"))
+	tab, err := t.Table(r.PathValue("table"))
 	if err != nil {
 		writeReleaseErr(w, err)
 		return
@@ -245,7 +249,7 @@ func (s *Server) handleInsertRows(w http.ResponseWriter, r *http.Request) {
 // returns how many rows were stored; on a malformed row that is the
 // stored prefix.
 func (s *Server) InsertRows(t *Tenant, table string, rows [][]any) (int, error) {
-	tab, err := t.db.TableByName(table)
+	tab, err := t.Table(table)
 	if err != nil {
 		return 0, err
 	}
@@ -350,16 +354,16 @@ func insertBatch(s *Server, t *Tenant, tab *dpsql.Table, rows [][]any) (inserted
 
 // ---------- releases ----------
 
+// handleQuery releases one dpsql SELECT. The statement is parsed once:
+// its cache key depends on whether it groups, and a statement that does
+// not parse is answered with a free 400 before the cache is consulted.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.pathTenant(w, r)
 	if !ok {
 		return
 	}
 	var req QueryRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	if !canonicalBound(w, &req.ContributionBound) {
+	if !decodeJSON(w, r, &req) || !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
 	// The group_by wire field is sugar for writing GROUP BY in the
@@ -367,176 +371,55 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// surfaces as a plain 400 before any budget is touched.
 	sql := req.SQL
 	if req.GroupBy != "" {
-		sql = req.SQL + " GROUP BY " + req.GroupBy
+		sql += " GROUP BY " + req.GroupBy
 	}
-	rel := newRelease("query")
-	rel.mech = "sql"
-	w.Header().Set("X-Release-Id", rel.id)
-	s.metrics.releases.With("query").Inc()
-	t.queries.Add(1)
 	q, err := dpsql.Parse(sql)
-	if err != nil {
-		s.finishRelease(t, rel, writeReleaseErr(w, err))
-		return
-	}
-	if q.GroupBy == "" {
+	if err == nil && q.GroupBy == "" {
 		// An ungrouped query runs at bound 1 however the request spells
 		// it, so every spelling shares one cache entry.
 		req.ContributionBound = 1
 	}
-
-	// Byte-identical repeated query: replay the stored answer for free.
 	key := fmt.Sprintf("sql|%q|gb=%q|eps=%g|cb=%d", req.SQL, req.GroupBy, req.Epsilon, req.ContributionBound)
-	c0 := time.Now()
-	hit, cached := t.cache.get(key)
-	s.observeStage(rel, "cache_lookup", time.Since(c0))
-	if cached {
-		s.metrics.cacheHits.Inc()
-		t.cacheHits.Add(1)
-		out := hit.(QueryResponse)
-		out.Cached = true
-		writeJSON(w, http.StatusOK, out)
-		s.finishRelease(t, rel, http.StatusOK)
-		return
-	}
-	s.metrics.cacheMisses.Inc()
-	t.cacheMisses.Add(1)
-
-	// Read the data version before Exec takes its snapshot: if an
-	// ingestion lands in between, the stale answer must not be cached.
-	ver := t.cache.version()
-	var res *dpsql.Result
-	// Exec's table scan fans out over the tenant's shards through the
-	// same pool (the fan-out installed at tenant creation), merging the
-	// per-shard fragments before the estimators run — one deduction, one
-	// mechanism, unchanged noise semantics. The per-release ledger wrap
-	// and stage observer thread the release context through Exec: the
-	// scan/noise spans and the single deduction land on this release.
-	rl := &releaseLedger{inner: t.spender, rel: rel}
-	ran, wait := s.pool.doTimed(func() {
-		res, err = t.db.ExecQueryTraced(s.splitRNG(), q, req.Epsilon, dpsql.ExecOpts{
-			Ledger:       rl,
-			GroupBound:   req.ContributionBound,
-			Observe:      func(stage string, d time.Duration) { s.observeStage(rel, stage, d) },
-			ObserveShard: shardSpanObserver(rel),
-		})
-	})
-	if !ran {
-		s.metrics.shed.Inc()
-		s.finishRelease(t, rel, writeReleaseErr(w, ErrOverloaded))
-		return
-	}
-	s.observeStage(rel, "queue_wait", wait)
-	if err != nil {
-		if errors.Is(err, dp.ErrBudgetExhausted) {
-			s.metrics.refusals.Inc()
-			t.refusals.Add(1)
+	serveRelease(s, w, t, newRelease("query", "sql"), key, err, func(led *releaseLedger) (QueryResponse, error) {
+		res, err := execSQL(led, q, req.Epsilon, req.ContributionBound)
+		if err != nil {
+			return QueryResponse{}, err
 		}
-		// A charged-then-failed release stays charged, so it must still
-		// be audited — the log records spend, not success.
-		if rel.spent {
-			if aerr := s.auditRelease(t, rel); aerr != nil {
-				err = aerr
+		out := QueryResponse{EpsSpent: res.EpsSpent, Rows: make([]QueryResultRow, 0, len(res.Rows))}
+		for _, row := range res.Rows {
+			qr := QueryResultRow{Values: row.Values}
+			if row.HasGroup {
+				qr.Group = row.Group.String()
 			}
+			out.Rows = append(out.Rows, qr)
 		}
-		s.finishRelease(t, rel, writeReleaseErr(w, err))
-		return
-	}
-	if rel.spent {
-		if aerr := s.auditRelease(t, rel); aerr != nil {
-			s.finishRelease(t, rel, writeReleaseErr(w, aerr))
-			return
-		}
-	}
-	out := QueryResponse{EpsSpent: res.EpsSpent, Rows: make([]QueryResultRow, 0, len(res.Rows))}
-	for _, row := range res.Rows {
-		qr := QueryResultRow{Values: row.Values}
-		if row.HasGroup {
-			qr.Group = row.Group.String()
-		}
-		out.Rows = append(out.Rows, qr)
-	}
-	t.cache.putAt(key, out, ver)
-	s.maybeSnapshot(t)
-	writeJSON(w, http.StatusOK, out)
-	s.finishRelease(t, rel, http.StatusOK)
+		return out, nil
+	})
 }
 
+// handleEstimate releases one estimator on a column (estimate.go). The
+// bound is validated, then the request canonicalized, so every endpoint
+// refuses a bad bound alike and spelled-differently-but-equal requests
+// share one cache entry; data-independent mistakes (unknown table, bad
+// stat, unit or parameter) are then answered with a free error before
+// the cache is consulted.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.pathTenant(w, r)
 	if !ok {
 		return
 	}
 	var req EstimateRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	// Validate the bound, then canonicalize, before anything else, so
-	// every endpoint refuses a bad bound alike and
-	// spelled-differently-but-equal requests share one cache entry and
-	// one validation path.
-	if !canonicalBound(w, &req.ContributionBound) {
+	if !decodeJSON(w, r, &req) || !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
 	canonicalizeEstimate(&req)
-	rel := newRelease("estimate")
-	rel.mech = req.Stat
-	w.Header().Set("X-Release-Id", rel.id)
-	s.metrics.releases.With("estimate").Inc()
-	t.estimates.Add(1)
-
-	// Byte-identical repeated release: replay the stored answer for free.
-	key := estimateCacheKey(req)
-	c0 := time.Now()
-	hit, cached := t.cache.get(key)
-	s.observeStage(rel, "cache_lookup", time.Since(c0))
-	if cached {
-		s.metrics.cacheHits.Inc()
-		t.cacheHits.Add(1)
-		out := hit.(EstimateResponse)
-		out.Cached = true
-		writeJSON(w, http.StatusOK, out)
-		s.finishRelease(t, rel, http.StatusOK)
-		return
+	tab, err := t.Table(req.Table)
+	if err == nil {
+		err = validateEstimate(req)
 	}
-	s.metrics.cacheMisses.Inc()
-	t.cacheMisses.Add(1)
-
-	// Read the data version before the release takes its snapshot: if an
-	// ingestion lands in between, the stale answer must not be cached.
-	ver := t.cache.version()
-	value, groups, err := s.estimate(t, req, rel)
-	if err != nil {
-		if errors.Is(err, dp.ErrBudgetExhausted) {
-			s.metrics.refusals.Inc()
-			t.refusals.Add(1)
-		}
-		// A charged-then-failed release stays charged, so it must still
-		// be audited — the log records spend, not success.
-		if rel.spent {
-			if aerr := s.auditRelease(t, rel); aerr != nil {
-				err = aerr
-			}
-		}
-		s.finishRelease(t, rel, writeReleaseErr(w, err))
-		return
-	}
-	if rel.spent {
-		if aerr := s.auditRelease(t, rel); aerr != nil {
-			s.finishRelease(t, rel, writeReleaseErr(w, aerr))
-			return
-		}
-	}
-	out := EstimateResponse{Value: value, Groups: groups}
-	if req.Rho > 0 {
-		out.RhoSpent = req.Rho
-	} else {
-		out.EpsSpent = req.Epsilon
-	}
-	t.cache.putAt(key, out, ver)
-	s.maybeSnapshot(t)
-	writeJSON(w, http.StatusOK, out)
-	s.finishRelease(t, rel, http.StatusOK)
+	serveRelease(s, w, t, newRelease("estimate", req.Stat), estimateCacheKey(req), err, func(led *releaseLedger) (EstimateResponse, error) {
+		return estimate(led, tab, req)
+	})
 }
 
 // handleHistogram releases a count-by-key histogram: one noisy user
@@ -561,85 +444,117 @@ func (s *Server) handleHistogram(w http.ResponseWriter, r *http.Request) {
 	if !canonicalBound(w, &req.ContributionBound) {
 		return
 	}
-	rel := newRelease("histogram")
-	rel.mech = "histogram"
-	w.Header().Set("X-Release-Id", rel.id)
-	s.metrics.releases.With("histogram").Inc()
-	t.histograms.Add(1)
-
-	// Byte-identical repeated histogram: replay the stored answer for free.
 	key := fmt.Sprintf("hist|%q|%q|eps=%g|cb=%d", req.Table, req.GroupBy, req.Epsilon, req.ContributionBound)
+	serveRelease(s, w, t, newRelease("histogram", "histogram"), key, nil, func(led *releaseLedger) (HistogramResponse, error) {
+		q := &dpsql.Query{Table: req.Table, GroupBy: req.GroupBy, Aggs: []dpsql.AggSpec{{Kind: dpsql.AggCount}}}
+		res, err := execSQL(led, q, req.Epsilon, req.ContributionBound)
+		if err != nil {
+			return HistogramResponse{}, err
+		}
+		out := HistogramResponse{EpsSpent: res.EpsSpent, Buckets: make([]HistogramBucket, 0, len(res.Rows))}
+		for _, row := range res.Rows {
+			out.Buckets = append(out.Buckets, HistogramBucket{Group: row.Group.String(), Count: row.Value})
+		}
+		return out, nil
+	})
+}
+
+// replayable is a release response. replay returns the response as a
+// cache hit replays it (Cached = true); the cache stores that form, so a
+// hit is written as stored.
+type replayable interface{ replay() any }
+
+func (r QueryResponse) replay() any     { r.Cached = true; return r }
+func (r EstimateResponse) replay() any  { r.Cached = true; return r }
+func (r HistogramResponse) replay() any { r.Cached = true; return r }
+
+// serveRelease is the lifecycle every /query, /estimate and /histogram
+// release runs once its handler has decoded the request: the release
+// ID header and counters; invalid, a data-independent mistake found by
+// the handler, answered for free; the cache, which replays a
+// byte-identical repeat for free; and otherwise run on a worker with
+// the release's ledger. A full queue sheds the release before run
+// starts, so nothing is charged. A charged release is audited whether
+// its mechanism then succeeded or not — the log records spend, not
+// success — and an answer whose audit line could not be written is
+// withheld. Only a success is cached, under the data version read
+// before run took its snapshot, so an ingestion landing in between
+// leaves nothing stale behind.
+func serveRelease[R replayable](s *Server, w http.ResponseWriter, t *Tenant, rel *release, key string, invalid error, run func(*releaseLedger) (R, error)) {
+	w.Header().Set("X-Release-Id", rel.id)
+	s.metrics.releases.With(rel.path).Inc()
+	switch rel.path {
+	case "query":
+		t.queries.Add(1)
+	case "estimate":
+		t.estimates.Add(1)
+	default:
+		t.histograms.Add(1)
+	}
+	status := http.StatusOK
+	defer func() { s.finishRelease(t, rel, status) }()
+	if invalid != nil {
+		status = writeReleaseErr(w, invalid)
+		return
+	}
+
 	c0 := time.Now()
 	hit, cached := t.cache.get(key)
 	s.observeStage(rel, "cache_lookup", time.Since(c0))
 	if cached {
 		s.metrics.cacheHits.Inc()
 		t.cacheHits.Add(1)
-		out := hit.(HistogramResponse)
-		out.Cached = true
-		writeJSON(w, http.StatusOK, out)
-		s.finishRelease(t, rel, http.StatusOK)
+		writeJSON(w, http.StatusOK, hit)
 		return
 	}
 	s.metrics.cacheMisses.Inc()
 	t.cacheMisses.Add(1)
 
-	// Read the data version before the scan takes its snapshot: if an
-	// ingestion lands in between, the stale answer must not be cached.
 	ver := t.cache.version()
-	q := &dpsql.Query{
-		Table:   req.Table,
-		GroupBy: req.GroupBy,
-		Aggs:    []dpsql.AggSpec{{Kind: dpsql.AggCount}},
-	}
+	led := &releaseLedger{s: s, t: t, rel: rel}
 	var (
-		res *dpsql.Result
+		out R
 		err error
 	)
-	rl := &releaseLedger{inner: t.spender, rel: rel}
-	ran, wait := s.pool.doTimed(func() {
-		res, err = t.db.ExecQueryTraced(s.splitRNG(), q, req.Epsilon, dpsql.ExecOpts{
-			Ledger:       rl,
-			GroupBound:   req.ContributionBound,
-			Observe:      func(stage string, d time.Duration) { s.observeStage(rel, stage, d) },
-			ObserveShard: shardSpanObserver(rel),
-		})
-	})
+	ran, wait := s.pool.doTimed(func() { out, err = run(led) })
 	if !ran {
 		s.metrics.shed.Inc()
-		s.finishRelease(t, rel, writeReleaseErr(w, ErrOverloaded))
+		status = writeReleaseErr(w, ErrOverloaded)
 		return
 	}
 	s.observeStage(rel, "queue_wait", wait)
-	if err != nil {
-		if errors.Is(err, dp.ErrBudgetExhausted) {
-			s.metrics.refusals.Inc()
-			t.refusals.Add(1)
-		}
-		// A charged-then-failed release stays charged, so it must still
-		// be audited — the log records spend, not success.
-		if rel.spent {
-			if aerr := s.auditRelease(t, rel); aerr != nil {
-				err = aerr
-			}
-		}
-		s.finishRelease(t, rel, writeReleaseErr(w, err))
-		return
+	if errors.Is(err, dp.ErrBudgetExhausted) {
+		s.metrics.refusals.Inc()
+		t.refusals.Add(1)
 	}
 	if rel.spent {
 		if aerr := s.auditRelease(t, rel); aerr != nil {
-			s.finishRelease(t, rel, writeReleaseErr(w, aerr))
-			return
+			err = aerr
 		}
 	}
-	out := HistogramResponse{EpsSpent: res.EpsSpent, Buckets: make([]HistogramBucket, 0, len(res.Rows))}
-	for _, row := range res.Rows {
-		out.Buckets = append(out.Buckets, HistogramBucket{Group: row.Group.String(), Count: row.Value})
+	if err != nil {
+		status = writeReleaseErr(w, err)
+		return
 	}
-	t.cache.putAt(key, out, ver)
+	t.cache.putAt(key, out.replay(), ver)
 	s.maybeSnapshot(t)
 	writeJSON(w, http.StatusOK, out)
-	s.finishRelease(t, rel, http.StatusOK)
+}
+
+// execSQL runs one parsed query as led's release, on the worker running
+// it. The table scan fans out over the tenant's shards through the same
+// pool, merging the per-shard fragments before the estimators run — one
+// deduction, one mechanism, unchanged noise semantics. The release's
+// ledger charges the one deduction, and its stage observers land the
+// scan, per-shard and noise spans on the release's trace.
+func execSQL(led *releaseLedger, q *dpsql.Query, eps float64, bound int) (*dpsql.Result, error) {
+	s, rel := led.s, led.rel
+	return led.t.db.ExecQueryTraced(s.splitRNG(), q, eps, dpsql.ExecOpts{
+		Ledger:       led,
+		GroupBound:   bound,
+		Observe:      func(stage string, d time.Duration) { s.observeStage(rel, stage, d) },
+		ObserveShard: shardSpanObserver(rel),
+	})
 }
 
 // ---------- server stats ----------

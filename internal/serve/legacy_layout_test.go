@@ -106,7 +106,7 @@ func TestLegacyPlacementDirBoots(t *testing.T) {
 			tabs := make([]*dpsql.Table, 2)
 			for i, s := range []*Server{srv, twin} {
 				tn, _ := s.Tenant("legacy")
-				tab, err := tn.DB().TableByName("events")
+				tab, err := tn.Table("events")
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -152,7 +152,8 @@ func (s *Server) MetricsHandler() http.Handler {
 // release is one in-flight release's observability context: the release
 // ID (echoed in the X-Release-Id response header, stamped on the audit
 // line, printed by the slow-release log), the span trace, and — filled
-// in by releaseLedger — whether and what the release actually charged.
+// in by its releaseLedger — whether and what the release actually
+// charged.
 type release struct {
 	id    string
 	path  string // "query" | "estimate" | "histogram"
@@ -162,9 +163,9 @@ type release struct {
 	cost  dp.Cost
 }
 
-func newRelease(path string) *release {
+func newRelease(path, mech string) *release {
 	id := obs.NewID()
-	return &release{id: id, path: path, tr: obs.NewTrace(id)}
+	return &release{id: id, path: path, mech: mech, tr: obs.NewTrace(id)}
 }
 
 // observeStage records one stage duration into both the server-wide
@@ -218,34 +219,3 @@ func (s *Server) finishRelease(t *Tenant, rel *release, status int) {
 		s.watchdog.observe(total)
 	}
 }
-
-// releaseLedger attributes the single deduction a release charges to
-// its release context: it hands the release to tenantLedger, which
-// commits a durable tenant's audit record on the deduction's barrier,
-// times the whole durable Spend (in-memory check-and-deduct + WAL fsync)
-// as the trace's "deduct" span, and captures the charged cost for an
-// in-memory tenant's audit line. The fine-grained ledger_deduct /
-// wal_fsync split lands in the stage histograms via tenantLedger
-// underneath. The SQL path installs this per call through
-// dpsql.ExecOpts.Ledger; the estimate path calls it directly.
-type releaseLedger struct {
-	inner *tenantLedger
-	rel   *release
-}
-
-func (rl *releaseLedger) Spend(c dp.Cost) error {
-	t0 := time.Now()
-	err := rl.inner.spendRelease(c, rl.rel)
-	rl.rel.tr.Observe("deduct", time.Since(t0))
-	if err == nil {
-		rl.rel.spent = true
-		rl.rel.cost = c
-	}
-	return err
-}
-
-func (rl *releaseLedger) Remaining() float64 { return rl.inner.Remaining() }
-func (rl *releaseLedger) Spent() float64     { return rl.inner.Spent() }
-func (rl *releaseLedger) Total() float64     { return rl.inner.Total() }
-func (rl *releaseLedger) Unit() dp.Unit      { return rl.inner.Unit() }
-func (rl *releaseLedger) Reset()             { rl.inner.Reset() }

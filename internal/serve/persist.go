@@ -14,10 +14,10 @@ import (
 // answer whose deduction is not on disk could be refunded by a crash.
 var errPersist = errors.New("serve: persistence failure")
 
-// tenantLedger is the spender every tenant's release paths charge
-// through (both the estimate endpoint directly and the SQL endpoint via
-// dpsql.DB.SetLedger). It wraps the composition backend with the
-// tenant's cross-cutting per-deduction concerns:
+// releaseLedger is the ledger one release charges through — the only
+// way serve charges a tenant, so every charge belongs to a release and
+// is audited by construction. It wraps the tenant's composition backend
+// with the per-deduction concerns:
 //
 //   - durability (durable tenants): the deduction and the release's
 //     audit record are committed to the write-ahead log as ONE
@@ -32,70 +32,60 @@ var errPersist = errors.New("serve: persistence failure")
 //     charge stands: over-counting is the conservative direction, and
 //     the log is fail-stop anyway (ErrLogBroken) so the tenant degrades
 //     to 500s rather than silently un-durable releases.
-//   - telemetry: the in-memory deduct, the time parked on the commit
-//     barrier, and the shared batch fsync are timed into the
-//     ledger_deduct / group_commit_wait / wal_fsync stage histograms,
-//     and the budget odometer observes the new cumulative spend (feeding
-//     the burn-rate and time-to-exhaustion gauges).
-type tenantLedger struct {
-	t *Tenant
-	s *Server
+//   - telemetry: the whole Spend is the trace's "deduct" span; the
+//     in-memory deduct, the time parked on the commit barrier, and the
+//     shared batch fsync are timed into the ledger_deduct /
+//     group_commit_wait / wal_fsync stage histograms and land as child
+//     spans under "deduct"; and the budget odometer observes the new
+//     cumulative spend (feeding the burn-rate and time-to-exhaustion
+//     gauges).
+//   - attribution: a successful Spend records the charged cost on the
+//     release (rel.spent, rel.cost), which is what audits an in-memory
+//     tenant's release (auditRelease).
+//
+// dpsql calls Spend through ExecOpts.Ledger; the scalar estimate path
+// calls it directly.
+type releaseLedger struct {
+	s   *Server
+	t   *Tenant
+	rel *release
 }
 
-// Spend charges the real ledger, then (durable tenants) durably records
-// the deduction. It knows no release, so it writes no audit record:
-// every serve release path charges through a releaseLedger, which calls
-// spendRelease.
-func (w *tenantLedger) Spend(c dp.Cost) error { return w.spendRelease(c, nil) }
-
-// spendRelease is Spend on behalf of one release. On a durable tenant
-// the release's audit record rides the deduction's barrier entry, and
-// the in-memory deduct, the time parked on the barrier, and the shared
-// batch fsync land as child spans under the release's "deduct" stage
-// (rel nil skips the record and the spans; the histograms record either
-// way).
-func (w *tenantLedger) spendRelease(c dp.Cost, rel *release) error {
-	t0 := time.Now()
-	if err := w.t.led.Spend(c); err != nil {
+func (l *releaseLedger) Spend(c dp.Cost) (err error) {
+	s, t, rel := l.s, l.t, l.rel
+	start := time.Now()
+	defer func() {
+		rel.tr.Observe("deduct", time.Since(start))
+		if err == nil {
+			rel.spent, rel.cost = true, c
+		}
+	}()
+	if err := t.led.Spend(c); err != nil {
 		return err
 	}
-	d := time.Since(t0)
-	w.s.metrics.stageSeconds.With("ledger_deduct").Observe(d.Seconds())
-	if rel != nil {
-		rel.tr.ObserveChild("ledger_deduct", "deduct", d)
-	}
-	if w.t.log != nil {
+	d := time.Since(start)
+	s.metrics.stageSeconds.With("ledger_deduct").Observe(d.Seconds())
+	rel.tr.ObserveChild("ledger_deduct", "deduct", d)
+	if t.log != nil {
 		// CommitCharge parks on the tenant's group-commit barrier: one
 		// shared fsync acks every charge batched with this one. Waited is
 		// the parked time before the batch started; Fsync is the shared
 		// barrier itself.
-		var rec *store.AuditRecord
-		if rel != nil {
-			rec = newAuditRecord(w.t, rel, c)
-		}
-		ct, err := w.t.log.CommitCharge(c, rec)
+		ct, err := t.log.CommitCharge(c, newAuditRecord(t, rel, c))
 		if err != nil {
 			return fmt.Errorf("%w: recording deduction and audit line (budget charged, release withheld): %v", errPersist, err)
 		}
-		w.s.metrics.stageSeconds.With("group_commit_wait").Observe(ct.Waited.Seconds())
-		w.s.metrics.stageSeconds.With("wal_fsync").Observe(ct.Fsync.Seconds())
-		if rel != nil {
-			// The nesting mirrors the barrier's anatomy: the entry parks
-			// (group_commit_wait, under deduct), then the batch's shared
-			// fsync clears it (wal_fsync, under group_commit_wait).
-			rel.tr.ObserveChild("group_commit_wait", "deduct", ct.Waited)
-			rel.tr.ObserveChild("wal_fsync", "group_commit_wait", ct.Fsync)
-		}
+		s.metrics.stageSeconds.With("group_commit_wait").Observe(ct.Waited.Seconds())
+		s.metrics.stageSeconds.With("wal_fsync").Observe(ct.Fsync.Seconds())
+		// The nesting mirrors the barrier's anatomy: the entry parks
+		// (group_commit_wait, under deduct), then the batch's shared
+		// fsync clears it (wal_fsync, under group_commit_wait).
+		rel.tr.ObserveChild("group_commit_wait", "deduct", ct.Waited)
+		rel.tr.ObserveChild("wal_fsync", "group_commit_wait", ct.Fsync)
 	}
-	w.t.odo.Observe(w.t.led.Spent())
+	t.odo.Observe(t.led.Spent())
 	return nil
 }
-
-func (w *tenantLedger) Remaining() float64 { return w.t.led.Remaining() }
-func (w *tenantLedger) Spent() float64     { return w.t.led.Spent() }
-func (w *tenantLedger) Total() float64     { return w.t.led.Total() }
-func (w *tenantLedger) Unit() dp.Unit      { return w.t.led.Unit() }
-func (w *tenantLedger) Reset()             { w.t.led.Reset() }
 
 // restoreTenant rebuilds one live tenant from recovered durable state:
 // the ledger from the snapshot state (or fresh from the creation config
@@ -126,37 +116,10 @@ func (s *Server) restoreTenant(rec *store.RecoveredTenant) (*Tenant, error) {
 			return nil, fmt.Errorf("serve: replaying deduction for tenant %q: %w", rec.ID, err)
 		}
 	}
-	// The tenant's configured topology is authoritative for every table;
-	// a pre-shard directory (Shards 0) recovers as a single-shard tenant
-	// and keeps behaving exactly as it did — new tables included.
-	shards := rec.Config.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	db := s.newTenantDB(shards)
-	for _, ts := range rec.Tables {
-		if _, err := db.Import(ts); err != nil {
-			return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
-		}
-	}
-	t := &Tenant{
-		id:         rec.ID,
-		db:         db,
-		led:        led,
-		accounting: accounting,
-		windowSecs: rec.Config.WindowSeconds,
-		shards:     shards,
-		cache:      newRespCache(s.metrics.cacheEvictions),
-		created:    time.Now(),
-		cfg:        rec.Config,
-		log:        rec.Log,
-		odo:        dp.NewOdometer(0),
-	}
-	if t.audit, err = s.openAudit(rec.ID); err != nil {
+	t, err := s.newTenant(rec.ID, rec.Config, led, accounting, rec.Log, rec.Tables)
+	if err != nil {
 		return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
 	}
-	t.spender = &tenantLedger{t: t, s: s}
-	db.SetLedger(t.spender)
 	return t, nil
 }
 

@@ -128,7 +128,7 @@ func TestRestartRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered tenant not registered")
 	}
-	tab, err := tn.DB().TableByName("metrics")
+	tab, err := tn.Table("metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@
 //     pre-shard data directory boots as a single-shard tenant with spend
 //     preserved.
 //
-// Endpoints (all JSON; see handlers.go for wire types):
+// Endpoints (all JSON; see decode.go for wire types):
 //
 //	POST /v1/tenants                          create a tenant (budget + accounting backend)
 //	GET  /v1/tenants                          list tenant ids
@@ -259,26 +259,23 @@ type Server struct {
 
 // Tenant is one isolated customer: a database, one privacy ledger (the
 // composition backend) shared by every release path, a response cache,
-// and counters.
+// and counters. A release charges led only through its releaseLedger;
+// the database has no ledger of its own.
 type Tenant struct {
 	id         string
 	db         *dpsql.DB
 	led        dp.Ledger // the real composition backend (status, replay)
-	accounting string    // "pure" or "zcdp"
+	accounting string    // "pure", "zcdp" or "rdp"
 	windowSecs float64   // > 0 when the ledger refills on a window
 	shards     int       // table shard count (>= 1; 1 for pre-shard tenants)
 	cache      *respCache
-	created    time.Time
 
-	// spender is the ledger every release path charges: a tenantLedger
-	// over led, which on durable tenants records each deduction, with
-	// its release's audit record, in the WAL before Spend returns. The
-	// durability fields are zero-valued
-	// for in-memory tenants. ddlMu keeps a table's DDL record ahead of
-	// its rows records in the WAL — DDL takes the write side, ingest the
-	// read side — so replay never meets rows for a table it does not
-	// know yet.
-	spender    *tenantLedger
+	// The durability fields are zero-valued for in-memory tenants: log
+	// is the WAL each release's deduction and audit record commit to
+	// (releaseLedger). ddlMu keeps a table's DDL record ahead of its rows
+	// records in the WAL — DDL takes the write side, ingest the read
+	// side — so replay never meets rows for a table it does not know
+	// yet.
 	log        *store.TenantLog
 	cfg        store.TenantConfig
 	ddlMu      sync.RWMutex
@@ -432,11 +429,11 @@ func (s *Server) splitRNG() *xrand.RNG {
 	return s.rng.Split()
 }
 
-// DB exposes the tenant's database (inspection, in-memory benchmarks);
-// its releases draw from the tenant's accountant. Writes made through it
-// bypass the WAL, so on a durable server they are lost at the next
-// restart or compaction: provision through CreateTable and InsertRows.
-func (t *Tenant) DB() *dpsql.DB { return t.db }
+// Table looks up one of the tenant's tables (inspection, demo loaders).
+// Writes made through it bypass the WAL, so on a durable server they
+// are lost at the next restart or compaction: provision through
+// CreateTable and InsertRows.
+func (t *Tenant) Table(name string) (*dpsql.Table, error) { return t.db.TableByName(name) }
 
 // CreateTenant registers a tenant with a total ε budget under pure-ε
 // basic composition — the programmatic twin of POST /v1/tenants with the
@@ -505,16 +502,6 @@ func buildLedger(cfg store.TenantConfig) (dp.Ledger, string, float64, error) {
 	return led, accounting, delta, nil
 }
 
-// newTenantDB builds a tenant database with the given shard topology and
-// the server's worker pool installed as the shard fan-out, so release
-// scans on this tenant spread across idle workers.
-func (s *Server) newTenantDB(shards int) *dpsql.DB {
-	db := dpsql.NewDB()
-	db.SetDefaultShards(shards)
-	db.SetFanout(func(n int, run func(int)) { s.pool.fan(n, run) })
-	return db
-}
-
 // createTenant builds the requested composition backend and registers the
 // tenant around it. On a durable server the creation record is fsynced
 // before the tenant is acknowledged.
@@ -565,21 +552,9 @@ func (s *Server) createTenant(req CreateTenantRequest) (*Tenant, error) {
 		s.mu.Unlock()
 	}()
 
-	db := s.newTenantDB(shards)
-	t := &Tenant{
-		id:         req.ID,
-		db:         db,
-		led:        led,
-		accounting: accounting,
-		windowSecs: req.WindowSeconds,
-		shards:     shards,
-		cache:      newRespCache(s.metrics.cacheEvictions),
-		created:    time.Now(),
-		cfg:        cfg,
-		odo:        dp.NewOdometer(0),
-	}
+	var tl *store.TenantLog
 	if s.st != nil {
-		tl, err := s.st.CreateTenant(req.ID, cfg)
+		tl, err = s.st.CreateTenant(req.ID, cfg)
 		if err != nil {
 			// Id conflicts and bad ids are the client's; everything else
 			// (mkdir, open, fsync) is a server-side persistence failure and
@@ -589,17 +564,50 @@ func (s *Server) createTenant(req CreateTenantRequest) (*Tenant, error) {
 			}
 			return nil, fmt.Errorf("%w: creating durable tenant: %v", errPersist, err)
 		}
-		t.log = tl
 	}
-	if t.audit, err = s.openAudit(req.ID); err != nil {
+	t, err := s.newTenant(req.ID, cfg, led, accounting, tl, nil)
+	if err != nil {
 		return nil, err
 	}
-	t.spender = &tenantLedger{t: t, s: s}
-	db.SetLedger(t.spender)
 	s.mu.Lock()
 	s.tenants[req.ID] = t
 	s.mu.Unlock()
 	return t, nil
+}
+
+// newTenant assembles a tenant around its composition backend: a
+// database with the configured shard topology holding tables, an empty
+// response cache, a fresh odometer, and the audit sink. log is the
+// tenant's WAL (nil on an in-memory server). A pre-shard directory
+// (cfg.Shards 0) becomes a single-shard tenant and keeps behaving
+// exactly as it did — new tables included.
+func (s *Server) newTenant(id string, cfg store.TenantConfig, led dp.Ledger, accounting string, log *store.TenantLog, tables []dpsql.TableState) (*Tenant, error) {
+	shards := max(cfg.Shards, 1)
+	db := dpsql.NewDB()
+	db.SetDefaultShards(shards)
+	db.SetFanout(func(n int, run func(int)) { s.pool.fan(n, run) })
+	for _, ts := range tables {
+		if _, err := db.Import(ts); err != nil {
+			return nil, err
+		}
+	}
+	audit, err := s.openAudit(id)
+	if err != nil {
+		return nil, err
+	}
+	return &Tenant{
+		id:         id,
+		db:         db,
+		led:        led,
+		accounting: accounting,
+		windowSecs: cfg.WindowSeconds,
+		shards:     shards,
+		cache:      newRespCache(s.metrics.cacheEvictions),
+		log:        log,
+		cfg:        cfg,
+		odo:        dp.NewOdometer(0),
+		audit:      audit,
+	}, nil
 }
 
 // Tenant looks a tenant up by id — programmatic twin of GET

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -367,51 +368,73 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// A load-shed estimate (full queue → 503) must not be charged: the spend
-// happens on the worker, after the request is accepted.
-func TestShedEstimateCostsNoBudget(t *testing.T) {
-	srv := mustOpen(t, Options{Seed: 7, Workers: 1, QueueDepth: 1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := newClient(t, ts.URL)
-	seedTenant(t, c, "acme", 10, 100)
-	tn, _ := srv.tenantByID("acme")
+// A load-shed release (full queue → 503 overloaded) must not be charged
+// or audited, on every release endpoint: the spend happens on the
+// worker, after the request is accepted. The shed response still names
+// its release.
+func TestShedReleaseCostsNoBudget(t *testing.T) {
+	for _, tc := range []struct{ path, body string }{
+		{"query", `{"sql":"SELECT AVG(v) FROM metrics","epsilon":1}`},
+		{"estimate", `{"table":"metrics","column":"v","stat":"mean","epsilon":1}`},
+		{"histogram", `{"table":"metrics","group_by":"grp","epsilon":1}`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			srv := mustOpen(t, Options{Seed: 7, Workers: 1, QueueDepth: 1})
+			defer srv.Close()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+			c := newClient(t, ts.URL)
+			seedTenant(t, c, "acme", 10, 100)
+			tn, _ := srv.tenantByID("acme")
 
-	// Occupy the single worker, then fill the depth-1 queue, and only
-	// send the probe once the queue is verifiably full — otherwise it
-	// would be accepted and block instead of shedding.
-	block := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		srv.pool.do(func() { close(started); <-block })
-	}()
-	<-started
-	go func() {
-		defer wg.Done()
-		srv.pool.do(func() {})
-	}()
-	for i := 0; len(srv.pool.jobs) < cap(srv.pool.jobs); i++ {
-		if i > 1000 {
-			t.Fatal("queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			// Occupy the single worker, then fill the depth-1 queue, and only
+			// send the probe once the queue is verifiably full — otherwise it
+			// would be accepted and block instead of shedding.
+			block := make(chan struct{})
+			started := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				srv.pool.do(func() { close(started); <-block })
+			}()
+			<-started
+			go func() {
+				defer wg.Done()
+				srv.pool.do(func() {})
+			}()
+			for i := 0; len(srv.pool.jobs) < cap(srv.pool.jobs); i++ {
+				if i > 1000 {
+					t.Fatal("queue never filled")
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	spentBefore := tn.led.Spent()
-	code := c.do("POST", "/v1/tenants/acme/estimate", EstimateRequest{
-		Table: "metrics", Column: "v", Stat: "mean", Epsilon: 1,
-	}, nil)
-	close(block)
-	wg.Wait()
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("want 503 shed, got %d", code)
-	}
-	if spent := tn.led.Spent(); spent != spentBefore {
-		t.Errorf("shed request was charged: spent %v -> %v", spentBefore, spent)
+			spentBefore := tn.led.Spent()
+			resp, err := http.Post(ts.URL+"/v1/tenants/acme/"+tc.path, "application/json", strings.NewReader(tc.body))
+			close(block)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e apiError
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable || e.Code != "overloaded" {
+				t.Fatalf("want 503 overloaded, got %d %+v", resp.StatusCode, e)
+			}
+			if resp.Header.Get("X-Release-Id") == "" {
+				t.Error("shed response carries no X-Release-Id")
+			}
+			if spent := tn.led.Spent(); spent != spentBefore {
+				t.Errorf("shed request was charged: spent %v -> %v", spentBefore, spent)
+			}
+			if n := tn.audit.Len(); n != 0 {
+				t.Errorf("shed request left %d audit records, want 0", n)
+			}
+		})
 	}
 }
 

@@ -142,7 +142,7 @@ func TestShardedTenantEquivalence(t *testing.T) {
 		if !ok {
 			t.Fatal("no tenant")
 		}
-		tab, err := tn.DB().TableByName("metrics")
+		tab, err := tn.Table("metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestShardWALReplayPreservesRowOrder(t *testing.T) {
 		if !ok {
 			t.Fatal("no tenant")
 		}
-		tab, err := tn.DB().TableByName("metrics")
+		tab, err := tn.Table("metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +458,7 @@ func TestPR3DataDirBootsSharded(t *testing.T) {
 		t.Fatalf("legacy tenant shards = %d, want 1", status.Shards)
 	}
 	tn, _ := srv.Tenant("legacy")
-	tab, err := tn.DB().TableByName("events")
+	tab, err := tn.Table("events")
 	if err != nil {
 		t.Fatal(err)
 	}
