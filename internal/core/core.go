@@ -35,8 +35,8 @@ const maxScaleQueries = 1100
 //
 //	¼·φ(1/16)  <=  result  <=  IQR.
 //
-// It randomly pairs the records, forms the pair distances
-// G = {|X - X'|}, and runs two SVTs over doubling thresholds — one growing
+// It randomly pairs the records, counts the pair distances
+// G = {|X - X'|} as the pairing draws them, and runs two SVTs over doubling thresholds — one growing
 // (2^0, 2^1, ...) and one shrinking (2^0, 2^-1, ...) — against the count
 // |G ∩ [0, x]| with target 3n'/16, so the returned power of two sits between
 // the 5n'/32 and 7n'/32 order statistics of G w.h.p. (Lemma 4.2).
@@ -50,11 +50,9 @@ func IQRLowerBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	if len(data) < 4 {
 		return 0, ErrTooFewSamples
 	}
-	g := stats.PairDistances(rng, data)
-	nP := float64(len(g))
+	counts, pairs := pairScaleCounts(rng, data)
+	nP := float64(pairs)
 	target := 3 * nP / 16
-
-	counts := newScaleCounts(g)
 
 	// SVT #1: growing thresholds 2^0, 2^1, ... stops once a power of two
 	// captures ~3n'/16 of the pair distances.

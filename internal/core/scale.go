@@ -32,8 +32,8 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	if len(data) < 4 {
 		return 0, ErrTooFewSamples
 	}
-	g := stats.PairDistances(rng, data)
-	nP := float64(len(g))
+	counts, pairs := pairScaleCounts(rng, data)
+	nP := float64(pairs)
 
 	// Require the count to clear 7/8 n' plus both the Chernoff slack of
 	// the pairing argument and the SVT's own Lemma 2.5 slack, so a stop
@@ -41,7 +41,6 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	slack := 4*math.Sqrt(nP*math.Log(2/beta)) + dp.SVTLemma26Slack(eps, beta)
 	threshold := 7*nP/8 + math.Min(slack, nP/16)
 
-	counts := newScaleCounts(g)
 	iHat, err := dp.SVT(rng, threshold, eps, func(i int) (float64, bool) {
 		return counts.upTo(i - 1), true
 	}, maxScaleQueries)
@@ -54,9 +53,9 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 
 // scaleCounts answers the count |{v ∈ g : v <= math.Pow(2, k)}| that the
 // scale searches (Algorithm 7 and IQRUpperBound) ask of the pair distances
-// g for up to maxScaleQueries exponents k. One pass files every positive
-// finite distance under the least k with v <= 2^k, so each query is a
-// prefix-sum lookup rather than a pass over g.
+// g for up to maxScaleQueries exponents k. Every positive finite distance
+// is filed under the least k with v <= 2^k, so each query is a prefix-sum
+// lookup rather than a pass over g.
 type scaleCounts struct {
 	nonPos  int   // v <= 0
 	ordered int   // every v but NaN, which is never <= x
@@ -64,34 +63,62 @@ type scaleCounts struct {
 	cum     []int // empty when no distance is positive and finite
 }
 
-func newScaleCounts(g []float64) scaleCounts {
-	var c scaleCounts
-	lo, hi := math.MaxInt, math.MinInt
-	for _, v := range g {
-		if k, ok := leastPow2Exp(v); ok {
-			lo, hi = min(lo, k), max(hi, k)
-		} else if v <= 0 {
-			c.nonPos++
-		} else if v != v {
-			c.ordered--
-		}
+// The exponents leastPow2Exp returns: 2^-1074 is the least positive
+// float64 and math.MaxFloat64 <= 2^1024.
+const (
+	minPow2Exp = -1074
+	maxPow2Exp = 1024
+)
+
+// scaleHist files distances one at a time, so scaleCounts is built from
+// a stream of pair distances with no slice of them. Its histogram covers
+// every exponent, so it needs no first pass to find their span.
+type scaleHist struct {
+	n, nonPos, nan int
+	bins           [maxPow2Exp - minPow2Exp + 1]int // bins[k-minPow2Exp]: v with least exponent k
+}
+
+func (h *scaleHist) add(v float64) {
+	h.n++
+	if k, ok := leastPow2Exp(v); ok {
+		h.bins[k-minPow2Exp]++
+	} else if v <= 0 {
+		h.nonPos++
+	} else if v != v {
+		h.nan++
 	}
-	c.ordered += len(g)
+}
+
+// counts returns the prefix sums of the filed distances over the
+// exponents from the least to the greatest one filed.
+func (h *scaleHist) counts() scaleCounts {
+	c := scaleCounts{nonPos: h.nonPos, ordered: h.n - h.nan}
+	lo, hi := 0, len(h.bins)-1
+	for lo <= hi && h.bins[lo] == 0 {
+		lo++
+	}
+	for hi >= lo && h.bins[hi] == 0 {
+		hi--
+	}
 	if lo > hi {
 		return c
 	}
-	c.minExp, c.cum = lo, make([]int, hi-lo+1)
-	for _, v := range g {
-		if k, ok := leastPow2Exp(v); ok {
-			c.cum[k-lo]++
-		}
-	}
+	c.minExp, c.cum = lo+minPow2Exp, make([]int, hi-lo+1)
 	run := c.nonPos
 	for i := range c.cum {
-		run += c.cum[i]
+		run += h.bins[lo+i]
 		c.cum[i] = run
 	}
 	return c
+}
+
+// pairScaleCounts randomly pairs data (stats.Pairs) and files each pair
+// distance |X - X'| — Algorithm 7's G multiset, never materialized — into
+// scaleCounts. It returns the counts and the number of pairs, |G|.
+func pairScaleCounts(rng *xrand.RNG, data []float64) (scaleCounts, int) {
+	var h scaleHist
+	stats.Pairs(rng, len(data), func(a, b int) { h.add(math.Abs(data[a] - data[b])) })
+	return h.counts(), h.n
 }
 
 // leastPow2Exp returns the least integer k with v <= 2^k, for positive

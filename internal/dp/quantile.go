@@ -28,8 +28,9 @@ var ErrEmptyDomain = errors.New("dp: empty quantile domain")
 // and samples with the Gumbel-max trick in log space, so the run time is
 // independent of |X|. Data already in increasing order is read in place in
 // O(n) time and O(1) extra memory (clipping preserves order, so it is
-// applied on the fly); otherwise a radix-sorted copy costs O(n) time, one
-// pass per byte of the data's span, and O(n) memory.
+// applied on the fly), which is how the empirical package's quantiles and
+// its real-domain range call it. Otherwise a radix-sorted copy costs O(n)
+// time, one pass per byte of the data's span, and O(n) memory.
 func FiniteDomainQuantile(rng *xrand.RNG, data []int64, tau int, lo, hi int64, eps, beta float64) (int64, error) {
 	if err := CheckEpsilon(eps); err != nil {
 		return 0, err

@@ -153,11 +153,15 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 				u.count++
 			}
 			sort.Strings(ids)
-			collapsed := make([]userAgg, len(ids))
+			xs := make([]float64, len(ids))
 			for j, id := range ids {
-				collapsed[j] = *users[id]
+				if u := users[id]; spec.Kind == AggSum {
+					xs[j] = u.sum
+				} else {
+					xs[j] = u.sum / float64(u.count)
+				}
 			}
-			v, err := aggregate(rng, spec, len(collapsed), collapsed, epsG)
+			v, err := aggregate(rng, spec, len(xs), xs, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", k, err)
 			}
@@ -168,27 +172,37 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 	return out, nil
 }
 
-// sameAggs compares collapses bit for bit (NaN sums included).
-func sameAggs(a, b []userAgg) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d users vs %d", len(a), len(b))
+// sameInput compares a merged input with the reference folds read in
+// the input's form, bit for bit (NaN values included).
+func sameInput(xs []float64, folds []userAgg, mean bool) error {
+	if len(xs) != len(folds) {
+		return fmt.Errorf("%d users vs %d", len(xs), len(folds))
 	}
-	for i := range a {
-		if math.Float64bits(a[i].sum) != math.Float64bits(b[i].sum) || a[i].count != b[i].count {
-			return fmt.Errorf("user %d: %+v (%#x) vs %+v (%#x)", i, a[i], math.Float64bits(a[i].sum), b[i], math.Float64bits(b[i].sum))
+	for i, u := range folds {
+		want := u.sum
+		if mean {
+			want /= float64(u.count)
+		}
+		if math.Float64bits(xs[i]) != math.Float64bits(want) {
+			return fmt.Errorf("user %d: %v (%#x) vs %v (%#x) from %+v", i, xs[i], math.Float64bits(xs[i]), want, math.Float64bits(want), u)
 		}
 	}
 	return nil
 }
 
 // checkFoldTwin asserts that the shard scan and group merge over snaps
-// give the sequential reference's groups, user counts and per-user folds
-// bit for bit — once with only the user counts (a COUNT release) and once
-// folding the float column v and the int column n.
+// give the sequential reference's groups, user counts and per-user
+// values bit for bit — once with only the user counts (a COUNT release)
+// and once folding the float column v and the int column n, each read in
+// both forms, per-user sums and per-user means.
 func checkFoldTwin(t *testing.T, tab *Table, snaps []shardSnap, where Expr, groupIx, bound int) {
 	t.Helper()
 	for _, cols := range [][]int{nil, {1, 2}} {
-		got := tab.mergeGroups(snaps, tab.scanShards(snaps, where, groupIx, bound, cols, nil), bound, len(cols))
+		var ins []foldInput
+		for c := range cols {
+			ins = append(ins, foldInput{col: c}, foldInput{col: c, mean: true})
+		}
+		got := tab.mergeGroups(snaps, tab.scanShards(snaps, where, groupIx, bound, cols, nil), bound, len(cols), ins)
 		want := refFoldSeq(t, tab, snaps, where, groupIx, bound, cols)
 		if len(got) != len(want) {
 			t.Fatalf("shards=%d group col %d bound %d cols %v: %d groups, want %d", tab.NumShards(), groupIx, bound, cols, len(got), len(want))
@@ -198,9 +212,9 @@ func checkFoldTwin(t *testing.T, tab *Table, snaps []shardSnap, where Expr, grou
 			if g.keyS != w.keyS || g.users != w.users {
 				t.Fatalf("shards=%d group col %d bound %d: group %d is %q with %d users, want %q with %d", tab.NumShards(), groupIx, bound, i, g.keyS, g.users, w.keyS, w.users)
 			}
-			for c := range cols {
-				if err := sameAggs(g.aggs[c], w.aggs[c]); err != nil {
-					t.Fatalf("shards=%d group col %d bound %d group %q col %d: %v", tab.NumShards(), groupIx, bound, g.keyS, cols[c], err)
+			for i, in := range ins {
+				if err := sameInput(g.xs[i], w.aggs[in.col], in.mean); err != nil {
+					t.Fatalf("shards=%d group col %d bound %d group %q col %d mean %v: %v", tab.NumShards(), groupIx, bound, g.keyS, cols[in.col], in.mean, err)
 				}
 			}
 		}
@@ -465,8 +479,8 @@ func TestUserOrderWhoInvertsRank(t *testing.T) {
 				parts[s] = tab.shardUserAggs(sn, 1)
 			}
 			want := refFoldSeq(t, tab, old, nil, -1, 1, []int{1})[0].aggs[0]
-			if err := sameAggs(mergeUserAggs(ord, parts), want); err != nil {
-				t.Fatalf("shards=%d batch %d: mergeUserAggs over an older snapshot: %v", shards, batch, err)
+			if err := sameInput(mergeUsers(ord, parts, func(a userAgg) float64 { return a.sum / float64(a.count) }), want, true); err != nil {
+				t.Fatalf("shards=%d batch %d: mergeUsers over an older snapshot: %v", shards, batch, err)
 			}
 		}
 	}

@@ -182,12 +182,16 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		return nil, err
 	}
 	// cols lists the distinct columns the non-COUNT aggregates fold, and
-	// aggCol maps each aggregate to its entry (-1: COUNT, which reads the
-	// scan's per-group user count alone).
+	// ins the distinct per-user inputs they read: SUM a column's per-user
+	// sums, every other aggregate its per-user means. aggIn maps each
+	// aggregate to its input (-1: COUNT, which reads the scan's per-group
+	// user count alone); aggregates that read one input share its slice,
+	// since the estimators only read theirs.
 	var cols []int
-	aggCol := make([]int, len(q.Aggs))
+	var ins []foldInput
+	aggIn := make([]int, len(q.Aggs))
 	for i, spec := range q.Aggs {
-		aggCol[i] = -1
+		aggIn[i] = -1
 		if spec.Kind == AggCount && spec.Col == "" {
 			continue
 		}
@@ -201,9 +205,15 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		if spec.Kind == AggCount {
 			continue
 		}
-		if aggCol[i] = slices.Index(cols, ix); aggCol[i] < 0 {
-			aggCol[i] = len(cols)
+		c := slices.Index(cols, ix)
+		if c < 0 {
+			c = len(cols)
 			cols = append(cols, ix)
+		}
+		in := foldInput{col: c, mean: spec.Kind != AggSum}
+		if aggIn[i] = slices.Index(ins, in); aggIn[i] < 0 {
+			aggIn[i] = len(ins)
+			ins = append(ins, in)
 		}
 	}
 	groupIx := -1
@@ -250,7 +260,7 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		observe("scan", time.Since(scanStart))
 	}
 	mergeStart := time.Now()
-	groups := t.mergeGroups(snaps, scans, bound, len(cols))
+	groups := t.mergeGroups(snaps, scans, bound, len(cols), ins)
 	if groupIx >= 0 {
 		observe("group_merge", time.Since(mergeStart))
 	} else {
@@ -273,11 +283,11 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	for _, g := range groups {
 		values := make([]float64, len(q.Aggs))
 		for i, spec := range q.Aggs {
-			var users []userAgg
-			if c := aggCol[i]; c >= 0 {
-				users = g.aggs[c]
+			var xs []float64
+			if in := aggIn[i]; in >= 0 {
+				xs = g.xs[in]
 			}
-			v, err := aggregate(rng, spec, g.users, users, epsG)
+			v, err := aggregate(rng, spec, g.users, xs, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.keyS, err)
 			}
@@ -303,7 +313,9 @@ type shardScan struct {
 	// (0: free). A user's slots fill in order and are never freed, so its
 	// admitted groups are the slots before the first 0.
 	slots []int32
-	accs  [][]userAgg // accs[c][u*bound+j]: the fold of cols[c] over those rows
+	// accs[(u*bound+j)*len(cols)+c] is the fold of cols[c] over the rows
+	// of that (user, slot) pair: a pair's folds sit side by side.
+	accs []userAgg
 }
 
 // scanGroup is one group of a release: its key, and the users admitted
@@ -340,13 +352,35 @@ func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, co
 	for c, ix := range cols {
 		kinds[c] = t.Columns[ix].Kind
 	}
+	// The selection, the slots and the folds each take one array per
+	// release, and every shard gets its own window of each before the fan
+	// starts.
+	users, rows := 0, 0
+	for _, sn := range snaps {
+		users, rows = users+sn.nu, rows+sn.n
+	}
+	var sels []bool
+	if where != nil {
+		sels = make([]bool, rows)
+	}
+	slots := make([]int32, users*bound)
+	accs := make([]userAgg, users*bound*len(cols))
 	scans := make([]shardScan, len(snaps))
+	for si, sn := range snaps {
+		w := sn.nu * bound
+		scans[si].slots, slots = slots[:w:w], slots[w:]
+		scans[si].accs, accs = accs[:w*len(cols):w*len(cols)], accs[w*len(cols):]
+	}
 	t.runFan(len(snaps), func(si int) {
 		shardStart := time.Now()
 		sn, sc := snaps[si], &scans[si]
 		var sel []bool
 		if where != nil {
-			sel = make([]bool, sn.n)
+			off := 0
+			for _, prev := range snaps[:si] {
+				off += prev.n
+			}
+			sel = sels[off : off+sn.n : off+sn.n]
 			where.evalShard(t, sn, sel)
 		}
 		var keys []int32 // nil: every row has key id 0
@@ -355,11 +389,6 @@ func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, co
 			keys, nkeys = sn.groupKeys(groupKind, groupIx, sel)
 		}
 		gix := make([]int32, nkeys) // key id -> group ordinal+1 (0: unseen)
-		sc.slots = make([]int32, sn.nu*bound)
-		sc.accs = make([][]userAgg, len(cols))
-		for c := range cols {
-			sc.accs[c] = make([]userAgg, sn.nu*bound)
-		}
 		for i := 0; i < sn.n; i++ {
 			if sel != nil && !sel[i] {
 				continue
@@ -391,8 +420,9 @@ func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, co
 				sc.slots[base+j] = g
 				sc.groups[g-1].users++
 			}
+			acc := sc.accs[(base+j)*len(cols):]
 			for c, ix := range cols {
-				a := &sc.accs[c][base+j]
+				a := &acc[c]
 				// A NaN row replaces the sum: which NaN sum + x yields
 				// when both are NaN depends on the operand order the
 				// compiler picks, and a NaN release shows those bits,
@@ -412,27 +442,37 @@ func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, co
 	return scans
 }
 
+// foldInput is one per-user slice the released aggregates read: the
+// per-user sums of cols[col] (SUM), or its per-user means (mean set;
+// every other aggregate).
+type foldInput struct {
+	col  int
+	mean bool
+}
+
 // groupFold is one released group's input: its key, its user count, and
-// per folded column the group's per-user accumulators in user-id order.
+// per foldInput the group's per-user values in user-id order.
 type groupFold struct {
 	scanGroup
-	aggs [][]userAgg
+	xs [][]float64
 }
 
 // mergeGroups merges the shard scans into the released groups, in
-// sorted-key order, and places every (user, slot) accumulator of ncols
-// folded columns in its group's output. The group lists merge map-free:
-// listed in shard order, stable-sorted by key, equal-key runs folded into
-// one group, each shard-local ordinal mapped to its group. One walk over
-// the users in rank order then places the accumulators, so each group's
-// contributions come out in user-id order with no sort and no per-group
-// pass. This is the replace-one-user privacy reduction every release
+// sorted-key order, and writes each (user, slot) pair's value of every
+// input in ins, read from its accumulators of the ncols folded columns,
+// into its group's output. The group lists merge map-free: listed in
+// shard order, stable-sorted by key, equal-key runs folded into one
+// group, each shard-local ordinal mapped to its group. One walk over the
+// users in rank order then writes the values, so each group's
+// contributions come out in user-id order with no sort, no per-group pass
+// and no copy between the accumulators and the floats the estimators
+// read. This is the replace-one-user privacy reduction every release
 // path shares: each group's input changes in one position between
 // neighboring databases, so feeding it to a record-level eps-DP
 // mechanism yields a user-level eps-DP release. The order matters beyond
 // reproducibility: the estimators' pairing/subsampling consume the
 // seeded RNG in input order.
-func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols int) []groupFold {
+func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols int, ins []foldInput) []groupFold {
 	type localGroup struct{ shard, g int }
 	var flat []localGroup
 	gmap := make([][]int32, len(scans)) // gmap[s][g]: shard s's group g's merged index
@@ -453,25 +493,26 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 		groups[len(groups)-1].users += sg.users
 		gmap[l.shard][l.g] = int32(len(groups) - 1)
 	}
-	if ncols == 0 || len(groups) == 0 {
+	if len(ins) == 0 || len(groups) == 0 {
 		return groups
 	}
 
-	// Each group's runs are carved from one backing array per column and
-	// filled front to back through next[G].
+	// Each group's slices are carved from one backing array and filled
+	// front to back through next[G].
 	total := 0
 	for _, g := range groups {
 		total += g.users
 	}
-	next := make([]int, len(groups))
-	for c := 0; c < ncols; c++ {
-		backing := make([]userAgg, total)
-		off := 0
-		for G := range groups {
-			groups[G].aggs = append(groups[G].aggs, backing[off:off+groups[G].users])
-			off += groups[G].users
+	backing := make([]float64, total*len(ins))
+	heads := make([][]float64, len(groups)*len(ins))
+	for G := range groups {
+		groups[G].xs = heads[G*len(ins) : (G+1)*len(ins)]
+		for i := range ins {
+			n := groups[G].users
+			groups[G].xs[i], backing = backing[:n:n], backing[n:]
 		}
 	}
+	next := make([]int, len(groups))
 	for _, w := range t.userOrder(snaps).who {
 		if int(w.u) >= snaps[w.shard].nu {
 			continue // joined after this snapshot
@@ -480,8 +521,14 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 		base := int(w.u) * bound
 		for j := base; j < base+bound && sc.slots[j] != 0; j++ {
 			G := gmap[w.shard][sc.slots[j]-1]
-			for c := range groups[G].aggs {
-				groups[G].aggs[c][next[G]] = sc.accs[c][j]
+			acc := sc.accs[j*ncols : (j+1)*ncols]
+			for i, in := range ins {
+				a := acc[in.col]
+				x := a.sum
+				if in.mean {
+					x /= float64(a.count)
+				}
+				groups[G].xs[i][next[G]] = x
 			}
 			next[G]++
 		}
@@ -490,26 +537,18 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 }
 
 // aggregate releases the requested aggregate with budget eps over a
-// group of nUsers users, whose per-user contributions are users
-// (mergeGroups; nil for COUNT, which privatizes the user count alone).
-func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, users []userAgg, eps float64) (float64, error) {
+// group of nUsers users. xs holds the users' contributions in user-id
+// order, as mergeGroups wrote them: per-user sums for SUM, per-user means
+// for every other aggregate but COUNT, which privatizes nUsers alone and
+// reads no xs. aggregate only reads xs, so aggregates of one input share
+// it.
+func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float64) (float64, error) {
 	if spec.Kind == AggCount {
 		// Count of matching users; sensitivity 1 under a one-user change.
 		return dp.NoisyCount(rng, nUsers, eps), nil
 	}
 	if nUsers < 4 {
 		return 0, ErrTooFewUsers
-	}
-
-	// SUM reads the per-user sums, every other aggregate the per-user
-	// means: only the one slice it reads is built.
-	xs := make([]float64, nUsers)
-	for i, u := range users {
-		if spec.Kind == AggSum {
-			xs[i] = u.sum
-		} else {
-			xs[i] = u.sum / float64(u.count)
-		}
 	}
 
 	const beta = 0.1

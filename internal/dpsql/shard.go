@@ -358,48 +358,43 @@ func mergeOrder(snaps []shardSnap, emit func(shard, row int)) {
 // hash-routed user's rows live in this shard in arrival order, so each
 // is that user's full accumulator, built in the same order a monolithic
 // scan would use. One dense accumulator per dictionary user, indexed
-// directly: no hash lookup in the loop. colIx < 0 accumulates row
-// counts only.
+// directly: no hash lookup in the loop.
 func (t *Table) shardUserAggs(sn shardSnap, colIx int) []userAgg {
 	aggs := make([]userAgg, sn.nu)
-	switch {
-	case colIx < 0:
-		for _, u := range sn.uix {
-			aggs[u].count++
-		}
-	case t.Columns[colIx].Kind == KindInt:
+	if t.Columns[colIx].Kind == KindInt {
 		is := sn.cols[colIx].is
 		for i, u := range sn.uix {
 			a := &aggs[u]
 			a.sum += float64(is[i])
 			a.count++
 		}
-	default:
-		fs := sn.cols[colIx].fs
-		for i, u := range sn.uix {
-			a := &aggs[u]
-			a.sum += fs[i]
-			a.count++
-		}
+		return aggs
+	}
+	fs := sn.cols[colIx].fs
+	for i, u := range sn.uix {
+		a := &aggs[u]
+		a.sum += fs[i]
+		a.count++
 	}
 	return aggs
 }
 
-// mergeUserAggs places per-shard aggregates (parts[s] dense over shard
-// s's user dictionary) in user-id order by one walk over the order's
-// ranks: no user id is compared, and a rank whose entry lies past its
-// shard's part (a user newer than the snapshot) is skipped. This is the
-// replace-one-user reduction's sharded form: the merged collapse still
-// changes in exactly one position between neighboring databases.
-func mergeUserAggs[T any](ord *userOrder, parts [][]T) []T {
+// mergeUsers places per-shard aggregates (parts[s] dense over shard s's
+// user dictionary) in user-id order by one walk over the order's ranks,
+// writing place(aggregate) straight into the output: no user id is
+// compared, and a rank whose entry lies past its shard's part (a user
+// newer than the snapshot) is skipped. This is the replace-one-user
+// reduction's sharded form: the merged collapse still changes in exactly
+// one position between neighboring databases.
+func mergeUsers[T, R any](ord *userOrder, parts [][]T, place func(T) R) []R {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
-	out := make([]T, 0, n)
+	out := make([]R, 0, n)
 	for _, w := range ord.who {
 		if p := parts[w.shard]; int(w.u) < len(p) {
-			out = append(out, p[w.u])
+			out = append(out, place(p[w.u]))
 		}
 	}
 	return out
@@ -413,8 +408,8 @@ type ShardObserver func(shard, rows int, d time.Duration)
 
 // fanUsers folds every shard (in parallel under the installed fan-out)
 // into dense per-user aggregates, reporting each shard's scan to every
-// observer, and merges them in user-id order (see mergeUserAggs).
-func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T) []T {
+// observer, and merges them in user-id order (see mergeUsers).
+func fanUsers[T, R any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T, place func(T) R) []R {
 	snaps := t.shardSnapshots()
 	parts := make([][]T, len(snaps))
 	t.runFan(len(snaps), func(i int) {
@@ -424,10 +419,5 @@ func fanUsers[T any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T)
 			ob(i, snaps[i].n, time.Since(s0))
 		}
 	})
-	return mergeUserAggs(t.userOrder(snaps), parts)
-}
-
-// fanUserAggs is fanUsers over the (sum of colIx, row count) aggregates.
-func (t *Table) fanUserAggs(colIx int, obs ...ShardObserver) []userAgg {
-	return fanUsers(t, obs, func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, colIx) })
+	return mergeUsers(t.userOrder(snaps), parts, place)
 }

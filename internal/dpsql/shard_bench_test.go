@@ -106,9 +106,11 @@ func BenchmarkShardColumnFloats(b *testing.B) {
 // BenchmarkGroupedScan measures the bounded-contribution grouped release
 // end to end: the per-shard scan (first-seen clamping over slot windows
 // of group ordinals, each admitted row folded into its user's
-// shard-local accumulator), the merge of the shards' groups, the walk
-// placing the accumulators in user-id order, and one noisy release per
-// group — the scan a histogram or GROUP BY query pays. The workload/
+// shard-local accumulator, every shard's window carved from one array
+// per release), the merge of the shards' groups, the walk writing each
+// user's sum or mean into its group's float slice in user-id order, and
+// one noisy release per group — the scan a histogram or GROUP BY query
+// pays. The workload/
 // cases have the shape of the grouped-sharded benchmark workload (20k
 // users × 3 rows in 3 string groups); newusers inserts one new user
 // before every AVG release, so each release also pays the extension of
@@ -181,9 +183,9 @@ func BenchmarkGroupedScan(b *testing.B) {
 
 // BenchmarkColumnarScan measures the Exec release scan — vectorized
 // predicate over the typed float column, the per-shard fold of each
-// selected row into its user's accumulator, and the walk placing them in
-// user-id order — end to end through a released answer (the mechanism
-// itself is O(users) and cheap at this scale).
+// selected row into its user's accumulator, and the walk writing each
+// user's mean in user-id order — end to end through a released answer
+// (the mechanism itself is O(users) and cheap at this scale).
 func BenchmarkColumnarScan(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {

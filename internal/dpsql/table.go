@@ -346,19 +346,18 @@ func (t *Table) numericIndex(col string) (int, error) {
 // (parallel under an installed Fanout), each shard folding its typed
 // column into dense per-user aggregates; because users are hash-routed,
 // each is that user's whole fold, so the merged collapse is bit-for-bit
-// the monolithic one. This is the estimate endpoint's input. Optional
-// observers receive one sample per shard of the fan (see ShardObserver).
+// the monolithic one. The walk that merges the shards writes each user's
+// mean straight into the result. This is the estimate endpoint's input.
+// Optional observers receive one sample per shard of the fan (see
+// ShardObserver).
 func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 	ix, err := t.numericIndex(col)
 	if err != nil {
 		return nil, err
 	}
-	aggs := t.fanUserAggs(ix, obs...)
-	out := make([]float64, len(aggs))
-	for i, u := range aggs {
-		out[i] = u.sum / float64(u.count)
-	}
-	return out, nil
+	return fanUsers(t, obs,
+		func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, ix) },
+		func(a userAgg) float64 { return a.sum / float64(a.count) }), nil
 }
 
 // NumUsers returns the number of distinct users across every shard — the
@@ -460,5 +459,5 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 			sums[u] += is[i]
 		}
 		return sums
-	}), nil
+	}, func(s int64) int64 { return s }), nil
 }

@@ -52,3 +52,26 @@ func BenchmarkQuantile(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRealMean is the real-domain mean end to end (Theorem 3.8):
+// the discretized range (radius, median, recentred radius) on reals
+// N(250, 30²) at bucket 1/16, then the clipped mean.
+func BenchmarkRealMean(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ints := benchInts(n)
+			data := make([]float64, n)
+			for i, v := range ints {
+				data[i] = float64(v) / 16
+			}
+			rng := xrand.New(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := RealMean(rng, data, 1.0/16, 1, 0.1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -66,12 +66,14 @@ func RealRadius(rng *xrand.RNG, data []float64, b, eps, beta float64) (float64, 
 }
 
 // RealRange is the real-domain range estimator (Theorem 3.7):
-// |R̃(D)| <= 4γ(D) + 6b with the integer outlier bound.
+// |R̃(D)| <= 4γ(D) + 6b with the integer outlier bound. Range's two
+// radius passes only count, so it gets the buckets sorted: its private
+// median then reads them in place, with no copy and no second sort.
 func RealRange(rng *xrand.RNG, data []float64, b, eps, beta float64) (lo, hi float64, err error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return 0, 0, ErrBadBucket
 	}
-	ilo, ihi, err := Range(rng, DiscretizeAll(data, b), eps, beta)
+	ilo, ihi, err := Range(rng, SortedBuckets(data, b), eps, beta)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -304,3 +304,57 @@ func TestQuantileLeavesSortedInputUntouched(t *testing.T) {
 		t.Fatal("Quantile modified its sorted input")
 	}
 }
+
+// refRealRange is RealRange as it ran before it sorted its buckets: Range
+// over the discretized data in input order, whose private median then
+// sorted its own copy.
+func refRealRange(rng *xrand.RNG, data []float64, b, eps, beta float64) (lo, hi float64, err error) {
+	if !(b > 0) || math.IsInf(b, 1) {
+		return 0, 0, ErrBadBucket
+	}
+	ilo, ihi, err := Range(rng, DiscretizeAll(data, b), eps, beta)
+	if err != nil {
+		return 0, 0, err
+	}
+	return (float64(ilo) - 0.5) * b, (float64(ihi) + 0.5) * b, nil
+}
+
+// RealRange over sorted buckets must release the range the unsorted path
+// releases, bit for bit, and leave the generator where it leaves it —
+// over the twin families scaled to reals, NaN, ±Inf and ±0, at buckets
+// that put many values in one bucket and few.
+func TestRealRangeMatchesReference(t *testing.T) {
+	sets := map[string][]float64{
+		"edge": {3.2, math.NaN(), -7.5, 1e300, math.Copysign(0, -1), -1e300, 0.4, 12, math.Inf(1), 0, math.Inf(-1), -2},
+	}
+	for name, ints := range twinData() {
+		fs := make([]float64, len(ints))
+		for i, v := range ints {
+			fs[i] = float64(v) / 16
+		}
+		sets[name] = fs
+	}
+	for name, data := range sets {
+		orig := slices.Clone(data)
+		for _, b := range []float64{1.0 / 64, 1, 40} {
+			for _, eps := range []float64{0.1, 1, 4} {
+				for seed := uint64(1); seed <= 3; seed++ {
+					r1, r2 := xrand.New(seed), xrand.New(seed)
+					lo, hi, err := RealRange(r1, data, b, eps, 0.1)
+					wlo, whi, werr := refRealRange(r2, data, b, eps, 0.1)
+					if math.Float64bits(lo) != math.Float64bits(wlo) || math.Float64bits(hi) != math.Float64bits(whi) || fmt.Sprint(err) != fmt.Sprint(werr) {
+						t.Fatalf("%s b=%v eps=%v seed=%d: got (%v, %v, %v), reference (%v, %v, %v)", name, b, eps, seed, lo, hi, err, wlo, whi, werr)
+					}
+					if r1.Uint64() != r2.Uint64() {
+						t.Fatalf("%s b=%v eps=%v seed=%d: generator diverged", name, b, eps, seed)
+					}
+				}
+			}
+		}
+		for i := range data {
+			if math.Float64bits(data[i]) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: RealRange modified its input", name)
+			}
+		}
+	}
+}

@@ -198,28 +198,36 @@ func CountInInt64(xs []int64, lo, hi int64) int {
 	return c
 }
 
-// PairDistances randomly pairs the elements of xs and returns |X - X'| for
-// each pair (the G multiset of Algorithm 7). With odd n the last element is
-// dropped. The pairing consumes randomness from rng.
-func PairDistances(rng *xrand.RNG, xs []float64) []float64 {
-	perm := rng.Perm(len(xs))
-	out := make([]float64, 0, len(xs)/2)
-	for i := 0; i+1 < len(perm); i += 2 {
-		out = append(out, math.Abs(xs[perm[i]]-xs[perm[i+1]]))
+// Pairs draws one random pairing of [0, n) into disjoint pairs and passes
+// each pair to pair in turn. The pairing is the one rng.Perm(n) would
+// give, read two at a time, and consumes exactly Perm's draws
+// (rng.Intn(i+1) for i = n-1 down to 1), but the shuffled indices live in
+// one []int32 and no pair's value is stored: pair folds each one as it
+// comes, so Algorithm 7 can count its G multiset without building it.
+// With odd n the last index is left out.
+func Pairs(rng *xrand.RNG, n int, pair func(a, b int)) {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	return out
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	for i := 0; i+1 < n; i += 2 {
+		pair(int(idx[i]), int(idx[i+1]))
+	}
 }
 
-// PairSquares randomly pairs the elements of xs and returns (X - X')^2 for
-// each pair (the H multiset of Algorithm 9). With odd n the last element is
-// dropped.
+// PairSquares randomly pairs the elements of xs (see Pairs) and returns
+// (X - X')^2 for each pair (the H multiset of Algorithm 9, which is
+// subsampled and so kept whole). With odd n the last element is dropped.
 func PairSquares(rng *xrand.RNG, xs []float64) []float64 {
-	perm := rng.Perm(len(xs))
 	out := make([]float64, 0, len(xs)/2)
-	for i := 0; i+1 < len(perm); i += 2 {
-		d := xs[perm[i]] - xs[perm[i+1]]
+	Pairs(rng, len(xs), func(a, b int) {
+		d := xs[a] - xs[b]
 		out = append(out, d*d)
-	}
+	})
 	return out
 }
 

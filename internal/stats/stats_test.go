@@ -180,16 +180,47 @@ func TestCountIn(t *testing.T) {
 	}
 }
 
+// pairDistances is Algorithm 7's G multiset built through Pairs.
+func pairDistances(rng *xrand.RNG, xs []float64) []float64 {
+	var g []float64
+	Pairs(rng, len(xs), func(a, b int) { g = append(g, math.Abs(xs[a]-xs[b])) })
+	return g
+}
+
 func TestPairDistancesProperties(t *testing.T) {
 	rng := xrand.New(9)
 	xs := []float64{1, 5, 9, 13, 2}
-	g := PairDistances(rng, xs)
+	g := pairDistances(rng, xs)
 	if len(g) != 2 {
 		t.Fatalf("len = %d, want 2 (odd element dropped)", len(g))
 	}
 	for _, v := range g {
 		if v < 0 {
 			t.Error("distances must be non-negative")
+		}
+	}
+}
+
+// Pairs must pair what rng.Perm(n) read two at a time pairs, and leave
+// the generator where Perm leaves it, for odd and even n.
+func TestPairsMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 7, 10, 101, 1000} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r1, r2 := xrand.New(seed), xrand.New(seed)
+			var got [][2]int
+			Pairs(r1, n, func(a, b int) { got = append(got, [2]int{a, b}) })
+			perm := r2.Perm(n)
+			if len(got) != n/2 {
+				t.Fatalf("n=%d seed=%d: %d pairs, want %d", n, seed, len(got), n/2)
+			}
+			for i, p := range got {
+				if p != [2]int{perm[2*i], perm[2*i+1]} {
+					t.Fatalf("n=%d seed=%d: pair %d is %v, Perm gives %v", n, seed, i, p, perm[2*i:2*i+2])
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatalf("n=%d seed=%d: generator diverged from Perm", n, seed)
+			}
 		}
 	}
 }
@@ -211,7 +242,7 @@ func TestPairSquaresExpectation(t *testing.T) {
 func TestPairUsesEachElementOnce(t *testing.T) {
 	rng := xrand.New(13)
 	xs := []float64{0, 10, 20, 30}
-	g := PairDistances(rng, xs)
+	g := pairDistances(rng, xs)
 	// Sum of pair distances must be formable from disjoint pairs; with 4
 	// distinct spaced values all pairings give positive distances.
 	if len(g) != 2 || g[0] == 0 || g[1] == 0 {
