@@ -122,7 +122,19 @@
 // grown (the newcomers alone are sorted and merged in). A release, and
 // each full-table reader, places the shards' per-user accumulators by
 // one walk over the ranks, so no release sorts; a COUNT reads the scan's
-// per-group user counts and places nothing. Every
+// per-group user counts and places nothing.
+//
+// Each table also keeps the merged per-user folds of its few most
+// recently released shapes — the noise-free replace-one-user reduction a
+// release computes before any mechanism runs. An entry is keyed by the
+// fold's shape (group column, bound, folded columns and inputs; the
+// UserMeans read apart) and by every shard's row count in the snapshot
+// it was folded from. Shards are append-only and stored cells are never
+// mutated, so equal row counts mean identical rows: a release over an
+// unchanged table reads the fold instead of scanning, bit for bit what
+// the scan would compute, and needs no invalidation — any append moves a
+// row count and the next release folds afresh. A WHERE release is never
+// cached (its predicate space is unbounded). Every
 // user lives in one shard, so the merged per-user collapse is exactly
 // the one a monolithic scan produces: a release still makes exactly one
 // ledger deduction and the noise semantics are unchanged — for a fixed

@@ -114,14 +114,18 @@ type ExecOpts struct {
 	// for an ungrouped query also the placement of the folds in user-id
 	// order), "group_merge" (grouped queries only: the merge of the
 	// shards' groups and that placement) and "noise" (every mechanism
-	// release). The deduction before them is timed by the caller's
-	// ledger wrapper, not here.
+	// release). A release served from the table's fold cache still
+	// reports "scan" (the snapshot and the lookup) and, when grouped, a
+	// near-zero "group_merge". The deduction before them is timed by the
+	// caller's ledger wrapper, not here.
 	Observe func(stage string, d time.Duration)
 	// ObserveShard, when set, receives one sample per shard of the
 	// fanned scan: the shard index, the row count it walked, and its
 	// wall time. Called from the fan-out workers, so it must be safe
 	// for concurrent use. The serve layer records these as child spans
-	// under "scan", which is what makes a straggler shard visible.
+	// under "scan", which is what makes a straggler shard visible. A
+	// release served from the fold cache scans no shard and reports
+	// no sample.
 	ObserveShard func(shard, rows int, d time.Duration)
 	// GroupBound caps how many distinct groups one user may contribute
 	// to in a GROUP BY query. 0 means the default bound of 1 (groups
@@ -255,12 +259,27 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	}
 	scanStart := time.Now()
 	snaps := t.shardSnapshots()
-	scans := t.scanShards(snaps, q.Where, groupIx, bound, cols, opts.ObserveShard)
-	if groupIx >= 0 {
-		observe("scan", time.Since(scanStart))
+	var mergeStart time.Time
+	endScan := func() {
+		mergeStart = time.Now()
+		if groupIx >= 0 {
+			observe("scan", mergeStart.Sub(scanStart))
+		}
 	}
-	mergeStart := time.Now()
-	groups := t.mergeGroups(snaps, scans, bound, len(cols), ins)
+	fold := func() []groupFold {
+		scans := t.scanShards(snaps, q.Where, groupIx, bound, cols, opts.ObserveShard)
+		endScan()
+		return t.mergeGroups(snaps, scans, bound, len(cols), ins)
+	}
+	var groups []groupFold
+	if q.Where != nil {
+		groups = fold() // never cached: the predicate space is unbounded
+	} else {
+		groups = cachedFold(t, fmt.Sprintf("sql g%d b%d c%v i%v", groupIx, bound, cols, ins), snaps, fold)
+	}
+	if mergeStart.IsZero() {
+		endScan() // a cache hit: the lookup was the scan, and nothing merges
+	}
 	if groupIx >= 0 {
 		observe("group_merge", time.Since(mergeStart))
 	} else {

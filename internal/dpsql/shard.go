@@ -34,6 +34,13 @@ import (
 // bit-for-bit identical across shard counts.
 // Record-order readers (ColumnFloats/ColumnInts) recover global
 // insertion order from per-row sequence numbers assigned at insert.
+//
+// Reuse: because a shard only grows and never rewrites a stored cell,
+// its row count names its contents. A release keys its merged fold by
+// the row counts of the snapshots it scanned (foldcache.go), and a later
+// release of the same shape over snapshots with the same counts reads
+// that fold instead of fanning out: no shard scan, no merge, and no
+// invalidation on the write path.
 
 // MaxShards bounds a table's shard count; beyond this the per-shard
 // bookkeeping costs more than the striping wins. The serve layer
@@ -403,14 +410,14 @@ func mergeUsers[T, R any](ord *userOrder, parts [][]T, place func(T) R) []R {
 // ShardObserver receives one sample per shard of a fanned scan: the
 // shard index, the row count the shard walked, and its wall time.
 // Observers run on the fan-out workers, so they must be safe for
-// concurrent use across shards.
+// concurrent use across shards. A read served from the fold cache runs
+// no fan and reports no sample.
 type ShardObserver func(shard, rows int, d time.Duration)
 
-// fanUsers folds every shard (in parallel under the installed fan-out)
-// into dense per-user aggregates, reporting each shard's scan to every
-// observer, and merges them in user-id order (see mergeUsers).
-func fanUsers[T, R any](t *Table, obs []ShardObserver, fold func(sn shardSnap) []T, place func(T) R) []R {
-	snaps := t.shardSnapshots()
+// fanUsers folds every shard of snaps (in parallel under the installed
+// fan-out) into dense per-user aggregates, reporting each shard's scan to
+// every observer, and merges them in user-id order (see mergeUsers).
+func fanUsers[T, R any](t *Table, snaps []shardSnap, obs []ShardObserver, fold func(sn shardSnap) []T, place func(T) R) []R {
 	parts := make([][]T, len(snaps))
 	t.runFan(len(snaps), func(i int) {
 		s0 := time.Now()

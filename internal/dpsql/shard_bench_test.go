@@ -75,17 +75,35 @@ func benchFilled(b *testing.B, shards, rows int) (*DB, *Table) {
 	return db, tab
 }
 
+// BenchmarkShardUserMeans times the per-user means read. The cold cases
+// append one row of an existing user before every read, so each read
+// misses the fold cache and scans every shard; the cached cases read an
+// unchanged table and time the cache hit.
 func BenchmarkShardUserMeans(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			_, tab := benchFilled(b, n, 20000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+		for _, cold := range []bool{true, false} {
+			name := fmt.Sprintf("shards=%d/cached", n)
+			if cold {
+				name = fmt.Sprintf("shards=%d/cold", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				_, tab := benchFilled(b, n, 20000)
 				if _, err := tab.UserMeans("v"); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						if err := tab.Insert(Str(fmt.Sprintf("u%05d", i%5000)), Float(1)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if _, err := tab.UserMeans("v"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -110,9 +128,12 @@ func BenchmarkShardColumnFloats(b *testing.B) {
 // per release), the merge of the shards' groups, the walk writing each
 // user's sum or mean into its group's float slice in user-id order, and
 // one noisy release per group — the scan a histogram or GROUP BY query
-// pays. The workload/
-// cases have the shape of the grouped-sharded benchmark workload (20k
-// users × 3 rows in 3 string groups); newusers inserts one new user
+// pays. A release over an unchanged table reads its fold from the
+// table's fold cache instead, so every case but the cached ones appends
+// one row of an existing user before each release, which makes the
+// release fold the table again. The workload/ cases have the shape of
+// the grouped-sharded benchmark workload (20k users × 3 rows in 3 string
+// groups); cached times the cache hit; newusers inserts one new user
 // before every AVG release, so each release also pays the extension of
 // the cached user order (a COUNT release reads the scan's user counts
 // and needs no order).
@@ -143,9 +164,14 @@ func BenchmarkGroupedScan(b *testing.B) {
 		db.SetFanout(goFanout)
 		return db, tab
 	}
+	// run times releases of sql after one untimed release that fills the
+	// fold cache; before, when set, runs ahead of every timed release.
 	run := func(b *testing.B, db *DB, sql string, before func(i int)) {
 		b.ReportAllocs()
 		rng := xrand.New(1)
+		if _, err := db.Exec(rng, sql, 1); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if before != nil {
@@ -156,10 +182,19 @@ func BenchmarkGroupedScan(b *testing.B) {
 			}
 		}
 	}
+	// touch appends a row of an existing user (in its own group).
+	touch := func(b *testing.B, tab *Table, users, groups int) func(i int) {
+		return func(i int) {
+			u := i % users
+			if err := tab.Insert(Str(fmt.Sprintf("u%05d", u)), Float(1), Str(fmt.Sprintf("g%d", u%groups))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			db, _ := load(b, n, 5000, 4, 8)
-			run(b, db, "SELECT COUNT(*) FROM m GROUP BY grp", nil)
+			db, tab := load(b, n, 5000, 4, 8)
+			run(b, db, "SELECT COUNT(*) FROM m GROUP BY grp", touch(b, tab, 5000, 8))
 		})
 	}
 	for _, n := range []int{1, 16} {
@@ -169,7 +204,8 @@ func BenchmarkGroupedScan(b *testing.B) {
 			if agg != "count" {
 				sql = "SELECT " + agg + "(v) FROM m GROUP BY grp"
 			}
-			b.Run(fmt.Sprintf("workload/shards=%d/%s", n, agg), func(b *testing.B) { run(b, db, sql, nil) })
+			b.Run(fmt.Sprintf("workload/shards=%d/%s/cold", n, agg), func(b *testing.B) { run(b, db, sql, touch(b, tab, 20000, 3)) })
+			b.Run(fmt.Sprintf("workload/shards=%d/%s/cached", n, agg), func(b *testing.B) { run(b, db, sql, nil) })
 		}
 		b.Run(fmt.Sprintf("workload/shards=%d/newusers", n), func(b *testing.B) {
 			run(b, db, "SELECT AVG(v) FROM m GROUP BY grp", func(i int) {
@@ -185,7 +221,9 @@ func BenchmarkGroupedScan(b *testing.B) {
 // predicate over the typed float column, the per-shard fold of each
 // selected row into its user's accumulator, and the walk writing each
 // user's mean in user-id order — end to end through a released answer
-// (the mechanism itself is O(users) and cheap at this scale).
+// (the mechanism itself is O(users) and cheap at this scale). A release
+// with a WHERE clause is never served from the fold cache, so every
+// iteration scans.
 func BenchmarkColumnarScan(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {

@@ -251,10 +251,20 @@ func TestInsertShardRouting(t *testing.T) {
 }
 
 // TestShardFanout: an installed Fanout is actually used by the fan-out
-// readers and changes no answers.
+// readers and changes no answers. The first read caches the table's
+// means, so a row is appended before the second: a read of an unchanged
+// table would be served from the cache and fan out nothing.
 func TestShardFanout(t *testing.T) {
 	db, tab := buildTwin(t, 4)
-	seqMeans, err := tab.UserMeans("v")
+	if _, err := tab.UserMeans("v"); err != nil {
+		t.Fatal(err)
+	}
+	extra := []Value{Str("u000"), Float(3.5), Int(1), Str("a")}
+	_, twin := buildTwin(t, 4)
+	if err := twin.Insert(extra...); err != nil {
+		t.Fatal(err)
+	}
+	seqMeans, err := twin.UserMeans("v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +278,9 @@ func TestShardFanout(t *testing.T) {
 		}
 		wg.Wait()
 	})
+	if err := tab.Insert(extra...); err != nil {
+		t.Fatal(err)
+	}
 	fanMeans, err := tab.UserMeans("v")
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +303,9 @@ func TestShardFanout(t *testing.T) {
 // grouped release must allocate about the same bytes at 16 shards as at
 // 1 — no per-shard user-sized scratch, no sort buffers. The table has the
 // grouped benchmark workload's shape: 20k users × 3 rows in 3 string
-// groups, released as COUNT, AVG and MEDIAN.
+// groups, released as COUNT, AVG and MEDIAN. A row of an existing user
+// lands before each release, so every release folds the table instead
+// of reading the cached fold.
 func TestGroupedReleaseAllocFlatInShards(t *testing.T) {
 	perRelease := func(shards int) uint64 {
 		db := NewDB()
@@ -321,6 +336,9 @@ func TestGroupedReleaseAllocFlatInShards(t *testing.T) {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for _, q := range queries {
+				if err := tab.Insert(Str("u000000"), Float(250), Str("g0")); err != nil {
+					t.Fatal(err)
+				}
 				if _, err := db.Exec(rng, q, 1); err != nil {
 					t.Fatal(err)
 				}

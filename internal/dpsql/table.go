@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,6 +64,10 @@ type Table struct {
 	// (see order.go); orderMu serializes its rebuilds.
 	order   atomic.Pointer[userOrder]
 	orderMu sync.Mutex
+
+	// folds caches the merged per-user folds of recent release shapes
+	// (see foldcache.go).
+	folds foldCache
 }
 
 // DB is a collection of tables with an optional shared privacy budget.
@@ -348,16 +353,25 @@ func (t *Table) numericIndex(col string) (int, error) {
 // each is that user's whole fold, so the merged collapse is bit-for-bit
 // the monolithic one. The walk that merges the shards writes each user's
 // mean straight into the result. This is the estimate endpoint's input.
-// Optional observers receive one sample per shard of the fan (see
-// ShardObserver).
+//
+// The result is cached per column against the shards' row counts (see
+// foldCache), so a repeat read over an unchanged table returns the same
+// slice without a scan; callers must not modify it. Optional observers
+// receive one sample per shard of the fan (see ShardObserver); a cached
+// read has no fan and calls none.
 func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
 	ix, err := t.numericIndex(col)
 	if err != nil {
 		return nil, err
 	}
-	return fanUsers(t, obs,
-		func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, ix) },
-		func(a userAgg) float64 { return a.sum / float64(a.count) }), nil
+	// Keyed apart from the SQL folds: this fold adds a NaN row into the
+	// sum where the scan's pins it, so the two differ in NaN payloads.
+	snaps := t.shardSnapshots()
+	return cachedFold(t, "means c"+strconv.Itoa(ix), snaps, func() []float64 {
+		return fanUsers(t, snaps, obs,
+			func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, ix) },
+			func(a userAgg) float64 { return a.sum / float64(a.count) })
+	}), nil
 }
 
 // NumUsers returns the number of distinct users across every shard — the
@@ -452,7 +466,7 @@ func (t *Table) UserIntSums(col string, obs ...ShardObserver) ([]int64, error) {
 		return nil, fmt.Errorf("dpsql: column %q is %s, need %s for an empirical release",
 			col, t.Columns[ix].Kind, KindInt)
 	}
-	return fanUsers(t, obs, func(sn shardSnap) []int64 {
+	return fanUsers(t, t.shardSnapshots(), obs, func(sn shardSnap) []int64 {
 		sums := make([]int64, sn.nu)
 		is := sn.cols[ix].is
 		for i, u := range sn.uix {

@@ -33,7 +33,11 @@ import (
 // reorganization of already-collapsed per-user summaries, so exactly one
 // deduction is charged per release and the mechanism sees bit-for-bit the
 // input a monolithic table would have produced — shard count changes
-// wall-clock, never noise semantics or spend.
+// wall-clock, never noise semantics or spend. The table caches the
+// merged per-user input against its shards' row counts, so a release
+// over a table no row has reached since an earlier same-column release
+// reads that input without a fan (and its scan span has no per-shard
+// children); the input, and so the answer, is the same either way.
 func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (EstimateResponse, error) {
 	if req.GroupBy != "" {
 		q := &dpsql.Query{Table: req.Table, GroupBy: req.GroupBy, Aggs: []dpsql.AggSpec{groupedAggSpec(req)}}

@@ -100,6 +100,61 @@ func TestTraceExplorerShardedRelease(t *testing.T) {
 	}
 }
 
+// scanSpan fetches release id's trace and returns its scan span.
+func scanSpan(t *testing.T, c *client, id string) *TraceSpan {
+	t.Helper()
+	var detail TraceDetail
+	if code := c.do("GET", "/v1/traces/"+id, nil, &detail); code != http.StatusOK {
+		t.Fatalf("GET /v1/traces/%s: status %d", id, code)
+	}
+	for _, sp := range detail.Spans {
+		if sp.Stage == "scan" {
+			return sp
+		}
+	}
+	t.Fatalf("no scan span in %+v", detail.Spans)
+	return nil
+}
+
+// TestTraceCachedFoldHasNoShardSpans: a second same-shape /estimate on
+// an unchanged sharded table reads the table's cached per-user fold, so
+// its scan span has no scan_shard children; after an ingest the fold is
+// recomputed and the scan carries one child per shard again. Each
+// request asks a different ε, so none is a response-cache replay.
+func TestTraceCachedFoldHasNoShardSpans(t *testing.T) {
+	const shards = 4
+	srv := mustOpen(t, Options{Seed: 12, Workers: 4, DefaultShards: shards})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := newClient(t, ts.URL)
+	seedTenant(t, c, "acme", 10, 200)
+
+	children := func(eps string) int {
+		t.Helper()
+		code, id := postRelease(t, ts.URL, "/v1/tenants/acme/estimate",
+			`{"table":"metrics","column":"v","stat":"mean","epsilon":`+eps+`}`)
+		if code != http.StatusOK || id == "" {
+			t.Fatalf("estimate eps=%s: status %d id %q", eps, code, id)
+		}
+		return len(scanSpan(t, c, id).Children)
+	}
+	if n := children("0.5"); n != shards {
+		t.Fatalf("first estimate: %d scan_shard spans, want %d", n, shards)
+	}
+	if n := children("0.25"); n != 0 {
+		t.Fatalf("estimate on an unchanged table: %d scan_shard spans, want 0", n)
+	}
+	var ins InsertRowsResponse
+	row := InsertRowsRequest{Rows: [][]any{{"u00003", 101.5, 7.0, "b"}}}
+	if code := c.do("POST", "/v1/tenants/acme/tables/metrics/rows", row, &ins); code != http.StatusOK || ins.Inserted != 1 {
+		t.Fatalf("insert: status %d, inserted %d", code, ins.Inserted)
+	}
+	if n := children("0.3"); n != shards {
+		t.Fatalf("estimate after an ingest: %d scan_shard spans, want %d", n, shards)
+	}
+}
+
 // TestSlowReleaseLogAndRetrieval (satellite): a release forced over
 // SlowRelease emits exactly one structured log line carrying the release
 // id, and that id retrieves the full trace from GET /v1/traces/{id}.
