@@ -583,34 +583,21 @@ func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float
 	case AggAvg:
 		return privateMeanAuto(rng, xs, eps, beta)
 	case AggMedian:
-		return privateQuantileAuto(rng, xs, (nUsers+1)/2, eps, beta)
+		return core.EstimateQuantile(rng, xs, (nUsers+1)/2, eps, beta)
 	case AggP25:
-		return privateQuantileAuto(rng, xs, (nUsers+3)/4, eps, beta)
+		return core.EstimateQuantile(rng, xs, (nUsers+3)/4, eps, beta)
 	case AggP75:
-		return privateQuantileAuto(rng, xs, (3*nUsers+3)/4, eps, beta)
+		return core.EstimateQuantile(rng, xs, (3*nUsers+3)/4, eps, beta)
 	case AggVar:
-		return core.EstimateVariance(rng, xs, eps, beta)
+		return nonNeg(core.EstimateVariance(rng, xs, eps, beta))
 	case AggStdDev:
-		v, err := core.EstimateVariance(rng, xs, eps, beta)
+		v, err := nonNeg(core.EstimateVariance(rng, xs, eps, beta))
 		if err != nil {
 			return 0, err
-		}
-		if v < 0 {
-			v = 0
 		}
 		return math.Sqrt(v), nil
 	case AggIQR:
-		v, err := core.EstimateIQR(rng, xs, eps, beta)
-		if err != nil {
-			return 0, err
-		}
-		// A scale parameter is non-negative; the raw release can be
-		// negative at small budgets (difference of two noisy quantiles),
-		// and projection is free post-processing.
-		if v < 0 {
-			v = 0
-		}
-		return v, nil
+		return nonNeg(core.EstimateIQR(rng, xs, eps, beta))
 	case AggQuantile:
 		tau := int(math.Ceil(spec.P * float64(nUsers)))
 		if tau < 1 {
@@ -619,18 +606,29 @@ func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float
 		if tau > nUsers {
 			tau = nUsers
 		}
-		return privateQuantileAuto(rng, xs, tau, eps, beta)
+		return core.EstimateQuantile(rng, xs, tau, eps, beta)
 	case AggMin:
 		// Extreme quantiles: Algorithm 2 clamps the target rank away from
 		// the boundary by its slack, so MIN/MAX are conservative — they
 		// release roughly the slack-th smallest/largest per-user value.
 		// (An exact private min/max is impossible with bounded error.)
-		return privateQuantileAuto(rng, xs, 1, eps, beta)
+		return core.EstimateQuantile(rng, xs, 1, eps, beta)
 	case AggMax:
-		return privateQuantileAuto(rng, xs, nUsers, eps, beta)
+		return core.EstimateQuantile(rng, xs, nUsers, eps, beta)
 	default:
 		return 0, fmt.Errorf("%w: unsupported aggregate %v", ErrSyntax, spec.Kind)
 	}
+}
+
+// nonNeg projects a scale release onto [0, ∞), passing errors through.
+// A scale parameter is non-negative; the raw release can be negative at
+// small budgets (a noisy difference), and projection is free
+// post-processing.
+func nonNeg(v float64, err error) (float64, error) {
+	if v < 0 {
+		v = 0
+	}
+	return v, err
 }
 
 // privateMeanAuto releases the empirical mean of contributions with no
@@ -645,18 +643,4 @@ func privateMeanAuto(rng *xrand.RNG, xs []float64, eps, beta float64) (float64, 
 		b = math.SmallestNonzeroFloat64
 	}
 	return empirical.RealMean(rng, xs, b, 3*eps/4, beta/2)
-}
-
-// privateQuantileAuto releases the tau-th order statistic of contributions
-// with no domain bound (bucket ε/2, quantile ε/2).
-func privateQuantileAuto(rng *xrand.RNG, xs []float64, tau int, eps, beta float64) (float64, error) {
-	b, err := core.IQRLowerBound(rng, xs, eps/2, beta/2)
-	if err != nil {
-		return 0, err
-	}
-	bn := b / float64(len(xs))
-	if !(bn > 0) {
-		bn = math.SmallestNonzeroFloat64
-	}
-	return empirical.RealQuantile(rng, xs, tau, bn, eps/2, beta/2)
 }

@@ -47,8 +47,9 @@ func (t *Table) Export() TableState {
 	return st
 }
 
-// Export captures every table in the database, sorted by name — the
-// database half of a durable snapshot.
+// Export captures every table in the database, sorted by name. The
+// durable store does not call it: its snapshots are folded from the WAL
+// by compaction, never captured from live tables.
 func (db *DB) Export() []TableState {
 	db.mu.RLock()
 	tabs := make([]*Table, 0, len(db.tables))

@@ -313,8 +313,9 @@ func (t *Table) NumRows() int {
 // snapshot materializes a point-in-time view of the full row set in
 // global insertion order, merged across shards by sequence number. Rows
 // are rebuilt from the typed columns, bit-identical to the rows the
-// table was fed — the persistence path (Export) and tests use it; the
-// scan paths never box rows.
+// table was fed — Export (an export/import round trip; no production
+// caller: store snapshots come from compaction's WAL replay) and tests
+// use it; the scan paths never box rows.
 func (t *Table) snapshot() [][]Value {
 	snaps := t.shardSnapshots()
 	total := 0

@@ -123,7 +123,8 @@ func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (Estima
 		value, err = updp.Mean(xs, req.Epsilon, o...)
 	case "variance":
 		// Scale parameters are non-negative; projecting the raw release
-		// onto [0, ∞) is free post-processing (as the SQL path does).
+		// onto [0, ∞) is free post-processing (as SQL's VAR, STDDEV and
+		// IQR do).
 		value, err = clampNonNeg(updp.Variance(xs, req.Epsilon, o...))
 	case "stddev":
 		value, err = updp.StdDev(xs, req.Epsilon, o...)

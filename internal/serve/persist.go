@@ -87,50 +87,16 @@ func (l *releaseLedger) Spend(c dp.Cost) (err error) {
 	return nil
 }
 
-// restoreTenant rebuilds one live tenant from recovered durable state:
-// the ledger from the snapshot state (or fresh from the creation config
-// when the tenant never compacted), with every WAL-tail deduction
-// force-replayed on top — replay never refuses a deduction that was
-// already answered, even past the ceiling — and the tables imported
-// through the same validation a live request passes.
-func (s *Server) restoreTenant(rec *store.RecoveredTenant) (*Tenant, error) {
-	var (
-		led dp.Ledger
-		err error
-	)
-	accounting := rec.Config.Accounting
-	if rec.Ledger != nil {
-		led, err = dp.RestoreLedger(*rec.Ledger)
-	} else {
-		led, accounting, _, err = buildLedger(rec.Config)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
-	}
-	sl, ok := led.(dp.StatefulLedger)
-	if !ok {
-		return nil, fmt.Errorf("serve: restoring tenant %q: ledger %T is not replayable", rec.ID, led)
-	}
-	for _, c := range rec.Deducts {
-		if err := sl.ForceSpend(c); err != nil {
-			return nil, fmt.Errorf("serve: replaying deduction for tenant %q: %w", rec.ID, err)
-		}
-	}
-	t, err := s.newTenant(rec.ID, rec.Config, led, accounting, rec.Log, rec.Tables)
-	if err != nil {
-		return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
-	}
-	return t, nil
-}
-
-// replayLedger rebuilds a ledger state from a prior snapshot state (or
-// fresh from the tenant config when there is none) plus the deductions
-// recorded in sealed WAL segments — the serve-side half of off-path
-// compaction, mirroring restoreTenant's recovery semantics exactly:
-// replay force-spends past the ceiling rather than refuse a deduction
-// that was already answered. It reads only its arguments, never live
-// tenant state, so compaction can run concurrently with releases.
-func (s *Server) replayLedger(cfg store.TenantConfig, prev *dp.LedgerState, deducts []dp.Cost) (dp.LedgerState, error) {
+// rebuildLedger rebuilds a tenant's ledger from durable state: the
+// snapshot's ledger state prev (or a fresh ledger from cfg when the
+// tenant never compacted) with every later deduction force-replayed on
+// top — replay never refuses a deduction that was already answered, even
+// past the ceiling. Recovery (restoreTenant) and compaction
+// (replayLedger) both call it, so a recovered ledger and a compacted one
+// are the same function of (snapshot, WAL). It reads only its arguments,
+// never live tenant state, so compaction can run concurrently with
+// releases.
+func rebuildLedger(cfg store.TenantConfig, prev *dp.LedgerState, deducts []dp.Cost) (dp.StatefulLedger, error) {
 	var (
 		led dp.Ledger
 		err error
@@ -138,19 +104,45 @@ func (s *Server) replayLedger(cfg store.TenantConfig, prev *dp.LedgerState, dedu
 	if prev != nil {
 		led, err = dp.RestoreLedger(*prev)
 	} else {
-		led, _, _, err = buildLedger(cfg)
+		led, _, err = buildLedger(cfg)
 	}
 	if err != nil {
-		return dp.LedgerState{}, err
+		return nil, err
 	}
 	sl, ok := led.(dp.StatefulLedger)
 	if !ok {
-		return dp.LedgerState{}, fmt.Errorf("serve: ledger %T is not replayable", led)
+		return nil, fmt.Errorf("serve: ledger %T is not replayable", led)
 	}
 	for _, c := range deducts {
 		if err := sl.ForceSpend(c); err != nil {
-			return dp.LedgerState{}, err
+			return nil, fmt.Errorf("serve: replaying deduction: %w", err)
 		}
+	}
+	return sl, nil
+}
+
+// restoreTenant rebuilds one live tenant from recovered durable state:
+// the ledger through rebuildLedger, and the tables imported through the
+// same validation a live request passes.
+func (s *Server) restoreTenant(rec *store.RecoveredTenant) (*Tenant, error) {
+	led, err := rebuildLedger(rec.Config, rec.Ledger, rec.Deducts)
+	if err != nil {
+		return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
+	}
+	t, err := s.newTenant(rec.ID, rec.Config, led, accountingName(rec.Config), rec.Log, rec.Tables)
+	if err != nil {
+		return nil, fmt.Errorf("serve: restoring tenant %q: %w", rec.ID, err)
+	}
+	return t, nil
+}
+
+// replayLedger is the store.LedgerReplayer behind off-path compaction:
+// rebuildLedger's state, so a compacted snapshot holds exactly the
+// ledger recovery would rebuild from the same WAL.
+func replayLedger(cfg store.TenantConfig, prev *dp.LedgerState, deducts []dp.Cost) (dp.LedgerState, error) {
+	sl, err := rebuildLedger(cfg, prev, deducts)
+	if err != nil {
+		return dp.LedgerState{}, err
 	}
 	return sl.Snapshot()
 }
@@ -167,7 +159,7 @@ func (s *Server) compactTenant(t *Tenant) error {
 		return nil
 	}
 	t0 := time.Now()
-	err := t.log.Compact(t.cfg, s.replayLedger)
+	err := t.log.Compact(t.cfg, replayLedger)
 	s.metrics.stageSeconds.With("compact").Observe(time.Since(t0).Seconds())
 	return err
 }

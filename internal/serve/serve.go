@@ -452,26 +452,33 @@ func (s *Server) CreateTenantWith(req CreateTenantRequest) (*Tenant, error) {
 // inspection; benchmarks).
 func (t *Tenant) Ledger() dp.Ledger { return t.led }
 
-// buildLedger constructs the composition backend a tenant config names,
-// returning the normalized accounting name and the δ actually in force —
-// shared by tenant creation and snapshot-less recovery.
-func buildLedger(cfg store.TenantConfig) (dp.Ledger, string, float64, error) {
-	accounting := strings.ToLower(cfg.Accounting)
-	if accounting == "" {
-		accounting = "pure"
+// accountingName normalizes a tenant config's accounting backend name
+// ("" means "pure") — the one derivation behind both tenant creation and
+// recovery.
+func accountingName(cfg store.TenantConfig) string {
+	if cfg.Accounting == "" {
+		return "pure"
 	}
+	return strings.ToLower(cfg.Accounting)
+}
+
+// buildLedger constructs the composition backend a tenant config names,
+// returning the δ actually in force — shared by tenant creation and
+// snapshot-less ledger rebuilds.
+func buildLedger(cfg store.TenantConfig) (dp.Ledger, float64, error) {
+	accounting := accountingName(cfg)
 	delta := cfg.Delta
 	var (
 		led dp.Ledger
 		err error
 	)
 	if len(cfg.Orders) > 0 && accounting != "rdp" {
-		return nil, "", 0, fmt.Errorf("serve: orders applies only to rdp accounting")
+		return nil, 0, fmt.Errorf("serve: orders applies only to rdp accounting")
 	}
 	switch accounting {
 	case "pure":
 		if cfg.Delta != 0 {
-			return nil, "", 0, fmt.Errorf("serve: delta applies only to zcdp or rdp accounting")
+			return nil, 0, fmt.Errorf("serve: delta applies only to zcdp or rdp accounting")
 		}
 		led, err = dp.NewBasicLedger(cfg.Epsilon)
 	case "zcdp":
@@ -485,21 +492,21 @@ func buildLedger(cfg store.TenantConfig) (dp.Ledger, string, float64, error) {
 		}
 		led, err = dp.NewRDPLedger(cfg.Epsilon, delta, cfg.Orders)
 	default:
-		return nil, "", 0, fmt.Errorf("serve: unknown accounting backend %q (want \"pure\", \"zcdp\", or \"rdp\")", cfg.Accounting)
+		return nil, 0, fmt.Errorf("serve: unknown accounting backend %q (want \"pure\", \"zcdp\", or \"rdp\")", cfg.Accounting)
 	}
 	if err != nil {
-		return nil, "", 0, err
+		return nil, 0, err
 	}
 	if cfg.WindowSeconds < 0 {
-		return nil, "", 0, fmt.Errorf("serve: window_seconds must be >= 0, got %v", cfg.WindowSeconds)
+		return nil, 0, fmt.Errorf("serve: window_seconds must be >= 0, got %v", cfg.WindowSeconds)
 	}
 	if cfg.WindowSeconds > 0 {
 		led, err = dp.NewWindowedLedger(led, time.Duration(cfg.WindowSeconds*float64(time.Second)))
 		if err != nil {
-			return nil, "", 0, err
+			return nil, 0, err
 		}
 	}
-	return led, accounting, delta, nil
+	return led, delta, nil
 }
 
 // createTenant builds the requested composition backend and registers the
@@ -521,10 +528,11 @@ func (s *Server) createTenant(req CreateTenantRequest) (*Tenant, error) {
 		Shards:        shards,
 		Orders:        req.Orders,
 	}
-	led, accounting, delta, err := buildLedger(cfg)
+	led, delta, err := buildLedger(cfg)
 	if err != nil {
 		return nil, err
 	}
+	accounting := accountingName(cfg)
 	cfg.Accounting, cfg.Delta = accounting, delta
 	if s.st != nil {
 		// Tenant ids become directory names; refuse traversal early.

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -107,24 +105,17 @@ func (s *Store) OpenAudit(id string) (*AuditLog, error) {
 	// corrupt-vs-torn distinction to draw — the WAL, not this file, is
 	// what proves a record was acknowledged.)
 	goodEnd, n := 0, uint64(0)
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
+	for fr := range frames(data) {
+		if fr.body == nil {
 			break
 		}
-		if _, ok := checkLine(data[off : off+nl+1]); !ok {
-			break
-		}
-		off += nl + 1
-		goodEnd = off
-		n++
+		goodEnd, n = fr.end, n+1
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening audit log for %q: %w", id, err)
 	}
-	if int64(goodEnd) < int64(len(data)) {
+	if goodEnd < len(data) {
 		if err := f.Truncate(int64(goodEnd)); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("store: truncating torn audit tail for %q: %w", id, err)
@@ -212,7 +203,7 @@ func (a *AuditLog) writeLocked(rec *AuditRecord) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding audit record: %w", err)
 	}
-	if _, err := fmt.Fprintf(a.w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
+	if _, err := writeFrame(a.w, body); err != nil {
 		a.broken = true
 		return fmt.Errorf("store: appending audit record: %w", err)
 	}
@@ -281,26 +272,17 @@ func (a *AuditLog) Page(after uint64, limit int) ([]AuditRecord, error) {
 		return nil, fmt.Errorf("store: reading audit log: %w", err)
 	}
 	var out []AuditRecord
-	off := 0
-	for off < len(data) && len(out) < limit {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := data[off : off+nl+1]
-		off += nl + 1
-		body, ok := checkLine(line)
-		if !ok {
-			break // a tear can only be the tail being appended right now
+	for fr := range frames(data) {
+		if fr.body == nil || len(out) == limit {
+			break // a full page, or a tear: only the tail being appended right now
 		}
 		var rec AuditRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
+		if err := json.Unmarshal(fr.body, &rec); err != nil {
 			return nil, fmt.Errorf("store: decoding audit record: %w", err)
 		}
-		if rec.Seq <= after {
-			continue
+		if rec.Seq > after {
+			out = append(out, rec)
 		}
-		out = append(out, rec)
 	}
 	return out, nil
 }

@@ -326,6 +326,53 @@ func TestGroupCommitSnapshotHardensAuditBeforeTruncation(t *testing.T) {
 	}
 }
 
+func TestCoveredSegmentAuditReconciledAfterCrash(t *testing.T) {
+	// Compaction publishes the snapshot before it hardens the audit
+	// file, so a crash between the two leaves a covered segment holding
+	// the only durable copy of the buffered audit lines. Recovery skips
+	// the covered records' deductions but must still reconcile their
+	// audit copies. Drill: append, compact with a harden that fails (the
+	// snapshot is published, the segment kept), crash.
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	tl, err := s.CreateTenant("acme", testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.OpenAudit("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := tl.CommitCharge(dp.EpsCost(0.01), &AuditRecord{ReleaseID: fmt.Sprintf("r%d", i), Cost: dp.EpsCost(0.01), Unit: "eps"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = a.f.Close() // the harden's flush fails: the lines stay buffered
+	if err := tl.Compact(testConfig(), testReplayer()); err != nil {
+		t.Fatal(err)
+	}
+	if got := tl.SegmentCount(); got != 1 {
+		t.Fatalf("compaction with an unhardened audit file kept %d segments, want 1", got)
+	}
+
+	// Crash: the buffer is lost; the covered segment is the only copy.
+	s2, rec := recoverOne(t, dir)
+	defer s2.Close()
+	if len(rec.Deducts) != 0 || rec.Ledger == nil {
+		t.Fatalf("recovered %d deducts past the snapshot (ledger %v), want 0 over a snapshot", len(rec.Deducts), rec.Ledger)
+	}
+	a2, err := s2.OpenAudit(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Close()
+	if got := a2.Len(); got != n {
+		t.Fatalf("covered segment's audit copies lost: len %d, want %d", got, n)
+	}
+}
+
 func TestGroupCommitStress(t *testing.T) {
 	// Parked releases vs audit appends vs Compact vs Close, for -race:
 	// submitters hammer until Close breaks the log, treating ErrLogBroken

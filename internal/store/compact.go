@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -29,7 +28,8 @@ import (
 // acknowledged deductions.
 //
 // Compaction then runs entirely off the hot path: it reads the previous
-// snapshot plus the sealed segments — all immutable on-disk inputs — and
+// snapshot plus the sealed segments above its floor — all immutable
+// on-disk inputs — through readSealed, the same reader recovery uses, and
 // merges them into a new snapshot without holding the log mutex (which
 // releases and group commit need) or any serve-layer lock. The only
 // lock the hot path shares with a running compaction is the instant of
@@ -147,10 +147,10 @@ func (tl *TenantLog) sealLocked() error {
 // composition backend from cfg; the store stays mechanism-agnostic.
 type LedgerReplayer func(cfg TenantConfig, prev *dp.LedgerState, deducts []dp.Cost) (dp.LedgerState, error)
 
-// Compact merges the previous snapshot and every sealed segment into a
-// new snapshot, entirely off the hot path: releases, ingestion, and
-// group commit proceed concurrently, pausing only for the seal's few
-// syscalls. The caller needs no state capture and holds no serve-layer
+// Compact merges the previous snapshot and the sealed segments above it
+// (read through readSealed, recovery's reader) into a new snapshot,
+// entirely off the hot path: releases, ingestion, and group commit
+// proceed concurrently, pausing only for the seal's few syscalls. The caller needs no state capture and holds no serve-layer
 // lock — compaction's inputs are immutable files. cfg is the tenant's
 // authoritative configuration (written into the new snapshot); replay
 // rebuilds the ledger state and is required.
@@ -182,8 +182,8 @@ func (tl *TenantLog) Compact(cfg TenantConfig, replay LedgerReplayer) error {
 		defer func() { m.CompactionSeconds.Observe(time.Since(t0).Seconds()) }()
 	}
 
-	// Step 1 (brief tl.mu): seal the tail; capture the segment list and
-	// the seal point.
+	// Step 1 (brief tl.mu): seal the tail; capture the seal point and the
+	// segments above the snapshot's floor.
 	tl.mu.Lock()
 	if tl.broken || tl.f == nil {
 		tl.mu.Unlock()
@@ -193,80 +193,29 @@ func (tl *TenantLog) Compact(cfg TenantConfig, replay LedgerReplayer) error {
 		tl.mu.Unlock()
 		return err
 	}
-	segs := append([]walSegment(nil), tl.segs...)
+	idle := len(tl.segs) == 0 && tl.seq == tl.snapSeq
 	sealSeq := tl.seq
-	snapSeq := tl.snapSeq
+	var segs []walSegment
+	for _, sg := range tl.segs {
+		if sg.end > tl.snapSeq {
+			segs = append(segs, sg) // the rest are covered leftovers, dropped below
+		}
+	}
 	tl.mu.Unlock()
-	if len(segs) == 0 && sealSeq == snapSeq {
+	if idle {
 		return nil // nothing sealed and nothing uncovered: no work
 	}
 
 	// Step 2 (no locks): merge snapshot + segments into the new state.
-	var (
-		prevLed *dp.LedgerState
-		floor   uint64
-	)
-	acc := &RecoveredTenant{ID: tl.id, Config: cfg}
-	haveConfig := false
-	prevBody, err := os.ReadFile(filepath.Join(tl.dir, snapName))
-	switch {
-	case err == nil:
-		var prev TenantSnapshot
-		if err := json.Unmarshal(prevBody, &prev); err != nil {
-			return fmt.Errorf("%w: tenant %q: %v", ErrCorruptSnapshot, tl.id, err)
-		}
-		acc.Tables = prev.Tables
-		led := prev.Ledger
-		prevLed = &led
-		floor = prev.Seq
-		haveConfig = true
-	case os.IsNotExist(err):
-		// First compaction: the oldest segment holds the create record.
-	default:
-		return fmt.Errorf("store: reading snapshot for %q: %w", tl.id, err)
+	h, err := readSealed(tl.dir, tl.id, segs)
+	if err != nil {
+		return err
 	}
-	var (
-		deducts    []dp.Cost
-		pendAudits []AuditRecord // discarded: the live audit file already buffers them
-		lastSeq    = floor
-	)
-	for _, sg := range segs {
-		if sg.end <= floor {
-			continue // fully covered by the previous snapshot
-		}
-		data, err := os.ReadFile(sg.path)
-		if err != nil {
-			return fmt.Errorf("store: reading segment for %q: %w", tl.id, err)
-		}
-		off := 0
-		for off < len(data) {
-			nl := bytes.IndexByte(data[off:], '\n')
-			if nl < 0 {
-				// Sealed segments were fully fsynced before the rename;
-				// a missing newline cannot be a torn tail.
-				return fmt.Errorf("%w: tenant %q segment %s truncated", ErrCorruptWAL, tl.id, filepath.Base(sg.path))
-			}
-			r, ok := parseLine(data[off : off+nl+1])
-			if !ok {
-				return fmt.Errorf("%w: tenant %q segment %s at byte %d", ErrCorruptWAL, tl.id, filepath.Base(sg.path), off)
-			}
-			off += nl + 1
-			if r.Seq <= floor {
-				continue
-			}
-			if r.Seq <= lastSeq {
-				return fmt.Errorf("%w: tenant %q segment %s seq %d after %d", ErrCorruptWAL, tl.id, filepath.Base(sg.path), r.Seq, lastSeq)
-			}
-			lastSeq = r.Seq
-			applyRecord(acc, r, &haveConfig, &pendAudits)
-		}
-	}
-	deducts = acc.Deducts
-	ls, err := replay(cfg, prevLed, deducts)
+	ls, err := replay(cfg, h.Ledger, h.Deducts)
 	if err != nil {
 		return fmt.Errorf("store: replaying ledger for %q: %w", tl.id, err)
 	}
-	snap := TenantSnapshot{Seq: sealSeq, Config: cfg, Ledger: ls, Tables: acc.Tables}
+	snap := TenantSnapshot{Seq: sealSeq, Config: cfg, Ledger: ls, Tables: h.Tables}
 	if err := writeSnapshotFile(tl.dir, snap); err != nil {
 		return err
 	}

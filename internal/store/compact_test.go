@@ -217,8 +217,15 @@ func TestCompactRepeatedlyConcurrentWithAppends(t *testing.T) {
 
 // TestCorruptSegmentFailsLoudly: sealed segments are fully fsynced, so
 // ANY damage is real corruption — recovery must refuse, not truncate the
-// way the torn-tail heuristic does for the active tail.
+// way the torn-tail heuristic does for the active tail. Compact reads
+// segments through the same reader, so it refuses a live log's damaged
+// segment too, keeping the segment and the previous snapshot as they
+// were.
 func TestCorruptSegmentFailsLoudly(t *testing.T) {
+	corruptions := map[string]func([]byte) []byte{
+		"flipped byte": func(b []byte) []byte { out := append([]byte(nil), b...); out[len(out)/2] ^= 0x40; return out },
+		"truncated":    func(b []byte) []byte { return b[:len(b)-3] },
+	}
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -249,10 +256,7 @@ func TestCorruptSegmentFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, mutate := range map[string]func([]byte) []byte{
-		"flipped byte": func(b []byte) []byte { out := append([]byte(nil), b...); out[len(out)/2] ^= 0x40; return out },
-		"truncated":    func(b []byte) []byte { return b[:len(b)-3] },
-	} {
+	for name, mutate := range corruptions {
 		if err := os.WriteFile(segs[0].path, mutate(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +268,56 @@ func TestCorruptSegmentFailsLoudly(t *testing.T) {
 		s2.Close()
 		if !errors.Is(err, ErrCorruptWAL) {
 			t.Fatalf("%s segment: Recover() = %v, want ErrCorruptWAL", name, err)
+		}
+	}
+
+	for name, mutate := range corruptions {
+		dir := t.TempDir()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		tl, err := s.CreateTenant("acme", testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.AppendDeduct(dp.EpsCost(0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Compact(testConfig(), testReplayer()); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.AppendDeduct(dp.EpsCost(0.25)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		tdir := filepath.Join(dir, "acme")
+		snap, err := os.ReadFile(filepath.Join(tdir, snapName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(tdir)
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments: %v err=%v", segs, err)
+		}
+		data, err := os.ReadFile(segs[0].path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segs[0].path, mutate(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Compact(testConfig(), testReplayer()); !errors.Is(err, ErrCorruptWAL) {
+			t.Fatalf("%s segment: Compact() = %v, want ErrCorruptWAL", name, err)
+		}
+		if _, err := os.Stat(segs[0].path); err != nil || tl.SegmentCount() != 1 {
+			t.Errorf("%s segment: not kept after a refused compaction (stat err=%v, log holds %d)", name, err, tl.SegmentCount())
+		}
+		if after, err := os.ReadFile(filepath.Join(tdir, snapName)); err != nil || string(after) != string(snap) {
+			t.Errorf("%s segment: snapshot.json changed by a refused compaction (err=%v)", name, err)
 		}
 	}
 }

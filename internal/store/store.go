@@ -52,27 +52,36 @@
 //
 // # Recovery
 //
-// Recover loads each tenant's snapshot (if any), then replays WAL records
-// with seq > snapshot seq — so a crash between publishing a snapshot and
-// deleting the segments it covers merely skips records the snapshot
-// already contains, and replaying the same log twice converges on the
-// same state (idempotence). A torn or corrupt tail ends replay at the
-// last intact record and the file is truncated there: the only records
-// that can live past a durably-recorded (fsynced) deduction are ones that
-// were never acknowledged, so a torn tail can drop trailing data rows but
-// never an answered deduction — post-restart spend >= pre-crash
-// acknowledged spend, always. A corrupt snapshot file, by contrast, fails recovery
-// loudly: silently ignoring it would refill the budget.
+// One reader, readSealed, loads a tenant's sealed history for both
+// Recover and Compact: the snapshot (the replay floor), then the sealed
+// segments, replaying records with seq > snapshot seq — so a crash
+// between publishing a snapshot and deleting the segments it covers
+// merely skips records the snapshot already contains, and replaying the
+// same log twice converges on the same state (idempotence). Sealed
+// segments were fsynced whole, so any damage in one, like a corrupt
+// snapshot, fails loudly: silently ignoring it would refill the budget.
+// Recover then replays the active tail, where a torn or corrupt line
+// ends replay at the last intact record and the file is truncated
+// there: the only records that can live past a durably-recorded
+// (fsynced) deduction are ones that were never acknowledged, so a torn
+// tail can drop trailing data rows but never an answered deduction —
+// post-restart spend >= pre-crash acknowledged spend, always. Every
+// CRC-framed line, WAL or audit, is written by writeFrame and read
+// through frames.
 package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"iter"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -170,6 +179,69 @@ type record struct {
 	// drops all of it or none of it, never a prefix.
 	Costs  []dp.Cost     `json:"costs,omitempty"`
 	Audits []AuditRecord `json:"audits,omitempty"`
+}
+
+// writeFrame writes body as one CRC-framed line, "crc32hex <body>\n" —
+// the WAL's and the audit log's shared framing — and reports the bytes
+// written.
+func writeFrame(w io.Writer, body []byte) (int, error) {
+	return fmt.Fprintf(w, "%08x %s\n", crc32.ChecksumIEEE(body), body)
+}
+
+// checkLine validates one CRC-framed line, returning its body with the
+// checksum verified, or ok=false on any damage (short line, bad hex,
+// checksum mismatch).
+func checkLine(line []byte) ([]byte, bool) {
+	// "xxxxxxxx " + "{}" + "\n" is the minimum.
+	if len(line) < 12 || line[8] != ' ' || line[len(line)-1] != '\n' {
+		return nil, false
+	}
+	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil {
+		return nil, false
+	}
+	body := line[9 : len(line)-1]
+	if crc32.ChecksumIEEE(body) != uint32(want) {
+		return nil, false
+	}
+	return body, true
+}
+
+// frame is one newline-terminated line of a CRC-framed file.
+type frame struct {
+	off, end int    // the line's byte range, newline included
+	body     []byte // the checksum-verified body; nil when the line is damaged
+}
+
+// record decodes a WAL frame, reporting ok=false for a damaged line or
+// bad JSON.
+func (fr frame) record() (record, bool) {
+	var r record
+	if fr.body == nil || json.Unmarshal(fr.body, &r) != nil {
+		return r, false
+	}
+	return r, true
+}
+
+// frames walks data's newline-terminated lines in order — the one line
+// walk over every CRC-framed file. A final line without its newline (a
+// torn append) is not yielded; a caller that must refuse one compares
+// the last frame's end with len(data).
+func frames(data []byte) iter.Seq[frame] {
+	return func(yield func(frame) bool) {
+		for off := 0; off < len(data); {
+			nl := bytes.IndexByte(data[off:], '\n')
+			if nl < 0 {
+				return
+			}
+			end := off + nl + 1
+			body, _ := checkLine(data[off:end])
+			if !yield(frame{off: off, end: end, body: body}) {
+				return
+			}
+			off = end
+		}
+	}
 }
 
 // Metrics is the store's optional telemetry surface: the serve layer
@@ -408,8 +480,7 @@ func (s *Store) CreateTenant(id string, cfg TenantConfig) (*TenantLog, error) {
 		_ = os.RemoveAll(dir)
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	tl := &TenantLog{id: id, dir: dir, f: f, w: bufio.NewWriterSize(f, walBufSize), met: s.metrics}
-	tl.startCommitter()
+	tl := newTenantLog(id, dir, f, s.metrics, 0, 0, 0, nil)
 	if err := tl.append(record{Type: recCreate, Config: &cfg}, true); err != nil {
 		tl.stopCommitter()
 		_ = f.Close()
@@ -460,6 +531,27 @@ func (s *Store) Close() error {
 	return firstErr
 }
 
+// newTenantLog wraps an open tail file as a tenant log and starts its
+// group committer. seq is the last assigned sequence number, snapSeq the
+// snapshot's floor, tailStart the seal point and segs the sealed
+// segments, ascending.
+func newTenantLog(id, dir string, f *os.File, met *Metrics, seq, snapSeq, tailStart uint64, segs []walSegment) *TenantLog {
+	tl := &TenantLog{
+		id:        id,
+		dir:       dir,
+		f:         f,
+		w:         bufio.NewWriterSize(f, walBufSize),
+		seq:       seq,
+		snapSeq:   snapSeq,
+		tailStart: tailStart,
+		pending:   int(seq - snapSeq),
+		segs:      segs,
+		met:       met,
+	}
+	tl.startCommitter()
+	return tl
+}
+
 // ID reports the tenant id the log belongs to.
 func (tl *TenantLog) ID() string { return tl.id }
 
@@ -483,7 +575,8 @@ func (tl *TenantLog) appendLocked(rec record, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding record: %w", err)
 	}
-	if _, err := fmt.Fprintf(tl.w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
+	n, err := writeFrame(tl.w, body)
+	if err != nil {
 		tl.broken = true
 		return fmt.Errorf("store: appending record: %w", err)
 	}
@@ -492,7 +585,7 @@ func (tl *TenantLog) appendLocked(rec record, sync bool) error {
 			m.WALRecords.Inc()
 		}
 		if m.WALBytes != nil {
-			m.WALBytes.Add(int64(len(body)) + 10) // "xxxxxxxx " prefix + "\n"
+			m.WALBytes.Add(int64(n))
 		}
 	}
 	tl.pending++
