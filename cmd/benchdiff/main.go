@@ -18,16 +18,20 @@
 // ns/op: on a different host every benchmark moves alike, so a ratio far
 // from 1 next to many ⚠ rows points at the host rather than the code.
 // Allocation counts are
-// different: a benchmark whose allocs/op was identical across every
-// baseline run (at least two) allocates deterministically, so when its
-// median allocs/op rises — in every fresh run, not just most — the
-// change is real, and benchdiff exits 1 with an ::error annotation.
-// Requiring every run keeps the gate quiet on benchmarks that allocate
-// deterministically only most of the time: runtime and goroutine
-// fan-out allocations shift a count by a few now and then. Between four
-// 5-run artifacts of one unchanged tree, a median-only rule fired in 4
-// of 12 comparisons and the every-run rule in none. Refresh the baseline
-// when a change shifts allocations on purpose:
+// different: they move far less than time, so when every fresh run of a
+// benchmark allocates more than every baseline run (at least two) did,
+// the change is real, and benchdiff exits 1 with an ::error annotation.
+// On a benchmark that allocates deterministically the baseline runs
+// agree and any rise in every fresh run blocks. One whose count varies
+// run to run (BenchmarkCompact's baseline reads 5,044 once and 4,891 or
+// 4,899 otherwise) blocks only past the highest baseline count, so its
+// usual spread passes. Requiring every run keeps the gate quiet on
+// benchmarks that allocate deterministically only most of the time:
+// runtime and goroutine fan-out allocations shift a count by a few now
+// and then. Between four 5-run artifacts of one unchanged tree, a
+// median-only rule fired in 4 of 12 comparisons and the every-run rule
+// in none. Refresh the baseline when a change shifts allocations on
+// purpose:
 //
 //	go test -json -bench . -benchtime=1x -count 5 -benchmem -cpu 2 -run '^$' ./... > BENCH_BASELINE.json
 package main
@@ -162,20 +166,6 @@ func median(xs []float64) (m float64, ok bool) {
 	return (s[n/2-1] + s[n/2]) / 2, true
 }
 
-// deterministic reports whether every sample is the same value, over at
-// least two samples — one run cannot show that a count is stable.
-func deterministic(xs []float64) bool {
-	if len(xs) < 2 {
-		return false
-	}
-	for _, x := range xs[1:] {
-		if x != xs[0] {
-			return false
-		}
-	}
-	return true
-}
-
 func human(ns float64) string {
 	switch {
 	case ns >= 1e9:
@@ -206,14 +196,14 @@ func countCell(base, cur []float64) string {
 // diffCounts is what writeDiff found.
 type diffCounts struct {
 	slower int // every run's ns/op past every baseline run's +threshold: warnings
-	allocs int // median allocs/op rose on a deterministic benchmark: errors
+	allocs int // every run's allocs/op above every baseline run's: errors
 }
 
 // writeDiff renders the markdown comparison of two parsed artifacts and
 // counts the regressions: ns/op increases past threshold (a relative
 // increase, e.g. 0.25 = +25%) from every baseline run to every fresh
-// run, and allocs/op increases, in every fresh run, on benchmarks whose
-// baseline allocs/op never varied. The delta column shows the medians.
+// run, and allocs/op increases from every baseline run (at least two)
+// to every fresh run. The delta column shows the medians.
 // Extracted from main so both rules are testable.
 func writeDiff(w io.Writer, oldB, newB map[string]*runs, threshold float64) diffCounts {
 	names := make([]string, 0, len(newB))
@@ -248,7 +238,7 @@ func writeDiff(w io.Writer, oldB, newB map[string]*runs, threshold float64) diff
 			flags = append(flags, "✓ faster")
 			improved++
 		}
-		if deterministic(base.allocs) && len(cur.allocs) > 0 && slices.Min(cur.allocs) > base.allocs[0] {
+		if len(base.allocs) >= 2 && len(cur.allocs) > 0 && slices.Min(cur.allocs) > slices.Max(base.allocs) {
 			flags = append(flags, "✗ more allocs")
 			dc.allocs++
 		}
@@ -263,7 +253,7 @@ func writeDiff(w io.Writer, oldB, newB map[string]*runs, threshold float64) diff
 	}
 	fmt.Fprintf(w, "\n%d benchmarks; %d ⚠ slower (> +%.0f%% in every run), %d faster, %d ✗ more allocs, %d new, %d removed. ",
 		len(names), dc.slower, threshold*100, improved, dc.allocs, added, removed)
-	fmt.Fprintln(w, "Smoke timings are noisy pointers; an allocs/op rise on a benchmark whose baseline count never varied is a verdict.")
+	fmt.Fprintln(w, "Smoke timings are noisy pointers; an allocs/op rise past every baseline run, in every fresh run, is a verdict.")
 	if shift, n := hostShift(oldB, newB); n > 0 {
 		fmt.Fprintf(w, "\nMedian ns/op ratio (current ÷ baseline) over %d shared benchmarks: %.2f×. A ratio far from 1 with most benchmarks moving alike points at a different host, not the code.\n", n, shift)
 	}
@@ -326,7 +316,7 @@ func main() {
 			dc.slower, *threshold*100)
 	}
 	if dc.allocs > 0 {
-		fmt.Fprintf(os.Stderr, "::error title=benchdiff::%d benchmark(s) allocate more per op than the committed baseline, whose counts were identical across its runs\n",
+		fmt.Fprintf(os.Stderr, "::error title=benchdiff::%d benchmark(s) allocate more per op, in every run, than the committed baseline did in any of its runs\n",
 			dc.allocs)
 		os.Exit(1)
 	}

@@ -144,39 +144,57 @@ func TestParseBenchMemCount(t *testing.T) {
 }
 
 func TestWriteDiffAllocGate(t *testing.T) {
-	// The gate fires only when allocs/op rose in every fresh run (so the
-	// median rose too) AND the baseline's count never varied across at
-	// least two runs.
+	// The gate fires only when every fresh run allocated more than every
+	// baseline run (at least two): for a deterministic baseline, any rise
+	// in every run; for a varying one, a rise past its highest count.
 	mk := func(allocs ...float64) *runs {
 		return &runs{ns: []float64{100, 100, 100}, allocs: allocs}
 	}
+	// BenchmarkCompact's baseline: one high first run, then lower counts.
+	compact := []float64{5044, 4891, 4891, 4891, 4899}
 	oldB := map[string]*runs{
-		"BenchmarkStableRise":   mk(10, 10, 10), // deterministic, rises: gated
-		"BenchmarkStableFall":   mk(10, 10, 10), // deterministic, falls: fine
-		"BenchmarkStableSame":   mk(10, 10, 10),
-		"BenchmarkNoisyRise":    mk(10, 11, 10), // varied baseline: not gated
-		"BenchmarkSingleRun":    {ns: []float64{100}, allocs: []float64{10}},
-		"BenchmarkNoBenchmem":   {ns: []float64{100, 100}},
-		"BenchmarkOutlierOnly":  mk(10, 10, 10), // one high run, median unchanged
-		"BenchmarkMostlyHigher": mk(10, 10, 10), // median rises, one run does not
+		"BenchmarkStableRise":    mk(10, 10, 10), // deterministic, rises: gated
+		"BenchmarkStableFall":    mk(10, 10, 10), // deterministic, falls: fine
+		"BenchmarkStableSame":    mk(10, 10, 10),
+		"BenchmarkNoisyRise":     mk(10, 11, 10), // varied, every run past 11: gated
+		"BenchmarkNoisyWithin":   mk(10, 11, 10), // varied, one run at the top: fine
+		"BenchmarkCompactRise":   mk(compact...),
+		"BenchmarkCompactSpread": mk(compact...),
+		"BenchmarkCompactTouch":  mk(compact...),
+		"BenchmarkSingleRun":     {ns: []float64{100}, allocs: []float64{10}},
+		"BenchmarkNoBenchmem":    {ns: []float64{100, 100}},
+		"BenchmarkOutlierOnly":   mk(10, 10, 10), // one high run, median unchanged
+		"BenchmarkMostlyHigher":  mk(10, 10, 10), // median rises, one run does not
 	}
 	newB := map[string]*runs{
-		"BenchmarkStableRise":   mk(11, 11, 11),
-		"BenchmarkStableFall":   mk(9, 9, 9),
-		"BenchmarkStableSame":   mk(10, 10, 10),
-		"BenchmarkNoisyRise":    mk(12, 12, 12),
-		"BenchmarkSingleRun":    {ns: []float64{100}, allocs: []float64{20}},
-		"BenchmarkNoBenchmem":   {ns: []float64{100, 100}, allocs: []float64{5, 5}},
-		"BenchmarkOutlierOnly":  mk(10, 40, 10),
-		"BenchmarkMostlyHigher": mk(11, 10, 11),
+		"BenchmarkStableRise":    mk(11, 11, 11),
+		"BenchmarkStableFall":    mk(9, 9, 9),
+		"BenchmarkStableSame":    mk(10, 10, 10),
+		"BenchmarkNoisyRise":     mk(12, 12, 12),
+		"BenchmarkNoisyWithin":   mk(11, 12, 12),
+		"BenchmarkCompactRise":   mk(5045, 5090, 5200, 5045, 5101),
+		"BenchmarkCompactSpread": mk(4890, 4899, 5044, 4890, 4891),
+		"BenchmarkCompactTouch":  mk(5044, 5045, 5045, 5050, 5060),
+		"BenchmarkSingleRun":     {ns: []float64{100}, allocs: []float64{20}},
+		"BenchmarkNoBenchmem":    {ns: []float64{100, 100}, allocs: []float64{5, 5}},
+		"BenchmarkOutlierOnly":   mk(10, 40, 10),
+		"BenchmarkMostlyHigher":  mk(11, 10, 11),
 	}
 	var buf strings.Builder
 	got := writeDiff(&buf, oldB, newB, 0.25)
-	if got != (diffCounts{allocs: 1}) {
-		t.Fatalf("counts = %+v, want exactly one alloc regression\n%s", got, buf.String())
+	if got != (diffCounts{allocs: 3}) {
+		t.Fatalf("counts = %+v, want exactly three alloc regressions\n%s", got, buf.String())
 	}
-	if !strings.Contains(buf.String(), "| BenchmarkStableRise | 100ns | 100ns | +0.0% | — | 10 → 11 | ✗ more allocs |") {
-		t.Fatalf("gated row missing:\n%s", buf.String())
+	for _, row := range []string{
+		"| BenchmarkStableRise | 100ns | 100ns | +0.0% | — | 10 → 11 | ✗ more allocs |",
+		"| BenchmarkNoisyRise | 100ns | 100ns | +0.0% | — | 10 → 12 | ✗ more allocs |",
+		"| BenchmarkCompactRise | 100ns | 100ns | +0.0% | — | 4891 → 5090 | ✗ more allocs |",
+		"| BenchmarkCompactSpread | 100ns | 100ns | +0.0% | — | 4891 |  |",
+		"| BenchmarkCompactTouch | 100ns | 100ns | +0.0% | — | 4891 → 5045 |  |",
+	} {
+		if !strings.Contains(buf.String(), row) {
+			t.Fatalf("row %q missing:\n%s", row, buf.String())
+		}
 	}
 }
 

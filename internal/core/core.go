@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/dp"
 	"repro/internal/empirical"
+	"repro/internal/radix"
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
@@ -41,6 +42,14 @@ const maxScaleQueries = 1100
 // |G ∩ [0, x]| with target 3n'/16, so the returned power of two sits between
 // the 5n'/32 and 7n'/32 order statistics of G w.h.p. (Lemma 4.2).
 func IQRLowerBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, error) {
+	return iqrLowerBound(rng, data, make([]int32, len(data)), eps, beta)
+}
+
+// iqrLowerBound is IQRLowerBound with the pairing's index buffer, of
+// len(data), supplied by the caller: a quantile release passes the
+// []int64 it then writes its bucket indices to, so the two share one
+// allocation.
+func iqrLowerBound[I int32 | int64](rng *xrand.RNG, data []float64, idx []I, eps, beta float64) (float64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, err
 	}
@@ -50,7 +59,7 @@ func IQRLowerBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	if len(data) < 4 {
 		return 0, ErrTooFewSamples
 	}
-	counts, pairs := pairScaleCounts(rng, data)
+	counts, pairs := pairScaleCounts(rng, data, idx)
 	nP := float64(pairs)
 	target := 3 * nP / 16
 
@@ -151,7 +160,7 @@ func EstimateMeanWithConfig(rng *xrand.RNG, data []float64, eps, beta float64, c
 	if cfg.FullDataRange {
 		// Ablation: Algorithm 5's range on all of D with budget 3ε/4.
 		var err error
-		lo, hi, err = empirical.RealRange(rng, data, b, 3*eps/4, beta/9)
+		lo, hi, err = empirical.RealRange(rng, empirical.Sorted(data), b, 3*eps/4, beta/9)
 		if err != nil {
 			return MeanResult{}, err
 		}
@@ -167,7 +176,10 @@ func EstimateMeanWithConfig(rng *xrand.RNG, data []float64, eps, beta float64, c
 		if m > n {
 			m = n
 		}
+		// The subsample is a fresh copy read only by the range, so it is
+		// sorted in place.
 		sub := stats.Subsample(rng, data, m)
+		radix.SortFloats(sub)
 		eta := float64(m) / float64(n)
 		epsPrime := dp.SubsampleBudget(eps, eta)
 		var err error
@@ -264,12 +276,39 @@ func EstimateVarianceFull(rng *xrand.RNG, data []float64, eps, beta float64) (Va
 	return VarianceResult{Estimate: est / 2, Rad: rad, Bucket: b}, nil
 }
 
+// EmpiricalMeanSorted releases the empirical mean of data with no domain
+// bound: Algorithm 7 learns a bucket IQR̲ (ε/4, β/2), then the §3.5
+// infinite-domain mean (Theorem 3.8) runs with the rest (3ε/4, β/2),
+// its range read from sorted, data's values in empirical.Sorted's order.
+// One buffer is the pairing's shuffle index, then the range's buckets.
+func EmpiricalMeanSorted(rng *xrand.RNG, data, sorted []float64, eps, beta float64) (float64, error) {
+	buf := make([]int64, len(data))
+	b, err := iqrLowerBound(rng, data, buf, eps/4, beta/2)
+	if err != nil {
+		return 0, err
+	}
+	if !(b > 0) {
+		b = math.SmallestNonzeroFloat64
+	}
+	return empirical.RealMean(rng, buf, data, sorted, b, 3*eps/4, beta/2)
+}
+
 // EstimateIQR is Algorithm 10 (EstimateIQR): the universal eps-DP IQR
 // estimator. It discretizes with bucket IQR̲/n and releases
 // X̃_{3n/4} - X̃_{n/4} via the infinite-domain quantile mechanism. Sample
 // complexity: Theorem 6.2, with the α ∝ 1/(εn) + 1/√n convergence that
-// beats DL09's α ∝ 1/(ε log n). Budget: ε/3 × 3.
+// beats DL09's α ∝ 1/(ε log n). Budget: ε/3 × 3. It sorts a copy of
+// data on entry; EstimateIQRSorted takes one the caller already holds.
 func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, error) {
+	return EstimateIQRSorted(rng, data, empirical.Sorted(data), eps, beta)
+}
+
+// EstimateIQRSorted is EstimateIQR over data and sorted, the same values
+// in empirical.Sorted's order. Algorithm 7 pairs data's records in their
+// given order; both quartile releases read the buckets of sorted, which
+// come out in increasing order, so no step sorts. The release is the one
+// EstimateIQR gives, bit for bit.
+func EstimateIQRSorted(rng *xrand.RNG, data, sorted []float64, eps, beta float64) (float64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, err
 	}
@@ -280,7 +319,9 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 	if n < 4 {
 		return 0, ErrTooFewSamples
 	}
-	iqrLB, err := IQRLowerBound(rng, data, eps/3, beta/6)
+	// One buffer is the pairing's shuffle index, then the buckets.
+	buf := make([]int64, n)
+	iqrLB, err := iqrLowerBound(rng, data, buf, eps/3, beta/6)
 	if err != nil {
 		return 0, err
 	}
@@ -291,9 +332,9 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 	if math.IsInf(b, 1) {
 		return 0, empirical.ErrBadBucket
 	}
-	// Two independent Algorithm 6 releases of one discretized dataset: it
-	// is bucketed and sorted once, and each release reads it in place.
-	ints := empirical.SortedBuckets(data, b)
+	// Two independent Algorithm 6 releases of one discretized dataset,
+	// each reading the sorted buckets in place.
+	ints := empirical.DiscretizeInto(buf, sorted, b)
 	q1, err := empirical.Quantile(rng, ints, n/4, eps/3, beta/6)
 	if err != nil {
 		return 0, err
@@ -309,8 +350,18 @@ func EstimateIQR(rng *xrand.RNG, data []float64, eps, beta float64) (float64, er
 // sample under eps-DP using the same recipe as Algorithm 10: learn a bucket
 // with ε/2, then run the infinite-domain quantile with ε/2. This is the
 // "universal quantile" the paper's machinery supports beyond its three
-// headline parameters.
+// headline parameters. It sorts a copy of data on entry;
+// EstimateQuantileSorted takes one the caller already holds.
 func EstimateQuantile(rng *xrand.RNG, data []float64, tau int, eps, beta float64) (float64, error) {
+	return EstimateQuantileSorted(rng, data, empirical.Sorted(data), tau, eps, beta)
+}
+
+// EstimateQuantileSorted is EstimateQuantile over data and sorted, the
+// same values in empirical.Sorted's order: Algorithm 7 pairs data's
+// records in their given order, and the quantile reads the buckets of
+// sorted, which come out in increasing order, so no step sorts. The
+// release is the one EstimateQuantile gives, bit for bit.
+func EstimateQuantileSorted(rng *xrand.RNG, data, sorted []float64, tau int, eps, beta float64) (float64, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return 0, err
 	}
@@ -321,7 +372,9 @@ func EstimateQuantile(rng *xrand.RNG, data []float64, tau int, eps, beta float64
 	if n < 4 {
 		return 0, ErrTooFewSamples
 	}
-	iqrLB, err := IQRLowerBound(rng, data, eps/2, beta/2)
+	// One buffer is the pairing's shuffle index, then the buckets.
+	buf := make([]int64, n)
+	iqrLB, err := iqrLowerBound(rng, data, buf, eps/2, beta/2)
 	if err != nil {
 		return 0, err
 	}
@@ -329,5 +382,19 @@ func EstimateQuantile(rng *xrand.RNG, data []float64, tau int, eps, beta float64
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	return empirical.RealQuantile(rng, data, tau, b, eps/2, beta/2)
+	return empirical.RealQuantile(rng, buf, sorted, tau, b, eps/2, beta/2)
+}
+
+// QuantileRank maps a probability p to the 1-based rank ceil(p·n) the
+// quantile releases target, clamped into [1, n] (float rounding at
+// extreme p must not push the rank off the data).
+func QuantileRank(p float64, n int) int {
+	tau := int(math.Ceil(p * float64(n)))
+	if tau < 1 {
+		tau = 1
+	}
+	if tau > n && n > 0 {
+		tau = n
+	}
+	return tau
 }

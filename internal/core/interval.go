@@ -103,6 +103,13 @@ type QuantileCI struct {
 // range, two quantiles) plus β/5 for the binomial fluctuation of the
 // empirical rank of F⁻¹(p).
 func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (QuantileCI, error) {
+	return quantileInterval(rng, data, empirical.Sorted(data), p, eps, beta)
+}
+
+// quantileInterval is QuantileInterval over data and sorted, the same
+// values in empirical.Sorted's order, whose buckets the range and both
+// endpoint quantiles read in place.
+func quantileInterval(rng *xrand.RNG, data, sorted []float64, p, eps, beta float64) (QuantileCI, error) {
 	if err := dp.CheckEpsilon(eps); err != nil {
 		return QuantileCI{}, err
 	}
@@ -127,7 +134,8 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 		return QuantileCI{}, ErrIntervalInfeasible
 	}
 
-	iqrLB, err := IQRLowerBound(rng, data, eps/4, beta/5)
+	buf := make([]int64, n) // the pairing's shuffle index, then the buckets
+	iqrLB, err := iqrLowerBound(rng, data, buf, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
 	}
@@ -135,9 +143,9 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	// Sorted once: the range's median and both endpoint quantiles then
-	// read it in place.
-	ints := empirical.SortedBuckets(data, b)
+	// Discretized in sorted order, the buckets come out sorted: the
+	// range's median and both endpoint quantiles read them in place.
+	ints := empirical.DiscretizeInto(buf, sorted, b)
 	lo, hi, err := empirical.Range(rng, ints, eps/4, beta/5)
 	if err != nil {
 		return QuantileCI{}, err
@@ -178,13 +186,14 @@ func QuantileInterval(rng *xrand.RNG, data []float64, p, eps, beta float64) (Qua
 // IQRInterval releases an eps-DP interval covering IQR(P) with probability
 // at least 1-beta for every continuous P, by differencing distribution-free
 // CIs for the two quartiles (ε/2, β/2 each): the IQR lies in
-// [max(0, q3.Lo-q1.Hi), q3.Hi-q1.Lo].
+// [max(0, q3.Lo-q1.Hi), q3.Hi-q1.Lo]. Both read one sorted copy of data.
 func IQRInterval(rng *xrand.RNG, data []float64, eps, beta float64) (QuantileCI, error) {
-	q1, err := QuantileInterval(rng, data, 0.25, eps/2, beta/2)
+	sorted := empirical.Sorted(data)
+	q1, err := quantileInterval(rng, data, sorted, 0.25, eps/2, beta/2)
 	if err != nil {
 		return QuantileCI{}, err
 	}
-	q3, err := QuantileInterval(rng, data, 0.75, eps/2, beta/2)
+	q3, err := quantileInterval(rng, data, sorted, 0.75, eps/2, beta/2)
 	if err != nil {
 		return QuantileCI{}, err
 	}

@@ -40,7 +40,8 @@ func EstimateQuantiles(rng *xrand.RNG, data []float64, taus []int, eps, beta flo
 	if n < 4 {
 		return nil, ErrTooFewSamples
 	}
-	iqrLB, err := IQRLowerBound(rng, data, eps/3, beta/2)
+	buf := make([]int64, n) // the pairing's shuffle index, then the buckets
+	iqrLB, err := iqrLowerBound(rng, data, buf, eps/3, beta/2)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func EstimateQuantiles(rng *xrand.RNG, data []float64, taus []int, eps, beta flo
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	return empirical.RealQuantiles(rng, data, taus, b, 2*eps/3, beta/2)
+	return empirical.RealQuantiles(rng, buf, empirical.Sorted(data), taus, b, 2*eps/3, beta/2)
 }
 
 // EstimateQuantilesProb releases the p-quantiles for probabilities ps,
@@ -63,14 +64,7 @@ func EstimateQuantilesProb(rng *xrand.RNG, data []float64, ps []float64, eps, be
 		if !(p > 0 && p < 1) {
 			return nil, ErrBadProbability
 		}
-		tau := int(math.Ceil(p * float64(n)))
-		if tau < 1 {
-			tau = 1
-		}
-		if tau > n {
-			tau = n
-		}
-		taus[i] = tau
+		taus[i] = QuantileRank(p, n)
 	}
 	return EstimateQuantiles(rng, data, taus, eps, beta)
 }
@@ -110,7 +104,8 @@ func TrimmedMean(rng *xrand.RNG, data []float64, trim, eps, beta float64) (float
 		hiRank = loRank
 	}
 
-	iqrLB, err := IQRLowerBound(rng, data, eps/4, beta/3)
+	buf := make([]int64, n) // the pairing's shuffle index, then the buckets
+	iqrLB, err := iqrLowerBound(rng, data, buf, eps/4, beta/3)
 	if err != nil {
 		return 0, err
 	}
@@ -118,7 +113,7 @@ func TrimmedMean(rng *xrand.RNG, data []float64, trim, eps, beta float64) (float
 	if !(b > 0) {
 		b = math.SmallestNonzeroFloat64
 	}
-	qs, err := empirical.RealQuantiles(rng, data, []int{loRank, hiRank}, b, eps/2, beta/3)
+	qs, err := empirical.RealQuantiles(rng, buf, empirical.Sorted(data), []int{loRank, hiRank}, b, eps/2, beta/3)
 	if err != nil {
 		return 0, err
 	}

@@ -32,7 +32,7 @@ func IQRUpperBound(rng *xrand.RNG, data []float64, eps, beta float64) (float64, 
 	if len(data) < 4 {
 		return 0, ErrTooFewSamples
 	}
-	counts, pairs := pairScaleCounts(rng, data)
+	counts, pairs := pairScaleCounts(rng, data, make([]int32, len(data)))
 	nP := float64(pairs)
 
 	// Require the count to clear 7/8 n' plus both the Chernoff slack of
@@ -112,12 +112,13 @@ func (h *scaleHist) counts() scaleCounts {
 	return c
 }
 
-// pairScaleCounts randomly pairs data (stats.Pairs) and files each pair
-// distance |X - X'| — Algorithm 7's G multiset, never materialized — into
-// scaleCounts. It returns the counts and the number of pairs, |G|.
-func pairScaleCounts(rng *xrand.RNG, data []float64) (scaleCounts, int) {
+// pairScaleCounts randomly pairs data (stats.Pairs, shuffling idx, a
+// len(data) buffer) and files each pair distance |X - X'| — Algorithm
+// 7's G multiset, never materialized — into scaleCounts. It returns the
+// counts and the number of pairs, |G|.
+func pairScaleCounts[I int32 | int64](rng *xrand.RNG, data []float64, idx []I) (scaleCounts, int) {
 	var h scaleHist
-	stats.Pairs(rng, len(data), func(a, b int) { h.add(math.Abs(data[a] - data[b])) })
+	stats.Pairs(rng, idx, func(a, b int) { h.add(math.Abs(data[a] - data[b])) })
 	return h.counts(), h.n
 }
 

@@ -119,7 +119,15 @@ func TestPairScaleCountsMatchesMaterialized(t *testing.T) {
 		for _, data := range [][]float64{set, mirrored, append(slices.Clone(mirrored), 1.5)} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				r1, r2 := xrand.New(seed), xrand.New(seed)
-				got, pairs := pairScaleCounts(r1, data)
+				// Both index widths: the quantile releases pair through
+				// their []int64 bucket buffer.
+				var got scaleCounts
+				var pairs int
+				if seed%2 == 0 {
+					got, pairs = pairScaleCounts(r1, data, make([]int64, len(data)))
+				} else {
+					got, pairs = pairScaleCounts(r1, data, make([]int32, len(data)))
+				}
 				g := refPairDistances(r2, data)
 				want := newScaleCounts(g)
 				if pairs != len(g) {

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/empirical"
 	"repro/internal/xrand"
 )
 
@@ -161,7 +162,7 @@ func refGroupedExec(rng *xrand.RNG, t *Table, rows [][]Value, q *Query, eps floa
 					xs[j] = u.sum / float64(u.count)
 				}
 			}
-			v, err := aggregate(rng, spec, len(xs), xs, epsG)
+			v, err := aggregate(rng, spec, len(xs), xs, empirical.Sorted(xs), epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", k, err)
 			}

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dp"
-	"repro/internal/empirical"
+	"repro/internal/radix"
 	"repro/internal/xrand"
 )
 
@@ -112,11 +112,11 @@ type ExecOpts struct {
 	// Observe, when set, receives per-stage wall times: "scan" (the
 	// fanned shard scan: filter, clamp, and the fold of each user's rows;
 	// for an ungrouped query also the placement of the folds in user-id
-	// order), "group_merge" (grouped queries only: the merge of the
-	// shards' groups and that placement) and "noise" (every mechanism
-	// release). A release served from the table's fold cache still
-	// reports "scan" (the snapshot and the lookup) and, when grouped, a
-	// near-zero "group_merge". The deduction before them is timed by the
+	// order and their sorted copy), "group_merge" (grouped queries only:
+	// the merge of the shards' groups, that placement and the sorted
+	// copies) and "noise" (every mechanism release). A release served
+	// from the table's fold cache still reports "scan" (the row-count
+	// check and the lookup) and, when grouped, a near-zero "group_merge". The deduction before them is timed by the
 	// caller's ledger wrapper, not here.
 	Observe func(stage string, d time.Duration)
 	// ObserveShard, when set, receives one sample per shard of the
@@ -190,7 +190,8 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	// sums, every other aggregate its per-user means. aggIn maps each
 	// aggregate to its input (-1: COUNT, which reads the scan's per-group
 	// user count alone); aggregates that read one input share its slice,
-	// since the estimators only read theirs.
+	// since the estimators only read theirs. An input is also sorted when
+	// any of its aggregates reads buckets (readsSorted).
 	var cols []int
 	var ins []foldInput
 	aggIn := make([]int, len(q.Aggs))
@@ -215,10 +216,13 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			cols = append(cols, ix)
 		}
 		in := foldInput{col: c, mean: spec.Kind != AggSum}
-		if aggIn[i] = slices.Index(ins, in); aggIn[i] < 0 {
-			aggIn[i] = len(ins)
+		at := slices.IndexFunc(ins, func(x foldInput) bool { return x.col == in.col && x.mean == in.mean })
+		if at < 0 {
+			at = len(ins)
 			ins = append(ins, in)
 		}
+		ins[at].sorted = ins[at].sorted || readsSorted(spec.Kind)
+		aggIn[i] = at
 	}
 	groupIx := -1
 	if q.GroupBy != "" {
@@ -258,7 +262,6 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 		observe = func(string, time.Duration) {}
 	}
 	scanStart := time.Now()
-	snaps := t.shardSnapshots()
 	var mergeStart time.Time
 	endScan := func() {
 		mergeStart = time.Now()
@@ -266,16 +269,16 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 			observe("scan", mergeStart.Sub(scanStart))
 		}
 	}
-	fold := func() []groupFold {
+	fold := func(snaps []shardSnap) []groupFold {
 		scans := t.scanShards(snaps, q.Where, groupIx, bound, cols, opts.ObserveShard)
 		endScan()
 		return t.mergeGroups(snaps, scans, bound, len(cols), ins)
 	}
 	var groups []groupFold
 	if q.Where != nil {
-		groups = fold() // never cached: the predicate space is unbounded
+		groups = fold(t.shardSnapshots()) // never cached: the predicate space is unbounded
 	} else {
-		groups = cachedFold(t, fmt.Sprintf("sql g%d b%d c%v i%v", groupIx, bound, cols, ins), snaps, fold)
+		groups = cachedFold(t, fmt.Sprintf("sql g%d b%d c%v i%v", groupIx, bound, cols, ins), fold)
 	}
 	if mergeStart.IsZero() {
 		endScan() // a cache hit: the lookup was the scan, and nothing merges
@@ -302,11 +305,11 @@ func (db *DB) ExecQueryTraced(rng *xrand.RNG, q *Query, eps float64, opts ExecOp
 	for _, g := range groups {
 		values := make([]float64, len(q.Aggs))
 		for i, spec := range q.Aggs {
-			var xs []float64
+			var xs, sorted []float64
 			if in := aggIn[i]; in >= 0 {
-				xs = g.xs[in]
+				xs, sorted = g.xs[in], g.sorted[in]
 			}
-			v, err := aggregate(rng, spec, g.users, xs, epsG)
+			v, err := aggregate(rng, spec, g.users, xs, sorted, epsG)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", g.keyS, err)
 			}
@@ -463,17 +466,29 @@ func (t *Table) scanShards(snaps []shardSnap, where Expr, groupIx, bound int, co
 
 // foldInput is one per-user slice the released aggregates read: the
 // per-user sums of cols[col] (SUM), or its per-user means (mean set;
-// every other aggregate).
+// every other aggregate). sorted asks for a sorted copy beside it, for
+// the aggregates that read buckets.
 type foldInput struct {
-	col  int
-	mean bool
+	col    int
+	mean   bool
+	sorted bool
+}
+
+// readsSorted reports whether kind's estimator discretizes its input in
+// sorted order: the quantiles (MEDIAN, P25, P75, QUANTILE, MIN, MAX),
+// IQR, and the range step of AVG and SUM. VAR and STDDEV only count
+// buckets of pair squares, and COUNT reads no input.
+func readsSorted(kind AggKind) bool {
+	return kind != AggCount && kind != AggVar && kind != AggStdDev
 }
 
 // groupFold is one released group's input: its key, its user count, and
-// per foldInput the group's per-user values in user-id order.
+// per foldInput the group's per-user values in user-id order, and, for
+// an input marked sorted, the same values in empirical.Sorted's order
+// (nil otherwise).
 type groupFold struct {
 	scanGroup
-	xs [][]float64
+	xs, sorted [][]float64
 }
 
 // mergeGroups merges the shard scans into the released groups, in
@@ -516,19 +531,28 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 		return groups
 	}
 
-	// Each group's slices are carved from one backing array and filled
-	// front to back through next[G].
-	total := 0
+	// Each group's slices, sorted copies included, are carved from one
+	// backing array; the inputs are filled front to back through next[G].
+	total, nsorted := 0, 0
 	for _, g := range groups {
 		total += g.users
 	}
-	backing := make([]float64, total*len(ins))
-	heads := make([][]float64, len(groups)*len(ins))
+	for _, in := range ins {
+		if in.sorted {
+			nsorted++
+		}
+	}
+	backing := make([]float64, total*(len(ins)+nsorted))
+	heads := make([][]float64, 2*len(groups)*len(ins))
 	for G := range groups {
-		groups[G].xs = heads[G*len(ins) : (G+1)*len(ins)]
-		for i := range ins {
-			n := groups[G].users
-			groups[G].xs[i], backing = backing[:n:n], backing[n:]
+		g := &groups[G]
+		g.xs, g.sorted = heads[2*G*len(ins):(2*G+1)*len(ins)], heads[(2*G+1)*len(ins):(2*G+2)*len(ins)]
+		for i, in := range ins {
+			n := g.users
+			g.xs[i], backing = backing[:n:n], backing[n:]
+			if in.sorted {
+				g.sorted[i], backing = backing[:n:n], backing[n:]
+			}
 		}
 	}
 	next := make([]int, len(groups))
@@ -552,6 +576,15 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 			next[G]++
 		}
 	}
+	// The sort every release of these inputs would otherwise run, once:
+	// a cached fold keeps it for the snapshot's life.
+	for _, g := range groups {
+		for i, s := range g.sorted {
+			if s != nil {
+				radix.SortFloatsInto(s, g.xs[i])
+			}
+		}
+	}
 	return groups
 }
 
@@ -559,9 +592,10 @@ func (t *Table) mergeGroups(snaps []shardSnap, scans []shardScan, bound, ncols i
 // group of nUsers users. xs holds the users' contributions in user-id
 // order, as mergeGroups wrote them: per-user sums for SUM, per-user means
 // for every other aggregate but COUNT, which privatizes nUsers alone and
-// reads no xs. aggregate only reads xs, so aggregates of one input share
-// it.
-func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float64) (float64, error) {
+// reads no xs. sorted holds the same values sorted when readsSorted(kind).
+// aggregate only reads xs and sorted, so aggregates of one input share
+// them.
+func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs, sorted []float64, eps float64) (float64, error) {
 	if spec.Kind == AggCount {
 		// Count of matching users; sensitivity 1 under a one-user change.
 		return dp.NoisyCount(rng, nUsers, eps), nil
@@ -575,19 +609,19 @@ func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float
 	case AggSum:
 		// SUM = n_users · mean(per-user sums); n_users is fixed across
 		// replace-one-user neighbors, so only the mean needs privatizing.
-		m, err := privateMeanAuto(rng, xs, eps, beta)
+		m, err := core.EmpiricalMeanSorted(rng, xs, sorted, eps, beta)
 		if err != nil {
 			return 0, err
 		}
 		return m * float64(nUsers), nil
 	case AggAvg:
-		return privateMeanAuto(rng, xs, eps, beta)
+		return core.EmpiricalMeanSorted(rng, xs, sorted, eps, beta)
 	case AggMedian:
-		return core.EstimateQuantile(rng, xs, (nUsers+1)/2, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, (nUsers+1)/2, eps, beta)
 	case AggP25:
-		return core.EstimateQuantile(rng, xs, (nUsers+3)/4, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, (nUsers+3)/4, eps, beta)
 	case AggP75:
-		return core.EstimateQuantile(rng, xs, (3*nUsers+3)/4, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, (3*nUsers+3)/4, eps, beta)
 	case AggVar:
 		return nonNeg(core.EstimateVariance(rng, xs, eps, beta))
 	case AggStdDev:
@@ -597,24 +631,17 @@ func aggregate(rng *xrand.RNG, spec AggSpec, nUsers int, xs []float64, eps float
 		}
 		return math.Sqrt(v), nil
 	case AggIQR:
-		return nonNeg(core.EstimateIQR(rng, xs, eps, beta))
+		return nonNeg(core.EstimateIQRSorted(rng, xs, sorted, eps, beta))
 	case AggQuantile:
-		tau := int(math.Ceil(spec.P * float64(nUsers)))
-		if tau < 1 {
-			tau = 1
-		}
-		if tau > nUsers {
-			tau = nUsers
-		}
-		return core.EstimateQuantile(rng, xs, tau, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, core.QuantileRank(spec.P, nUsers), eps, beta)
 	case AggMin:
 		// Extreme quantiles: Algorithm 2 clamps the target rank away from
 		// the boundary by its slack, so MIN/MAX are conservative — they
 		// release roughly the slack-th smallest/largest per-user value.
 		// (An exact private min/max is impossible with bounded error.)
-		return core.EstimateQuantile(rng, xs, 1, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, 1, eps, beta)
 	case AggMax:
-		return core.EstimateQuantile(rng, xs, nUsers, eps, beta)
+		return core.EstimateQuantileSorted(rng, xs, sorted, nUsers, eps, beta)
 	default:
 		return 0, fmt.Errorf("%w: unsupported aggregate %v", ErrSyntax, spec.Kind)
 	}
@@ -629,18 +656,4 @@ func nonNeg(v float64, err error) (float64, error) {
 		v = 0
 	}
 	return v, err
-}
-
-// privateMeanAuto releases the empirical mean of contributions with no
-// domain bound: Algorithm 7 learns a bucket (ε/4), then the §3.5
-// infinite-domain mean runs with the rest (3ε/4).
-func privateMeanAuto(rng *xrand.RNG, xs []float64, eps, beta float64) (float64, error) {
-	b, err := core.IQRLowerBound(rng, xs, eps/4, beta/2)
-	if err != nil {
-		return 0, err
-	}
-	if !(b > 0) {
-		b = math.SmallestNonzeroFloat64
-	}
-	return empirical.RealMean(rng, xs, b, 3*eps/4, beta/2)
 }

@@ -1,11 +1,16 @@
 package dpsql
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // foldCacheSize bounds how many merged folds a table keeps: one per
 // recently released shape, most recently used first. A shape's entry
-// holds what one release of it allocates anyway (users × inputs floats),
-// so the bound caps the retained memory at a few releases' worth.
+// holds what one release of it allocates anyway (users × inputs floats)
+// plus a sorted copy of each input a bucket consumer reads (8 B per user
+// per such input), so the bound caps the retained memory at a few
+// releases' worth.
 const foldCacheSize = 4
 
 // foldCache is a table's small set of merged per-user folds — the
@@ -19,39 +24,50 @@ const foldCacheSize = 4
 // changed table simply misses, and its fold replaces the shape's stale
 // entry. Entries are immutable once stored; concurrent releases read
 // them shared.
+//
+// An entry keeps, beside each per-user input that a quantile, range or
+// mean release reads, the same values sorted (empirical.Sorted): those
+// releases discretize the sorted copy in order, so the sort is paid once
+// per snapshot, on the miss that builds the entry, and a repeat release
+// sorts nothing.
 type foldCache struct {
 	mu      sync.Mutex
 	entries []foldEntry // most recently used first
 }
 
 // foldEntry is one cached fold: a []groupFold for an SQL shape, a
-// []float64 for UserMeans.
+// meansFold for UserMeans.
 type foldEntry struct {
 	shape string
 	rows  []int // rows[s]: shard s's row count in the folded snapshot
 	fold  any
 }
 
-// folded reports whether e was folded from snapshots with snaps' row
-// counts.
-func (e *foldEntry) folded(snaps []shardSnap) bool {
-	for s, sn := range snaps {
-		if e.rows[s] != sn.n {
-			return false
-		}
+// rowCounts appends every shard's current row count to rows: all a
+// cache lookup reads of the shards.
+func (t *Table) rowCounts(rows []int) []int {
+	for _, sh := range t.shards {
+		sh.mu.RLock()
+		rows = append(rows, len(sh.seqs))
+		sh.mu.RUnlock()
 	}
-	return true
+	return rows
 }
 
-// cachedFold returns shape's fold of snaps: t's cached entry when one
-// was folded from snapshots with the same row counts, else fold(), which
-// is then stored in place of shape's previous entry. The caller must not
+// cachedFold returns shape's fold of the table's current snapshot: the
+// cached entry when one was folded from shards with today's row counts,
+// else fold over fresh shard views, which is then stored in place of
+// shape's previous entry. A hit reads only the row counts; the views,
+// which copy each shard's column headers, are taken on a miss, and the
+// stored entry is keyed by the counts of the views actually folded,
+// since an append can land between the two reads. The caller must not
 // modify the result, and fold must compute it from snaps alone.
-func cachedFold[T any](t *Table, shape string, snaps []shardSnap, fold func() T) T {
+func cachedFold[T any](t *Table, shape string, fold func(snaps []shardSnap) T) T {
+	rows := t.rowCounts(make([]int, 0, 16))
 	c := &t.folds
 	c.mu.Lock()
 	for i, e := range c.entries {
-		if e.shape == shape && e.folded(snaps) {
+		if e.shape == shape && slices.Equal(e.rows, rows) {
 			copy(c.entries[1:i+1], c.entries[:i])
 			c.entries[0] = e
 			c.mu.Unlock()
@@ -60,7 +76,8 @@ func cachedFold[T any](t *Table, shape string, snaps []shardSnap, fold func() T)
 	}
 	c.mu.Unlock()
 
-	out := fold()
+	snaps := t.shardSnapshots()
+	out := fold(snaps)
 	e := foldEntry{shape: shape, rows: make([]int, len(snaps)), fold: out}
 	for s, sn := range snaps {
 		e.rows[s] = sn.n

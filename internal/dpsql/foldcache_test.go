@@ -208,6 +208,11 @@ func TestFoldCacheKeysByShape(t *testing.T) {
 		{"SELECT AVG(v) FROM ev GROUP BY g", 3, false},
 		{"SELECT SUM(v) FROM ev GROUP BY g", 1, false},
 		{"SELECT MEDIAN(v) FROM ev GROUP BY g", 1, true},
+		// VAR and STDDEV read no sorted copy, so their fold has none and
+		// is keyed apart; AVG must not be served it.
+		{"SELECT VAR(v) FROM ev GROUP BY g", 1, false},
+		{"SELECT STDDEV(v) FROM ev GROUP BY g", 1, true},
+		{"SELECT AVG(v) FROM ev GROUP BY g", 1, true},
 		{"SELECT AVG(v) FROM ev GROUP BY f", 1, false},
 		{"SELECT AVG(v) FROM ev", 1, false},
 		{"SELECT SUM(v), AVG(v) FROM ev", 1, false},

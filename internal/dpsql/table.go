@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dp"
+	"repro/internal/empirical"
 )
 
 // Errors returned by the schema layer.
@@ -357,21 +358,43 @@ func (t *Table) numericIndex(col string) (int, error) {
 //
 // The result is cached per column against the shards' row counts (see
 // foldCache), so a repeat read over an unchanged table returns the same
-// slice without a scan; callers must not modify it. Optional observers
-// receive one sample per shard of the fan (see ShardObserver); a cached
-// read has no fan and calls none.
+// slice without a scan; callers must not modify it. The cached entry
+// also holds the means sorted (SortedUserMeans), 8 B per user more.
+// Optional observers receive one sample per shard of the fan (see
+// ShardObserver); a cached read has no fan and calls none.
 func (t *Table) UserMeans(col string, obs ...ShardObserver) ([]float64, error) {
+	f, err := t.userMeans(col, obs)
+	return f.xs, err
+}
+
+// SortedUserMeans is UserMeans with the cached entry's second slice: the
+// same means in empirical.Sorted's order, which the quantile and range
+// releases read. The sorted copy is built once per snapshot, with one
+// allocation and one sort, on the miss that folds it, so a repeat
+// release over an unchanged table sorts nothing. Callers must not
+// modify either slice.
+func (t *Table) SortedUserMeans(col string, obs ...ShardObserver) (means, sorted []float64, err error) {
+	f, err := t.userMeans(col, obs)
+	return f.xs, f.sorted, err
+}
+
+// meansFold is UserMeans' cached fold: the per-user means in user-id
+// order, and the same values sorted.
+type meansFold struct{ xs, sorted []float64 }
+
+// userMeans returns col's cached meansFold, folding it on a miss.
+func (t *Table) userMeans(col string, obs []ShardObserver) (meansFold, error) {
 	ix, err := t.numericIndex(col)
 	if err != nil {
-		return nil, err
+		return meansFold{}, err
 	}
 	// Keyed apart from the SQL folds: this fold adds a NaN row into the
 	// sum where the scan's pins it, so the two differ in NaN payloads.
-	snaps := t.shardSnapshots()
-	return cachedFold(t, "means c"+strconv.Itoa(ix), snaps, func() []float64 {
-		return fanUsers(t, snaps, obs,
+	return cachedFold(t, "means c"+strconv.Itoa(ix), func(snaps []shardSnap) meansFold {
+		xs := fanUsers(t, snaps, obs,
 			func(sn shardSnap) []userAgg { return t.shardUserAggs(sn, ix) },
 			func(a userAgg) float64 { return a.sum / float64(a.count) })
+		return meansFold{xs: xs, sorted: empirical.Sorted(xs)}
 	}), nil
 }
 

@@ -13,6 +13,16 @@
 // O(γ(D)/(εn)·log log γ(D)) — inward-neighborhood optimal with optimality
 // ratio O(log log γ(D)/ε) (Theorems 3.3 and 3.4) — and quantiles have rank
 // error O(log γ(D)/ε) (Theorem 3.5).
+//
+// Who sorts: the integer pipeline reads its clamped data in increasing
+// order and radix-sorts it once, on entry, unless it already comes
+// sorted. The real-domain consumers (RealQuantile, RealQuantiles,
+// RealRange, RealMean's range) never sort buckets: they take reals in
+// Sorted's order and discretize them in that order, which yields sorted
+// buckets at every bucket size b since Discretize is monotone. The
+// caller sorts the reals once (Sorted) — per call in the updp library
+// and for WHERE folds, once per table snapshot for the SQL layer's
+// cached per-user folds — however many releases then read them.
 package empirical
 
 import (

@@ -333,7 +333,7 @@ func TestRealMeanGaussian(t *testing.T) {
 	b := sigma / 100
 	fails := 0
 	for trial := 0; trial < 20; trial++ {
-		m, err := RealMean(rng, data, b, 1.0, 0.05)
+		m, err := RealMean(rng, make([]int64, len(data)), data, Sorted(data), b, 1.0, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestRealQuantileMedian(t *testing.T) {
 	}
 	fails := 0
 	for trial := 0; trial < 20; trial++ {
-		q, err := RealQuantile(rng, data, n/2, 0.1, 1.0, 0.05)
+		q, err := RealQuantile(rng, make([]int64, len(data)), data, n/2, 0.1, 1.0, 0.05)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,10 +423,10 @@ func TestRealBadBucket(t *testing.T) {
 	rng := xrand.New(16)
 	data := []float64{1, 2, 3}
 	for _, b := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := RealMean(rng, data, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
+		if _, err := RealMean(rng, make([]int64, len(data)), data, data, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
 			t.Errorf("bucket %v should fail", b)
 		}
-		if _, err := RealQuantile(rng, data, 1, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
+		if _, err := RealQuantile(rng, make([]int64, len(data)), data, 1, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
 			t.Errorf("quantile bucket %v should fail", b)
 		}
 		if _, _, err := RealRange(rng, data, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {

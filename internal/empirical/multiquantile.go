@@ -74,12 +74,14 @@ func Quantiles(rng *xrand.RNG, data []int64, taus []int, eps, beta float64) ([]i
 
 // RealQuantiles is the real-domain version of Quantiles (§3.5): discretize
 // with bucket b, release the ranks, and scale back. Each value carries an
-// extra additive b of discretization error.
-func RealQuantiles(rng *xrand.RNG, data []float64, taus []int, b, eps, beta float64) ([]float64, error) {
+// extra additive b of discretization error. Like RealQuantile, it writes
+// the buckets into buf and reads them in place when data is in Sorted's
+// order.
+func RealQuantiles(rng *xrand.RNG, buf []int64, data []float64, taus []int, b, eps, beta float64) ([]float64, error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return nil, ErrBadBucket
 	}
-	qs, err := Quantiles(rng, SortedBuckets(data, b), taus, eps, beta)
+	qs, err := Quantiles(rng, DiscretizeInto(buf, data, b), taus, eps, beta)
 	if err != nil {
 		return nil, err
 	}

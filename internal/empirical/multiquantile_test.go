@@ -125,7 +125,7 @@ func TestRealQuantilesBucketScaling(t *testing.T) {
 	for i := range data {
 		data[i] = float64(i) / 100 // uniform grid on [0, 40)
 	}
-	qs, err := RealQuantiles(rng, data, []int{n / 4, 3 * n / 4}, 0.01, 1.0, 0.1)
+	qs, err := RealQuantiles(rng, make([]int64, len(data)), data, []int{n / 4, 3 * n / 4}, 0.01, 1.0, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestRealQuantilesBadBucket(t *testing.T) {
 	rng := xrand.New(16)
 	data := []float64{1, 2, 3, 4}
 	for _, b := range []float64{0, -1, math.Inf(1), math.NaN()} {
-		if _, err := RealQuantiles(rng, data, []int{1}, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
+		if _, err := RealQuantiles(rng, make([]int64, len(data)), data, []int{1}, b, 1, 0.1); !errors.Is(err, ErrBadBucket) {
 			t.Errorf("bucket %v: want ErrBadBucket, got %v", b, err)
 		}
 	}

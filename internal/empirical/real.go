@@ -32,21 +32,31 @@ func Discretize(x, b float64) int64 {
 
 // DiscretizeAll maps a real dataset to bucket indices.
 func DiscretizeAll(xs []float64, b float64) []int64 {
-	out := make([]int64, len(xs))
-	for i, x := range xs {
-		out[i] = Discretize(x, b)
-	}
-	return out
+	return DiscretizeInto(make([]int64, len(xs)), xs, b)
 }
 
-// SortedBuckets returns the bucket indices of xs in increasing order.
-// Quantile and Quantiles take such input as is, without a copy or a sort,
-// so a caller releasing several quantiles of one dataset discretizes and
-// sorts it once. The sort is a radix sort, linear in len(xs) with one pass
-// per byte of the indices' span, and allocates nothing beyond the result.
-func SortedBuckets(xs []float64, b float64) []int64 {
-	out := DiscretizeAll(xs, b)
-	radix.Sort(out)
+// DiscretizeInto writes the bucket index of every xs[i] to dst[i] and
+// returns dst[:len(xs)]; dst must be at least as long as xs. Over xs in
+// Sorted's order the indices come out in increasing order at every
+// bucket size, since Discretize is monotone and maps NaN to 0 — which is
+// how the real-domain quantiles and ranges get sorted buckets without
+// sorting them.
+func DiscretizeInto(dst []int64, xs []float64, b float64) []int64 {
+	dst = dst[:len(xs)]
+	for i, x := range xs {
+		dst[i] = Discretize(x, b)
+	}
+	return dst
+}
+
+// Sorted returns a copy of xs in increasing order with each NaN placed
+// among the zeros (radix.SortFloatsInto): the order the real-domain
+// bucket consumers read. A caller that releases several statistics of
+// one dataset — or, like the SQL layer's cached per-user folds, many
+// releases of it — sorts it once and hands the copy to each.
+func Sorted(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	radix.SortFloatsInto(out, xs)
 	return out
 }
 
@@ -66,14 +76,22 @@ func RealRadius(rng *xrand.RNG, data []float64, b, eps, beta float64) (float64, 
 }
 
 // RealRange is the real-domain range estimator (Theorem 3.7):
-// |R̃(D)| <= 4γ(D) + 6b with the integer outlier bound. Range's two
-// radius passes only count, so it gets the buckets sorted: its private
-// median then reads them in place, with no copy and no second sort.
+// |R̃(D)| <= 4γ(D) + 6b with the integer outlier bound. It discretizes
+// data in the order given. Given in Sorted's order, the buckets come out
+// sorted, and Range's private median reads them in place (its two radius
+// passes only count); in any other order that median sorts a copy of
+// the buckets, with the same result.
 func RealRange(rng *xrand.RNG, data []float64, b, eps, beta float64) (lo, hi float64, err error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return 0, 0, ErrBadBucket
 	}
-	ilo, ihi, err := Range(rng, SortedBuckets(data, b), eps, beta)
+	return realRange(rng, DiscretizeAll(data, b), b, eps, beta)
+}
+
+// realRange is Range over the buckets ints of size b, scaled back to the
+// reals: bucket k covers [(k-1/2)b, (k+1/2)b].
+func realRange(rng *xrand.RNG, ints []int64, b, eps, beta float64) (lo, hi float64, err error) {
+	ilo, ihi, err := Range(rng, ints, eps, beta)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -83,12 +101,16 @@ func RealRange(rng *xrand.RNG, data []float64, b, eps, beta float64) (lo, hi flo
 // RealMean is the real-domain mean estimator (Theorem 3.8): error
 // O((γ(D)+b)/(εn)·log(log(γ(D)/b)/β)). It finds the range on the
 // discretized data but computes the clipped mean on the original reals, so
-// the only discretization cost is the slightly wider range.
-func RealMean(rng *xrand.RNG, data []float64, b, eps, beta float64) (float64, error) {
+// the only discretization cost is the slightly wider range. sorted holds
+// data's values in Sorted's order; the range discretizes it into buf
+// (at least len(data) long; its contents are overwritten), where the
+// buckets come out sorted, as RealRange's do from the same input. The
+// clipped mean sums data in its own order.
+func RealMean(rng *xrand.RNG, buf []int64, data, sorted []float64, b, eps, beta float64) (float64, error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return 0, ErrBadBucket
 	}
-	lo, hi, err := RealRange(rng, data, b, 4*eps/5, beta/2)
+	lo, hi, err := realRange(rng, DiscretizeInto(buf, sorted, b), b, 4*eps/5, beta/2)
 	if err != nil {
 		return 0, err
 	}
@@ -96,12 +118,17 @@ func RealMean(rng *xrand.RNG, data []float64, b, eps, beta float64) (float64, er
 }
 
 // RealQuantile is the real-domain quantile estimator (Theorem 3.9): rank
-// error O(log(γ(D)/(bβ))/ε) plus an additive b from discretization.
-func RealQuantile(rng *xrand.RNG, data []float64, tau int, b, eps, beta float64) (float64, error) {
+// error O(log(γ(D)/(bβ))/ε) plus an additive b from discretization. It
+// writes data's buckets into buf (at least len(data) long; its contents
+// are overwritten), so a caller with a spare buffer, such as the pairing
+// index of Algorithm 7, allocates nothing more. Given data in Sorted's
+// order the buckets come out sorted and Algorithm 6 reads them in place;
+// in any other order it sorts a copy, with the same result.
+func RealQuantile(rng *xrand.RNG, buf []int64, data []float64, tau int, b, eps, beta float64) (float64, error) {
 	if !(b > 0) || math.IsInf(b, 1) {
 		return 0, ErrBadBucket
 	}
-	q, err := Quantile(rng, SortedBuckets(data, b), tau, eps, beta)
+	q, err := Quantile(rng, DiscretizeInto(buf, data, b), tau, eps, beta)
 	if err != nil {
 		return 0, err
 	}

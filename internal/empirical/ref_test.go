@@ -274,7 +274,7 @@ func TestRealQuantileNaNMatchesReference(t *testing.T) {
 	for _, tau := range []int{1, 5, len(data)} {
 		for seed := uint64(1); seed <= 6; seed++ {
 			r1, r2 := xrand.New(seed), xrand.New(seed)
-			got, gotErr := RealQuantile(r1, data, tau, 0.5, 1, 0.1)
+			got, gotErr := RealQuantile(r1, make([]int64, len(data)), data, tau, 0.5, 1, 0.1)
 			q, wantErr := refQuantile(r2, DiscretizeAll(data, 0.5), tau, 1, 0.1)
 			want := float64(q) * 0.5
 			if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {

@@ -13,9 +13,12 @@ import (
 )
 
 // BenchmarkMemAuditAppend prices an in-memory tenant's audit append in
-// the steady state: the log is filled to memAuditMax before the timer
-// starts, so every timed append is past the cap, where Append copies the
-// whole retention window. A ring buffer would make it O(1).
+// the steady state: the log is filled to one record past memAuditMax
+// before the timer starts, so it has already grown and trimmed once, and
+// every timed append finds it at the cap, where Append copies the whole
+// retention window. (Filled to exactly memAuditMax, the first timed
+// append would find spare capacity and copy nothing.) A ring buffer
+// would make it O(1).
 func BenchmarkMemAuditAppend(b *testing.B) {
 	a := &memAudit{}
 	rec := store.AuditRecord{
@@ -26,7 +29,7 @@ func BenchmarkMemAuditAppend(b *testing.B) {
 		Unit:      "epsilon",
 		TimeUnix:  1,
 	}
-	for range memAuditMax {
+	for range memAuditMax + 1 {
 		r := rec
 		if err := a.Append(&r); err != nil {
 			b.Fatal(err)

@@ -5,8 +5,11 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/dpsql"
+	"repro/internal/empirical"
+	"repro/internal/xrand"
 	"repro/updp"
 )
 
@@ -37,7 +40,9 @@ import (
 // merged per-user input against its shards' row counts, so a release
 // over a table no row has reached since an earlier same-column release
 // reads that input without a fan (and its scan span has no per-shard
-// children); the input, and so the answer, is the same either way.
+// children); the input, and so the answer, is the same either way. The
+// cached input comes with its values sorted, which the quantile and IQR
+// estimators discretize in order, so a repeat release sorts nothing.
 func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (EstimateResponse, error) {
 	if req.GroupBy != "" {
 		q := &dpsql.Query{Table: req.Table, GroupBy: req.GroupBy, Aggs: []dpsql.AggSpec{groupedAggSpec(req)}}
@@ -62,10 +67,10 @@ func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (Estima
 	// collapse. This is the release's "scan" stage.
 	scanStart := time.Now()
 	var (
-		n   int
-		xs  []float64
-		zs  []int64
-		err error
+		n          int
+		xs, sorted []float64
+		zs         []int64
+		err        error
 	)
 	// Per-user readers fan over the shards; each shard's partial scan
 	// lands as a child span under "scan" (shard index + row count), so a
@@ -85,8 +90,11 @@ func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (Estima
 		zs, err = tab.UserIntSums(req.Column, shardObs)
 	case req.Unit == "record":
 		xs, err = tab.ColumnFloats(req.Column)
+		if stat == "median" || stat == "quantile" || stat == "iqr" {
+			sorted = empirical.Sorted(xs) // the order the bucket reads need
+		}
 	default:
-		xs, err = tab.UserMeans(req.Column, shardObs)
+		xs, sorted, err = tab.SortedUserMeans(req.Column, shardObs)
 	}
 	if err != nil {
 		return EstimateResponse{}, err
@@ -108,7 +116,8 @@ func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (Estima
 	noiseStart := time.Now()
 	defer func() { s.observeStage(rel, "noise", time.Since(noiseStart)) }()
 	rng := s.splitRNG()
-	o := []updp.Option{updp.WithBeta(req.Beta), updp.WithSeed(rng.Uint64())}
+	seed := rng.Uint64()
+	o := []updp.Option{updp.WithBeta(req.Beta), updp.WithSeed(seed)}
 	var value float64
 	switch stat {
 	case "count":
@@ -129,11 +138,15 @@ func estimate(led *releaseLedger, tab *dpsql.Table, req EstimateRequest) (Estima
 	case "stddev":
 		value, err = updp.StdDev(xs, req.Epsilon, o...)
 	case "iqr":
-		value, err = clampNonNeg(updp.IQR(xs, req.Epsilon, o...))
-	case "median":
-		value, err = updp.Median(xs, req.Epsilon, o...)
-	case "quantile":
-		value, err = updp.Quantile(xs, req.P, req.Epsilon, o...)
+		value, err = clampNonNeg(core.EstimateIQRSorted(xrand.New(seed), xs, sorted, req.Epsilon, req.Beta))
+	case "median", "quantile":
+		// updp.Median and updp.Quantile with the sorted copy the table
+		// keeps: the same seed, rank and answer, and no sort.
+		p := req.P
+		if stat == "median" {
+			p = 0.5
+		}
+		value, err = core.EstimateQuantileSorted(xrand.New(seed), xs, sorted, core.QuantileRank(p, len(xs)), req.Epsilon, req.Beta)
 	case "empirical_mean":
 		value, err = updp.EmpiricalMean(zs, req.Epsilon, o...)
 	case "empirical_quantile":

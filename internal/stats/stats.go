@@ -198,17 +198,20 @@ func CountInInt64(xs []int64, lo, hi int64) int {
 	return c
 }
 
-// Pairs draws one random pairing of [0, n) into disjoint pairs and passes
-// each pair to pair in turn. The pairing is the one rng.Perm(n) would
-// give, read two at a time, and consumes exactly Perm's draws
-// (rng.Intn(i+1) for i = n-1 down to 1), but the shuffled indices live in
-// one []int32 and no pair's value is stored: pair folds each one as it
-// comes, so Algorithm 7 can count its G multiset without building it.
-// With odd n the last index is left out.
-func Pairs(rng *xrand.RNG, n int, pair func(a, b int)) {
-	idx := make([]int32, n)
+// Pairs draws one random pairing of [0, n), n = len(idx), into disjoint
+// pairs and passes each pair to pair in turn. The pairing is the one
+// rng.Perm(n) would give, read two at a time, and consumes exactly
+// Perm's draws (rng.Intn(i+1) for i = n-1 down to 1), but the shuffled
+// indices live in idx, the caller's buffer (its contents are
+// overwritten), and no pair's value is stored: pair folds each one as it
+// comes, so Algorithm 7 can count its G multiset without building it. A
+// caller that needs an n-length []int64 next, as the quantile releases
+// do for their bucket indices, passes that slice here first. With odd n
+// the last index is left out.
+func Pairs[I int32 | int64](rng *xrand.RNG, idx []I, pair func(a, b int)) {
+	n := len(idx)
 	for i := range idx {
-		idx[i] = int32(i)
+		idx[i] = I(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
@@ -224,7 +227,7 @@ func Pairs(rng *xrand.RNG, n int, pair func(a, b int)) {
 // subsampled and so kept whole). With odd n the last element is dropped.
 func PairSquares(rng *xrand.RNG, xs []float64) []float64 {
 	out := make([]float64, 0, len(xs)/2)
-	Pairs(rng, len(xs), func(a, b int) {
+	Pairs(rng, make([]int32, len(xs)), func(a, b int) {
 		d := xs[a] - xs[b]
 		out = append(out, d*d)
 	})

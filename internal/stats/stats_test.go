@@ -183,7 +183,7 @@ func TestCountIn(t *testing.T) {
 // pairDistances is Algorithm 7's G multiset built through Pairs.
 func pairDistances(rng *xrand.RNG, xs []float64) []float64 {
 	var g []float64
-	Pairs(rng, len(xs), func(a, b int) { g = append(g, math.Abs(xs[a]-xs[b])) })
+	Pairs(rng, make([]int32, len(xs)), func(a, b int) { g = append(g, math.Abs(xs[a]-xs[b])) })
 	return g
 }
 
@@ -202,13 +202,23 @@ func TestPairDistancesProperties(t *testing.T) {
 }
 
 // Pairs must pair what rng.Perm(n) read two at a time pairs, and leave
-// the generator where Perm leaves it, for odd and even n.
+// the generator where Perm leaves it, for odd and even n and either
+// index width, whatever the buffer held before.
 func TestPairsMatchesPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 4, 7, 10, 101, 1000} {
-		for seed := uint64(1); seed <= 4; seed++ {
+		for seed := uint64(1); seed <= 8; seed++ {
 			r1, r2 := xrand.New(seed), xrand.New(seed)
 			var got [][2]int
-			Pairs(r1, n, func(a, b int) { got = append(got, [2]int{a, b}) })
+			add := func(a, b int) { got = append(got, [2]int{a, b}) }
+			if seed%2 == 0 {
+				Pairs(r1, make([]int32, n), add)
+			} else {
+				idx := make([]int64, n)
+				for i := range idx {
+					idx[i] = -7
+				}
+				Pairs(r1, idx, add)
+			}
 			perm := r2.Perm(n)
 			if len(got) != n/2 {
 				t.Fatalf("n=%d seed=%d: %d pairs, want %d", n, seed, len(got), n/2)

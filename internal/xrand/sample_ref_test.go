@@ -31,6 +31,60 @@ func refSampleIndices(r *RNG, n, m int) []int {
 	return out
 }
 
+// refUint64n is Uint64n as it ran with two divisions per draw: the
+// rejection bound ^uint64(0) - ^uint64(0)%n, then v % n. The body is
+// unchanged from the implementation it replaced.
+func refUint64n(r *RNG, n uint64) uint64 {
+	if n == 0 {
+		panic("xrand: Uint64n with n == 0")
+	}
+	if n&(n-1) == 0 { // power of two
+		return r.Uint64() & (n - 1)
+	}
+	max := ^uint64(0) - ^uint64(0)%n
+	for {
+		v := r.Uint64()
+		if v < max {
+			return v % n
+		}
+	}
+}
+
+// Uint64n must return the reference's draws and leave the generator
+// where the reference leaves it: over powers of two, small n, n around
+// 2^32, and n just above 2^63, where about half of all draws are
+// rejected.
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 6, 7, 10, 64, 100, 1000, 1 << 20, 1<<32 - 1, 1 << 32, 1<<32 + 1,
+		1<<63 - 1, 1 << 63, 1<<63 + 1, 1<<63 + 12345, 3 << 62, ^uint64(0) - 1, ^uint64(0)}
+	for _, n := range ns {
+		for seed := uint64(1); seed <= 4; seed++ {
+			r1, r2 := New(seed), New(seed)
+			for i := 0; i < 5000; i++ {
+				if got, want := r1.Uint64n(n), refUint64n(r2, n); got != want {
+					t.Fatalf("n=%d seed=%d draw %d: got %d, reference %d", n, seed, i, got, want)
+				}
+			}
+			if r1.s != r2.s {
+				t.Fatalf("n=%d seed=%d: generator diverged", n, seed)
+			}
+		}
+	}
+	// Past 2^63 the bound rejects the top 2^64-n values: a state that
+	// draws one must be skipped by both.
+	n := uint64(1<<63 + 1)
+	r := New(1)
+	rejected := 0
+	for i := 0; i < 1000; i++ {
+		if r.Uint64() >= n {
+			rejected++
+		}
+	}
+	if rejected < 400 {
+		t.Fatalf("only %d of 1000 draws fall in the rejected top at n = 2^63+1", rejected)
+	}
+}
+
 // Both walks must return the same indices and leave the generator in the
 // same state, for every m from 0 to n.
 func TestSampleIndicesMatchesReference(t *testing.T) {

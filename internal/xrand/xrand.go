@@ -111,12 +111,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 { // power of two
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling on the top of the range to avoid modulo bias.
-	max := ^uint64(0) - ^uint64(0)%n
+	// Rejection sampling on the top of the range to avoid modulo bias:
+	// accept v below n·⌊(2^64-1)/n⌋. v - v%n is n·⌊v/n⌋, which stays at
+	// most 2^64-1-n exactly when ⌊v/n⌋ + 1 <= ⌊(2^64-1)/n⌋, so the one
+	// division per draw both tests v and yields the result.
 	for {
 		v := r.Uint64()
-		if v < max {
-			return v % n
+		if m := v % n; v-m <= ^uint64(0)-n {
+			return m
 		}
 	}
 }

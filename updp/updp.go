@@ -197,16 +197,7 @@ func Quantile(data []float64, p float64, eps float64, opts ...Option) (float64, 
 	if err != nil {
 		return 0, err
 	}
-	// Clamp the target rank to [1, n] (as EstimateQuantilesProb does):
-	// float rounding at extreme p must not push tau off the data.
-	tau := int(math.Ceil(p * float64(len(data))))
-	if tau < 1 {
-		tau = 1
-	}
-	if n := len(data); tau > n && n > 0 {
-		tau = n
-	}
-	return core.EstimateQuantile(c.rng, c.prepare(data), tau, eps, c.beta)
+	return core.EstimateQuantile(c.rng, c.prepare(data), core.QuantileRank(p, len(data)), eps, c.beta)
 }
 
 // Median releases an ε-DP estimate of the median (the 1/2-quantile).
